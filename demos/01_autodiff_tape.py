@@ -1,5 +1,6 @@
 """A walk through the tensor core: building expressions, backpropagating
-through the tape, and checking a gradient against finite differences.
+through the graph they form, and checking a gradient against finite
+differences.
 
 Run:  python3 demos/01_autodiff_tape.py
 """
@@ -9,7 +10,7 @@ import numpy as np
 import pgl.tensor as T
 from pgl.tensor import Tensor, backward, create
 
-print("== tensors and the tape ==")
+print("== tensors and their graph ==")
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
 y = (x * x).sum()                           # y = sum(x^2)
 grads = backward(y)
@@ -17,14 +18,12 @@ print(f"x = {x.data},  y = sum(x*x) = {y.item()}")
 print(f"dy/dx = {grads[x.node_id].data}   (expected 2x = [2, 4, 6])")
 
 print("\n== detach severs the gradient path ==")
-T.clear_tape()
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
 y = (x.detach() * x).sum()                  # one factor is frozen
 grads = backward(y)
 print(f"d sum(stop(x) * x) / dx = {grads[x.node_id].data}   (expected x itself)")
 
 print("\n== gradient accumulation over reuse ==")
-T.clear_tape()
 x = Tensor([2.0], requires_grad=True)
 y = (x * x + x).sum()                       # d/dx = 2x + 1
 print(f"d(x^2 + x)/dx at x=2: {backward(y)[x.node_id].data}   (expected [5])")
@@ -40,7 +39,6 @@ def loss_fn(a_data):
         return float(T.reduce_sum(T.matmul(Tensor(a_data), Tensor(b64))).item())
 
 
-T.clear_tape()
 a = Tensor(a64, requires_grad=True)
 analytic = backward(T.reduce_sum(T.matmul(a, Tensor(b64))))[a.node_id].data
 

@@ -6,7 +6,6 @@ Run:  python3 demos/02_blocks_and_heads.py
 
 import numpy as np
 
-import pgl.tensor as T
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy,
                          build_backbone, partition)
@@ -29,7 +28,6 @@ model = DecoupledModel(MlpSpec(widths=[16] * 4, num_classes=3), J=2, aux_policy=
 x = Tensor(np.random.default_rng(0).normal(size=(8, 2)).astype(np.float32))
 y = np.random.default_rng(1).integers(0, 3, size=8)
 
-T.clear_tape()
 _, logits_1 = model.forward_local(x, 1, train=True)
 grads = backward(softmax_cross_entropy(logits_1, y))
 
@@ -38,7 +36,6 @@ own += [name for name, p in model.head_named_params(1) if p.node_id in grads]
 leaked = [name for name, p in model.block_named_params(2) if p.node_id in grads]
 print(f"block-1 local loss reaches {len(own)} of its own parameters, {len(leaked)} of block 2's")
 
-T.clear_tape()
 glogits, boundaries = model.forward_global(x, train=True)
 ggrads = backward(softmax_cross_entropy(glogits, y))
 head_hit = [name for name, p in model.head_named_params(1) if p.node_id in ggrads]

@@ -89,9 +89,6 @@ class Checkpoint:
     def epoch(self) -> int:
         return int(self.tensors.get("meta.epoch", np.zeros(1))[0])
 
-    def __contains__(self, name):
-        return name in self.tensors
-
     def __getitem__(self, name):
         return self.tensors[name]
 
@@ -115,21 +112,36 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(read_tensors(path))
 
 
+def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
+    if name not in ckpt.tensors:
+        raise CheckpointError(f"checkpoint is missing {name}")
+    arr = ckpt.tensors[name]
+    if arr.shape != shape:
+        raise CheckpointError(f"{name}: checkpoint shape {list(arr.shape)} != model {list(shape)}")
+    return arr
+
+
 def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
-    """Copy checkpoint values into a freshly built model (and optimizer)."""
-    for name, p in model.named_params():
-        if name not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint is missing parameter {name}")
-        arr = ckpt.tensors[name]
-        if arr.shape != p.shape:
-            raise CheckpointError(f"{name}: checkpoint shape {list(arr.shape)} != model {list(p.shape)}")
-        p.data = arr.astype(np.float32).copy()
+    """Copy checkpoint values into a freshly built model (and optimizer).
+
+    A missing parameter or batchnorm stat, a velocity for no model
+    parameter, or any of these with a shape unlike the model's raises
+    ``CheckpointError`` naming the tensor.
+    """
+    params = dict(model.named_params())
+    for name, p in params.items():
+        p.data = _stored(ckpt, name, p.shape).astype(np.float32).copy()
     for prefix, bn in model.named_bns():
-        bn.state.running_mean = ckpt.tensors[f"{prefix}.running_mean"].copy()
-        bn.state.running_var = ckpt.tensors[f"{prefix}.running_var"].copy()
-        bn.state.batches_tracked = int(ckpt.tensors[f"{prefix}.batches_tracked"][0])
+        st = bn.state
+        st.running_mean = _stored(ckpt, f"{prefix}.running_mean", st.running_mean.shape).copy()
+        st.running_var = _stored(ckpt, f"{prefix}.running_var", st.running_var.shape).copy()
+        st.batches_tracked = int(_stored(ckpt, f"{prefix}.batches_tracked", (1,))[0])
     if opt is not None:
         prefix = "opt.velocity."
-        for name, arr in ckpt.tensors.items():
+        for name in ckpt.tensors:
             if name.startswith(prefix):
-                opt.velocity[name[len(prefix):]] = arr.astype(np.float32).copy()
+                param = name[len(prefix):]
+                if param not in params:
+                    raise CheckpointError(f"{name}: the model has no parameter {param}")
+                arr = _stored(ckpt, name, params[param].shape)
+                opt.velocity[param] = arr.astype(np.float32).copy()

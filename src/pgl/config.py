@@ -16,7 +16,7 @@ from pathlib import Path
 from .data import Dataset, gen_blobs, gen_spirals, load_idx
 from .errors import ConfigError
 from .memory import unit_plan
-from .network import DecoupledModel, MlpSpec, ResNetSpec
+from .network import DecoupledModel, MlpSpec, ResNetSpec, aux_head_spec
 from .training import Schedule
 
 
@@ -93,10 +93,8 @@ class RunConfig:
         if not 1 <= self.blocks <= bound:
             kind = "partitionable units" if training else "units"
             raise ConfigError(f"blocks={self.blocks} invalid: backbone has {bound} {kind}")
-        if self.aux != "aux_adapt":
-            n_conv, n_fc = self.aux
-            if not (0 <= n_conv <= 2 and 1 <= n_fc <= 3):
-                raise ConfigError(f"aux=({n_conv},{n_fc}) out of range (n_conv 0..2, n_fc 1..3)")
+        # any boundary width will do: the head's range check ignores it
+        aux_head_spec(self.aux, plans[0].out_width, self.network.num_classes).validate()
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:

@@ -21,7 +21,6 @@ class Dataset:
     inputs: np.ndarray        # [N, d] or [N, C, H, W], float32
     labels: np.ndarray        # [N], int64 in [0, num_classes)
     num_classes: int
-    norm_stats: tuple | None = None   # (mean, std) applied at load time
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -112,11 +111,11 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
     if n != nl:
         raise DataError(f"IDX pair mismatch: {n} images vs {nl} labels")
     x = (images.astype(np.float32) / 255.0 - mean) / std
-    return Dataset(x, labels, int(labels.max()) + 1 if nl else 0, norm_stats=(mean, std))
+    return Dataset(x, labels, int(labels.max()) + 1 if nl else 0)
 
 
 # ---------------------------------------------------------------------------
-# batching and augmentation
+# batching
 
 def batches(dataset: Dataset, batch_size: int, seed, epoch: int) -> list:
     """Deterministic per-epoch shuffled batches; the final short batch is kept.
@@ -135,43 +134,4 @@ def batches(dataset: Dataset, batch_size: int, seed, epoch: int) -> list:
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         out.append((dataset.inputs[idx], dataset.labels[idx]))
-    return out
-
-
-class BatchStream:
-    """Per-epoch view of a dataset, owned by one trainer."""
-
-    def __init__(self, dataset: Dataset, batch_size: int, seed):
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.seed = seed
-        self.epoch = 0
-
-    def next_epoch(self) -> list:
-        out = batches(self.dataset, self.batch_size, self.seed, self.epoch)
-        self.epoch += 1
-        return out
-
-
-def augment(images: np.ndarray, pad: int, flip_prob: float, rng) -> np.ndarray:
-    """Zero-pad + random crop back to size, then random horizontal flips.
-
-    pad=0 and flip_prob=0 is the identity.  Deterministic given the rng.
-    """
-    if images.ndim != 4:
-        raise DataError(f"augment expects [N,C,H,W], got {list(images.shape)}")
-    rng = _rng(rng)
-    out = images
-    n, _, h, w = images.shape
-    if pad > 0:
-        padded = np.pad(images, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
-        out = np.empty_like(images)
-        offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-        for i in range(n):
-            oy, ox = offs[i]
-            out[i] = padded[i, :, oy:oy + h, ox:ox + w]
-    if flip_prob > 0:
-        flips = rng.random(n) < flip_prob
-        out = out.copy() if out is images else out
-        out[flips] = out[flips][:, :, :, ::-1]
     return out

@@ -1,10 +1,10 @@
 """Finite-difference verification of every differentiable primitive and layer.
 
-The oracle is independent of the tape: central differences with step 1e-3,
-evaluated in float64.  Each case runs several random small shapes and reports
-the worst elementwise error, measured relative to max(1, |numeric|).  The
-same suite backs both the pytest gradient tests and the ``gradcheck`` CLI
-subcommand.
+The oracle is independent of the autodiff graph: central differences with
+step 1e-3, evaluated in float64.  Each case runs several random small shapes
+and reports the worst elementwise error, measured relative to
+max(1, |numeric|).  The same suite backs both the pytest gradient tests and
+the ``gradcheck`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ def numerical_grad(f, inputs, h: float = FD_STEP):
 
 
 def analytic_grad(f, inputs):
-    T.clear_tape()
-    loss = f(inputs)
-    grads = T.backward(loss)
-    T.clear_tape()
+    grads = T.backward(f(inputs))
     out = []
     for t in inputs:
         g = grads.get(t.node_id)

@@ -1,11 +1,11 @@
-"""Neural layers built on the tensor tape: linear, conv2d (im2col), batch
+"""Neural layers built on the tensor autodiff: linear, conv2d (im2col), batch
 norm, global average pooling, residual basic blocks, and softmax cross
 entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
-the tape; ``im2col`` and ``softmax_cross_entropy`` are the only custom-
-backward primitives.
+the tensor graph; ``im2col`` and ``softmax_cross_entropy`` are the only
+custom-backward primitives.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def im2col(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
-    """Lower NCHW patches to a [N*H'*W', C*k*k] matrix (tape primitive)."""
+    """Lower NCHW patches to a [N*H'*W', C*k*k] matrix (custom-backward primitive)."""
     n, c, h, w = x.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
@@ -167,10 +167,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return T.reduce_mean(x, axes=(2, 3))
 
 
-def flatten(x: Tensor) -> Tensor:
-    return T.reshape(x, (x.shape[0], -1))
-
-
 # ---------------------------------------------------------------------------
 # stateful layers
 
@@ -265,7 +261,3 @@ class ResidualBasic:
         yield f"{prefix}.bn2", self.bn2
         if self.proj_bn is not None:
             yield f"{prefix}.proj_bn", self.proj_bn
-
-
-def residual_block_forward(x: Tensor, block: ResidualBasic, train: bool = True) -> Tensor:
-    return block.forward(x, train)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import AuxHeadSpec, MlpSpec, Partition, ResNetSpec, aux_adapt_policy
+from .network import AuxHeadSpec, MlpSpec, Partition, ResNetSpec, aux_head_spec
 from .layers import conv_out_size
 from .training import Schedule, guided_epoch_count
 
@@ -126,12 +126,8 @@ def activation_sizes(spec, part: Partition, batch: int, aux_policy="aux_adapt") 
     head_acts, head_params = [], []
     for j in range(1, part.J):
         boundary = plans[part.ranges[j - 1][1] - 1]
-        if aux_policy == "aux_adapt":
-            head = aux_adapt_policy(boundary.out_width, spec.num_classes)
-        else:
-            n_conv, n_fc = aux_policy
-            head = AuxHeadSpec(n_conv, n_fc, boundary.out_width, spec.num_classes)
-        a, p = head_plan(head, boundary, batch)
+        a, p = head_plan(aux_head_spec(aux_policy, boundary.out_width, spec.num_classes),
+                         boundary, batch)
         head_acts.append(a)
         head_params.append(p)
     return MemProfile([u.out_elements(batch) for u in plans],

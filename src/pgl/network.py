@@ -297,6 +297,15 @@ def aux_adapt_policy(input_channels: int, num_classes: int = 10) -> AuxHeadSpec:
     return AuxHeadSpec(n_conv, n_fc, int(input_channels), num_classes)
 
 
+def aux_head_spec(policy, in_width: int, num_classes: int) -> AuxHeadSpec:
+    """The head for a boundary of ``in_width`` under ``policy``: "aux_adapt"
+    or a fixed (n_conv, n_fc) pair applied at every boundary."""
+    if policy == "aux_adapt":
+        return aux_adapt_policy(in_width, num_classes)
+    n_conv, n_fc = policy
+    return AuxHeadSpec(n_conv, n_fc, int(in_width), num_classes)
+
+
 class AuxHead:
     """Small classifier on a block boundary.
 
@@ -342,18 +351,12 @@ class AuxHead:
 
 
 def attach_aux(units, part: Partition, policy, num_classes: int, rng) -> list:
-    """Build heads for blocks 1..J-1.  ``policy`` is "aux_adapt" or a fixed
-    (n_conv, n_fc) pair applied at every boundary."""
+    """Build heads for blocks 1..J-1, sized by ``aux_head_spec``."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     heads = []
     for j in range(1, part.J):
         boundary_unit = units[part.ranges[j - 1][1] - 1]
-        width = boundary_unit.out_width
-        if policy == "aux_adapt":
-            spec = aux_adapt_policy(width, num_classes)
-        else:
-            n_conv, n_fc = policy
-            spec = AuxHeadSpec(n_conv, n_fc, width, num_classes)
+        spec = aux_head_spec(policy, boundary_unit.out_width, num_classes)
         heads.append(AuxHead(spec, boundary_unit.kind, rng))
     return heads
 
@@ -395,9 +398,10 @@ class DecoupledModel:
     def forward_local(self, x: Tensor, j: int, train: bool = True):
         """Forward block j on a detached input; returns (X_j, logits_j).
 
-        The caller must hand in a tensor with no tape lineage so that the
-        local loss reaches only this block's parameters and its head.  For
-        j == J the terminal classifier inside the block provides the logits.
+        The caller must hand in a detached tensor (one with no parents) so
+        that the local loss reaches only this block's parameters and its
+        head.  For j == J the terminal classifier inside the block provides
+        the logits.
         """
         if not 1 <= j <= self.J:
             raise ConfigError(f"block index {j} out of [1, {self.J}]")

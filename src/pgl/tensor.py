@@ -1,9 +1,11 @@
-"""Dense tensors with a dynamic reverse-mode differentiation tape.
+"""Dense tensors with dynamic reverse-mode differentiation.
 
-Every operation that touches a gradient-tracking tensor appends a record to
-the active tape.  ``backward(loss)`` replays the tape in reverse and returns a
-mapping from tensor node ids to gradient tensors.  The tape is rebuilt on
-every forward pass; trainers clear it between optimizer steps.
+Every operation that touches a gradient-tracking tensor stores its tracked
+(parent, grad_fn) pairs on its output, so the graph is owned by the tensors
+themselves and lives exactly as long as a Python reference reaches it.
+``backward(loss)`` walks the graph reachable from the loss and returns a
+mapping from leaf node ids to gradient tensors.  Detaching a tensor cuts it
+from its producers; nothing else has to be cleared between steps.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -19,51 +21,29 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 
 _node_ids = itertools.count()
-
-
-class Tape:
-    """Ordered op records; parents always precede children."""
-
-    def __init__(self):
-        self.records = []  # (out_id, [(parent_id, grad_fn), ...])
-        self.enabled = True
-
-    def clear(self):
-        self.records.clear()
-
-    def record(self, out_id, parents):
-        self.records.append((out_id, parents))
-
-    def __len__(self):
-        return len(self.records)
-
-
-_tape = Tape()
-
-
-def active_tape() -> Tape:
-    return _tape
-
-
-def clear_tape():
-    _tape.clear()
+_grad_enabled = True
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation passes)."""
-    prev = _tape.enabled
-    _tape.enabled = False
+    """Build no graph inside the block (evaluation passes)."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _tape.enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
-    """A rank-N float array, optionally tracked by the differentiation tape."""
+    """A rank-N float array, optionally tracked for differentiation.
 
-    __slots__ = ("data", "requires_grad", "node_id")
+    ``parents`` holds the (parent tensor, grad_fn) pairs of the op that made
+    this tensor; it is empty for leaves and for untracked tensors.
+    """
+
+    __slots__ = ("data", "requires_grad", "node_id", "parents")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -74,6 +54,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_ids)
+        self.parents = ()
 
     @property
     def shape(self):
@@ -93,7 +74,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        """Value-equal copy with no tape lineage and requires_grad=False."""
+        """Value-equal copy with no parents and requires_grad=False."""
         return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
@@ -166,38 +147,52 @@ def apply_op(data, parents):
 
     ``parents`` is a list of (tensor, grad_fn) pairs where grad_fn maps the
     output gradient to that parent's gradient contribution.  Parents that do
-    not require gradients are dropped, so they never appear on the tape.
+    not require gradients are dropped, so they never join the graph.
     """
     out = Tensor(data)
-    tracked = [(p.node_id, fn) for p, fn in parents if p.requires_grad]
-    if tracked and _tape.enabled:
-        out.requires_grad = True
-        _tape.record(out.node_id, tracked)
+    if _grad_enabled:
+        tracked = [(p, fn) for p, fn in parents if p.requires_grad]
+        if tracked:
+            out.requires_grad = True
+            out.parents = tracked
     return out
 
 
 def backward(loss: Tensor) -> dict:
-    """Reverse-accumulate gradients of a scalar loss over the active tape.
+    """Reverse-accumulate gradients of a scalar loss over its graph.
 
-    Returns {node_id: gradient Tensor} for every reachable tensor that
-    requires gradients.  Unreachable parameters are simply absent.
+    Nodes are processed in descending ``node_id``.  An op's output is always
+    created after its inputs, so every node is reached after all its
+    consumers, and each gradient sum adds its terms in creation order.  An
+    interior gradient is dropped once it has been passed to its parents.
+
+    Returns {node_id: gradient Tensor} for the reachable leaves only: tensors
+    that require gradients and have no parents.  Unreachable parameters are
+    simply absent.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
     if not loss.requires_grad:
         return {}                     # no differentiable lineage at all
+    nodes = {loss.node_id: loss}
+    stack = [loss]
+    while stack:
+        for p, _ in stack.pop().parents:
+            if p.node_id not in nodes:
+                nodes[p.node_id] = p
+                stack.append(p)
     grads = {loss.node_id: np.ones_like(loss.data)}
-    for out_id, parents in reversed(_tape.records):
-        g = grads.get(out_id)
-        if g is None:
-            continue
-        for pid, fn in parents:
+    leaves = {}
+    for nid in sorted(nodes, reverse=True):
+        node = nodes[nid]
+        g = grads.pop(nid)
+        if not node.parents:
+            leaves[nid] = Tensor(g)
+        for p, fn in node.parents:
             contrib = fn(g)
-            if pid in grads:
-                grads[pid] = grads[pid] + contrib
-            else:
-                grads[pid] = contrib
-    return {nid: Tensor(g) for nid, g in grads.items()}
+            pid = p.node_id
+            grads[pid] = grads[pid] + contrib if pid in grads else contrib
+    return leaves
 
 
 # ---------------------------------------------------------------------------

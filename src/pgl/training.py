@@ -98,34 +98,56 @@ class NesterovSGD:
 # ---------------------------------------------------------------------------
 # epochs
 
+def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
+    """Update block j (and its head) from its local loss on a detached input.
+
+    Returns (loss value, detached X_j).  The step's graph dies on return.
+    """
+    x_j, logits = model.forward_local(h, j, train=True)
+    loss = L.softmax_cross_entropy(logits, y)
+    params = list(model.block_named_params(j))
+    if j < model.J:
+        params += list(model.head_named_params(j))
+    opt.step(params, T.backward(loss), lr)
+    return loss.item(), x_j.detach()
+
+
+def _global_step(model, x, y, theta, opt: NesterovSGD, lr: float):
+    """Update every block from the global loss; returns (loss value,
+    detached boundaries)."""
+    logits, boundary = model.forward_global(Tensor(x), train=True)
+    loss = L.softmax_cross_entropy(logits, y)
+    opt.step(theta, T.backward(loss), lr)
+    return loss.item(), boundary
+
+
+def _head_step(model, j: int, x_j: Tensor, y, opt: NesterovSGD, lr: float) -> float:
+    """Update head j from its loss on the detached boundary X_j."""
+    loss = L.softmax_cross_entropy(model.aux_logits(x_j, j, train=True), y)
+    opt.step(list(model.head_named_params(j)), T.backward(loss), lr)
+    return loss.item()
+
+
 def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
     """One sweep of greedy per-block updates.
 
-    For each mini-batch, blocks run in order: detach the boundary input,
-    forward the block and its head, backpropagate the block-local loss, and
+    For each mini-batch, blocks run in order: forward the block and its head
+    on the detached boundary input, backpropagate the block-local loss, and
     step that block's parameters together with its head.  The activation
     handed to the next block comes from the pre-update weights (one forward
-    sweep per batch).  Returns per-block mean losses.
+    sweep per batch).  Only the detached boundary outlives a block's step, so
+    one block's graph is alive at a time.  Returns per-block mean losses.
     """
     J = model.J
     sums = [0.0] * J
     seen = 0
     for x, y in batch_list:
-        T.clear_tape()
         n = len(y)
         h = Tensor(x)
         for j in range(1, J + 1):
-            x_j, logits = model.forward_local(h, j, train=True)
-            loss = L.softmax_cross_entropy(logits, y)
-            grads = T.backward(loss)
-            params = list(model.block_named_params(j))
-            if j < J:
-                params += list(model.head_named_params(j))
-            opt.step(params, grads, lr)
-            sums[j - 1] += loss.item() * n
-            h = x_j.detach()
+            loss, h = _local_step(model, j, h, y, opt, lr)
+            sums[j - 1] += loss * n
         seen += n
-    T.clear_tape()
     return [s / seen for s in sums]
 
 
@@ -135,8 +157,8 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
 
     A single forward pass serves both losses: the global cross-entropy steps
     every block, and (when ``update_aux``) each head is refreshed from its
-    detached boundary copy so the heads stay off the global tape.  Returns
-    (mean global loss, per-block aux losses or None).
+    detached boundary copy so the heads stay out of the global graph.
+    Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
     gsum = 0.0
@@ -144,22 +166,13 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     seen = 0
     theta = [(name, p) for j in range(1, J + 1) for name, p in model.block_named_params(j)]
     for x, y in batch_list:
-        T.clear_tape()
         n = len(y)
-        logits, boundary = model.forward_global(Tensor(x), train=True)
-        gloss = L.softmax_cross_entropy(logits, y)
-        grads = T.backward(gloss)
-        opt.step(theta, grads, lr)
+        gloss, boundary = _global_step(model, x, y, theta, opt, lr)
         if update_aux:
             for j in range(1, J):
-                alogits = model.aux_logits(boundary[j - 1], j, train=True)
-                aloss = L.softmax_cross_entropy(alogits, y)
-                agrads = T.backward(aloss)
-                opt.step(list(model.head_named_params(j)), agrads, lr)
-                asums[j - 1] += aloss.item() * n
-        gsum += gloss.item() * n
+                asums[j - 1] += _head_step(model, j, boundary[j - 1], y, opt, lr) * n
+        gsum += gloss * n
         seen += n
-    T.clear_tape()
     aux_means = [s / seen for s in asums] if (update_aux and J > 1) else None
     return gsum / seen, aux_means
 

@@ -136,7 +136,6 @@ class TestCriterion2:
             with T.no_grad():
                 _, boundaries = model.forward_global(x, train=True)
             x_in = x if j == 1 else Tensor(rng.normal(size=boundaries[j - 2].shape).astype(np.float32))
-            T.clear_tape()
             _, logits = model.forward_local(x_in, j, train=True)
             grads = backward(softmax_cross_entropy(logits, y))
             for i in range(1, model.J + 1):
@@ -148,7 +147,6 @@ class TestCriterion2:
                     failures += 1
 
             # global loss never reaches any head
-            T.clear_tape()
             glogits, _ = model.forward_global(x, train=True)
             ggrads = backward(softmax_cross_entropy(glogits, y))
             for i in range(1, model.J):

@@ -1,12 +1,15 @@
 """PGLC checkpoint format: round trips, corruption detection, restore."""
 
+import json
+
 import numpy as np
 import pytest
 
 import pgl.data as D
 from pgl.checkpoint import (apply_checkpoint, load_checkpoint, read_tensors,
                             save_checkpoint, write_tensors)
-from pgl.config import RunConfig, SpiralsSpec
+from pgl.cli import main
+from pgl.config import RunConfig, SpiralsSpec, parse_config
 from pgl.errors import CheckpointError
 from pgl.network import DecoupledModel, MlpSpec, ResNetSpec
 from pgl.tensor import Tensor
@@ -141,3 +144,35 @@ class TestModelCheckpoint:
                            dataset=SpiralsSpec(classes=2, n_per_class=24, test_n_per_class=24))
         with pytest.raises(CheckpointError):
             apply_checkpoint(load_checkpoint(path), bigger.build_model())
+
+    def test_wrong_shape_velocity_rejected(self, tmp_path):
+        cfg, model, opt = self._trained_model()
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(model, opt, epoch=2, path=path)
+        tensors = read_tensors(path)
+        name = "opt.velocity.block1.unit0.fc.weight"
+        tensors[name] = tensors[name].T.copy()
+        write_tensors(tensors, path)
+        fresh_opt = NesterovSGD(cfg.momentum, cfg.weight_decay)
+        with pytest.raises(CheckpointError, match=name):
+            apply_checkpoint(load_checkpoint(path), cfg.build_model(), fresh_opt)
+
+    @pytest.mark.parametrize("corrupt", ["missing", "wrong_shape"])
+    def test_bad_batchnorm_stat_fails_eval_cleanly(self, tmp_path, capsys, corrupt):
+        raw = {"network": {"kind": "resnet", "depth": 8, "num_classes": 2, "input_hw": 8},
+               "blocks": 2, "regime": "dgl", "epochs": 1,
+               "dataset": {"kind": "spirals", "classes": 2}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(parse_config(config).build_model(), NesterovSGD(), epoch=0, path=path)
+        tensors = read_tensors(path)
+        name = "block1.unit0.bn.running_var"
+        if corrupt == "missing":
+            del tensors[name]
+        else:
+            tensors[name] = tensors[name][:3].copy()
+        write_tensors(tensors, path)
+        assert main(["eval", "--ckpt", str(path), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err

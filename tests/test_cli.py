@@ -66,6 +66,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="partitionable"):
             parse_config(path)
 
+    def test_fixed_aux_range_checked(self, tmp_path):
+        path = spiral_config(tmp_path, aux={"n_conv": 3, "n_fc": 1})
+        with pytest.raises(ConfigError, match="n_conv"):
+            parse_config(path)
+
 
 class TestCmdTrain:
     def test_smoke_writes_metrics_and_checkpoint(self, tmp_path, capsys):

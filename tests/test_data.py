@@ -1,4 +1,4 @@
-"""Data generators, deterministic batching, IDX parsing, augmentation."""
+"""Data generators, deterministic batching, IDX parsing."""
 
 import struct
 
@@ -153,33 +153,3 @@ class TestBatches:
         x, _ = D.batches(ds, 6, seed=None, epoch=0)[0]
         assert np.array_equal(x, ds.inputs)
 
-    def test_stream_advances_epochs(self):
-        stream = D.BatchStream(self._tiny(64), 16, seed=0)
-        a = np.concatenate([x[:, 0] for x, _ in stream.next_epoch()])
-        b = np.concatenate([x[:, 0] for x, _ in stream.next_epoch()])
-        assert not np.array_equal(a, b)
-
-
-class TestAugment:
-    def test_identity_when_disabled(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 1, 8, 8)).astype(np.float32)
-        out = D.augment(x, pad=0, flip_prob=0.0, rng=rng)
-        assert np.array_equal(out, x)
-
-    def test_forced_flip_is_involution(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 2, 6, 6)).astype(np.float32)
-        once = D.augment(x, pad=0, flip_prob=1.0, rng=np.random.default_rng(1))
-        twice = D.augment(once, pad=0, flip_prob=1.0, rng=np.random.default_rng(2))
-        assert np.array_equal(twice, x)
-
-    def test_shape_preserved(self):
-        x = np.zeros((2, 3, 9, 9), dtype=np.float32)
-        out = D.augment(x, pad=2, flip_prob=0.5, rng=np.random.default_rng(0))
-        assert out.shape == x.shape
-
-    def test_crop_content_comes_from_padded_input(self):
-        x = np.ones((1, 1, 4, 4), dtype=np.float32)
-        out = D.augment(x, pad=1, flip_prob=0.0, rng=np.random.default_rng(3))
-        assert set(np.unique(out)) <= {0.0, 1.0}

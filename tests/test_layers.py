@@ -242,10 +242,6 @@ class TestPooling:
         out = L.global_avg_pool(x)
         assert out.data.tolist() == [[1.5, 5.5]]
 
-    def test_flatten(self):
-        x = Tensor(np.zeros((3, 2, 2, 2), dtype=np.float32))
-        assert L.flatten(x).shape == (3, 8)
-
 
 class TestIm2col:
     def test_gradcheck(self):

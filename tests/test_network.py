@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import pgl.tensor as T
 from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, AuxHeadSpec, DecoupledModel, MlpSpec, ResNetSpec,
@@ -137,7 +136,6 @@ class TestForwardLocal:
         m = small_mlp(J=4, widths=[8] * 8)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 2)).astype(np.float32))
         labels = np.array([0, 1, 0, 1])
-        T.clear_tape()
         _, logits = m.forward_local(x, 1, train=True)
         grads = backward(softmax_cross_entropy(logits, labels))
         allowed = _param_ids(m.block_named_params(1)) | _param_ids(m.head_named_params(1))
@@ -175,7 +173,6 @@ class TestForwardGlobal:
     def test_gradients_cover_theta_never_gamma(self):
         m = small_mlp(J=4, widths=[8] * 8)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 2)).astype(np.float32))
-        T.clear_tape()
         logits, _ = m.forward_global(x, train=True)
         grads = backward(softmax_cross_entropy(logits, np.array([0, 1, 0, 1])))
         for j in range(1, 5):

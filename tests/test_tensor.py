@@ -1,4 +1,7 @@
-"""Tensor core: creation rules, primitive forward values, tape backward."""
+"""Tensor core: creation rules, primitive forward values, graph backward."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +185,20 @@ class TestBackward:
         g = backward(T.reduce_sum(y))
         assert g[x.node_id].data.tolist() == [5]
 
+    def test_returns_leaf_gradients_only(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        g = backward(T.reduce_sum(T.exp(T.mul(x, w))))
+        assert set(g) == {x.node_id, w.node_id}
+
+    def test_sum_order_follows_creation(self):
+        # x feeds three products; their terms reach x newest first, so the
+        # float32 sum is (1e8 + -1e8) + 1 = 1, where oldest first gives 0
+        x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        c1, c2, c3 = T.mul(x, 1.0), T.mul(x, -1e8), T.mul(x, 1e8)
+        g = backward(T.reduce_sum(T.add(T.add(c1, c2), c3)))
+        assert g[x.node_id].data.tolist() == [1.0]
+
     def test_linearity(self):
         # grad(a*f + b*g) == a*grad f + b*grad g for scalar a, b
         rng = np.random.default_rng(11)
@@ -212,11 +229,17 @@ class TestDetach:
         assert backward(y) == {}
 
     def test_ops_on_untracked_tensors_leave_tape_empty(self):
-        T.clear_tape()
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        T.reduce_sum(T.mul(T.add(a, b), a))
-        assert len(T.active_tape()) == 0
+        out = T.reduce_sum(T.mul(T.add(a, b), a))
+        assert out.parents == () and not out.requires_grad
+
+    def test_no_grad_builds_no_graph(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            out = T.reduce_sum(T.mul(x, x))
+        assert out.parents == () and not out.requires_grad
+        assert T.reduce_sum(x).requires_grad
 
     def test_upstream_producer_gets_no_gradient(self):
         w = Tensor([3.0], requires_grad=True)
@@ -224,6 +247,20 @@ class TestDetach:
         out = T.reduce_sum(T.mul(mid.detach(), Tensor([2.0], requires_grad=True)))
         g = backward(out)
         assert w.node_id not in g and mid.node_id not in g
+
+
+class TestGraphLifetime:
+    def test_interior_activation_lives_as_long_as_the_loss(self):
+        x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        hidden = T.relu(T.mul(x, 2.0))
+        alive = weakref.ref(hidden.data)
+        loss = T.reduce_sum(hidden)
+        del hidden
+        gc.collect()
+        assert alive() is not None
+        del loss
+        gc.collect()
+        assert alive() is None
 
 
 class TestDeterminism:
