@@ -8,8 +8,8 @@ A guided schedule time-averages the two at the guided-epoch fraction.
 Run:  python3 demos/04_memory_footprint.py
 """
 
-from pgl.memory import activation_sizes, estimate_bp, estimate_local, estimate_schedule_avg, unit_plan
-from pgl.network import ResNetSpec, partition, partition_spanning
+from pgl.memory import activation_sizes, estimate_bp, estimate_local, estimate_schedule_avg
+from pgl.network import ResNetSpec, partition, unit_plan
 from pgl.training import Schedule
 
 spec = ResNetSpec(depth=32, num_classes=10)
@@ -22,7 +22,7 @@ print(f"depth-32 backbone: {len(plans)} units, "
 
 print(f"\n{'J':>3} {'peak end-to-end':>16} {'peak one-block':>15} {'ratio':>6} {'avg P=10,Q=2':>13}")
 for J in (2, 4, 8, 16):
-    part = partition(plans, J) if J <= 15 else partition_spanning(plans, J)
+    part = partition(plans, J)
     profile = activation_sizes(spec, part, BATCH, "aux_adapt")
     bp = estimate_bp(profile)
     local = estimate_local(profile, part)
@@ -30,7 +30,7 @@ for J in (2, 4, 8, 16):
     print(f"{J:>3} {bp / MB:>13.0f} MB {local / MB:>12.0f} MB {local / bp:>6.2f} {avg / MB:>10.0f} MB")
 
 print("\nguided-schedule average across the (P, Q) grid (J=16, MB):")
-part = partition_spanning(plans, 16)
+part = partition(plans, 16)
 profile = activation_sizes(spec, part, BATCH, "aux_adapt")
 header = "      " + "".join(f"P={p:<8}" for p in (5, 10, 15, 20))
 print(header)

@@ -10,7 +10,6 @@ from pathlib import Path
 
 from pgl.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="pgl_demo_"))
 config = {
     "network": {"kind": "mlp", "widths": [32, 32, 32, 32], "num_classes": 3},
     "blocks": 2,
@@ -22,27 +21,30 @@ config = {
     "seed": 0,
     "dataset": {"kind": "spirals", "classes": 3, "n_per_class": 128,
                 "test_n_per_class": 128, "noise": 0.05},
-    "out_dir": str(workdir / "run1"),
 }
-cfg_path = workdir / "config.json"
-cfg_path.write_text(json.dumps(config, indent=2))
-print(f"config written to {cfg_path}\n")
 
-print("== pgl train ==")
-main(["train", "--config", str(cfg_path)])
+with tempfile.TemporaryDirectory(prefix="pgl_demo_") as tmp:
+    workdir = Path(tmp)
+    config["out_dir"] = str(workdir / "run1")
+    cfg_path = workdir / "config.json"
+    cfg_path.write_text(json.dumps(config, indent=2))
+    print(f"config written to {cfg_path}\n")
 
-print("\n== determinism: same config + seed, second run ==")
-main(["train", "--config", str(cfg_path), "--out", str(workdir / "run2")])
-b1 = (workdir / "run1" / "metrics.csv").read_bytes()
-b2 = (workdir / "run2" / "metrics.csv").read_bytes()
-print(f"metrics.csv byte-identical across runs: {b1 == b2}")
+    print("== pgl train ==")
+    main(["train", "--config", str(cfg_path)])
 
-print("\n== pgl eval (reload the checkpoint) ==")
-main(["eval", "--ckpt", str(workdir / "run1" / "final.ckpt"), "--config", str(cfg_path)])
+    print("\n== determinism: same config + seed, second run ==")
+    main(["train", "--config", str(cfg_path), "--out", str(workdir / "run2")])
+    b1 = (workdir / "run1" / "metrics.csv").read_bytes()
+    b2 = (workdir / "run2" / "metrics.csv").read_bytes()
+    print(f"metrics.csv byte-identical across runs: {b1 == b2}")
 
-print("\n== pgl memest ==")
-main(["memest", "--config", str(cfg_path)])
+    print("\n== pgl eval (reload the checkpoint) ==")
+    main(["eval", "--ckpt", str(workdir / "run1" / "final.ckpt"), "--config", str(cfg_path)])
 
-print("\n== first lines of the metrics file ==")
-for line in (workdir / "run1" / "metrics.csv").read_text().splitlines()[:4]:
-    print(f"  {line}")
+    print("\n== pgl memest ==")
+    main(["memest", "--config", str(cfg_path)])
+
+    print("\n== first lines of the metrics file ==")
+    for line in (workdir / "run1" / "metrics.csv").read_text().splitlines()[:4]:
+        print(f"  {line}")

@@ -9,7 +9,7 @@ loop and its baselines (``training``), an analytic memory estimator
 
 from .tensor import Tensor, backward, create, detach, no_grad
 from .network import (AuxHeadSpec, DecoupledModel, MlpSpec, Partition, ResNetSpec,
-                      aux_adapt_policy, build_backbone, partition, partition_spanning)
+                      aux_adapt_policy, build_backbone, partition, unit_plan)
 from .training import (GUIDED, LOCAL, MetricsRecord, NesterovSGD, Schedule,
                        evaluate, guided_epoch, guided_epoch_count, local_epoch,
                        lr_at, mode_of_epoch, train)

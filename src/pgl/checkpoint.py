@@ -14,8 +14,10 @@ stats, optimizer velocities ("opt.velocity.<name>"), and the epoch counter
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,12 @@ VERSION = 1
 
 
 def write_tensors(tensors: dict, path):
-    """Write an ordered {name: ndarray} mapping in the PGLC format."""
+    """Write an ordered {name: ndarray} mapping in the PGLC format.
+
+    The bytes go to a temp file beside ``path``, are flushed to disk, and
+    then replace ``path`` in one rename, so ``path`` never holds a partial
+    file: an error mid-write removes the temp file and leaves any previous
+    ``path`` as it was."""
     parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
         arr = np.asarray(arr, dtype=np.float32)
@@ -37,9 +44,18 @@ def write_tensors(tensors: dict, path):
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.astype("<f4").tobytes(order="C"))
     payload = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(payload)
+            f.write(struct.pack("<I", zlib.crc32(payload)))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensors(path) -> dict:
@@ -124,24 +140,33 @@ def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
 def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
     """Copy checkpoint values into a freshly built model (and optimizer).
 
-    A missing parameter or batchnorm stat, a velocity for no model
-    parameter, or any of these with a shape unlike the model's raises
-    ``CheckpointError`` naming the tensor.
+    The checkpoint must hold exactly what the model reads: its parameters,
+    its batchnorm stats, velocities of its parameters and ``meta.epoch``.
+    A tensor missing, left over, or shaped unlike the model's raises
+    ``CheckpointError`` naming it, whether or not ``opt`` is given.
     """
     params = dict(model.named_params())
+    bns = list(model.named_bns())
+    known = set(params) | {"meta.epoch"}
+    known.update(f"{prefix}.{stat}" for prefix, _ in bns
+                 for stat in ("running_mean", "running_var", "batches_tracked"))
+    velocity_prefix = "opt.velocity."
+    velocities = {}
+    for name in ckpt.tensors:
+        if name.startswith(velocity_prefix):
+            param = name[len(velocity_prefix):]
+            if param not in params:
+                raise CheckpointError(f"{name}: the model has no parameter {param}")
+            velocities[param] = _stored(ckpt, name, params[param].shape)
+        elif name not in known:
+            raise CheckpointError(f"checkpoint holds {name}, which the model does not read")
     for name, p in params.items():
         p.data = _stored(ckpt, name, p.shape).astype(np.float32).copy()
-    for prefix, bn in model.named_bns():
+    for prefix, bn in bns:
         st = bn.state
         st.running_mean = _stored(ckpt, f"{prefix}.running_mean", st.running_mean.shape).copy()
         st.running_var = _stored(ckpt, f"{prefix}.running_var", st.running_var.shape).copy()
         st.batches_tracked = int(_stored(ckpt, f"{prefix}.batches_tracked", (1,))[0])
     if opt is not None:
-        prefix = "opt.velocity."
-        for name in ckpt.tensors:
-            if name.startswith(prefix):
-                param = name[len(prefix):]
-                if param not in params:
-                    raise CheckpointError(f"{name}: the model has no parameter {param}")
-                arr = _stored(ckpt, name, params[param].shape)
-                opt.velocity[param] = arr.astype(np.float32).copy()
+        for param, arr in velocities.items():
+            opt.velocity[param] = arr.astype(np.float32).copy()

@@ -24,8 +24,7 @@ from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
 from .config import parse_config
 from .errors import ConfigError, PglError
 from .gradcheck import run_suite
-from .network import partition, partition_spanning
-from .memory import unit_plan
+from .network import partition, unit_plan
 from .training import NesterovSGD, Schedule, evaluate
 
 
@@ -93,15 +92,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_memest(args) -> int:
-    config = parse_config(args.config, training=False)
-    plans = unit_plan(config.network)
-    core = sum(1 for u in plans if u.partitionable)
-    if config.blocks <= core:
-        part = partition(plans, config.blocks)
-    else:
-        # block counts beyond the trainable bound use the spanning
-        # accounting, where the stem and classifier count as units
-        part = partition_spanning(plans, config.blocks)
+    config = parse_config(args.config)
+    part = partition(unit_plan(config.network), config.blocks)
     schedule = Schedule(config.epochs, config.P, config.Q, config.regime)
     est = M.estimate(config.network, part, config.batch_size, schedule, config.aux)
     ratio_local = est.peak_local / est.peak_bp

@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .data import Dataset, gen_blobs, gen_spirals, load_idx
 from .errors import ConfigError
-from .memory import unit_plan
-from .network import DecoupledModel, MlpSpec, ResNetSpec, aux_head_spec
+from .network import DecoupledModel, MlpSpec, ResNetSpec, aux_head_spec, partition, unit_plan
 from .training import Schedule
 
 
@@ -79,20 +78,16 @@ class RunConfig:
     dataset: object = field(default_factory=SpiralsSpec)
     out_dir: str = "runs"
 
-    def validate(self, training: bool = True):
+    def validate(self):
         """Check every invariant a run needs before any compute.
 
-        ``training=False`` relaxes the block-count bound to the spanning
-        accounting (stem and classifier count as units), which the memory
-        estimator accepts but the trainer does not."""
+        The block count must split the backbone under ``partition``'s one
+        bound, 1 <= blocks <= units (stem and classifier included), which
+        the trainer and the memory estimator share.  Shapes come from the
+        allocation-free ``unit_plan``, so no model is built here."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
-        self.network.validate()
         plans = unit_plan(self.network)
-        core = sum(1 for u in plans if u.partitionable)
-        bound = core if training else len(plans)
-        if not 1 <= self.blocks <= bound:
-            kind = "partitionable units" if training else "units"
-            raise ConfigError(f"blocks={self.blocks} invalid: backbone has {bound} {kind}")
+        partition(plans, self.blocks)
         # any boundary width will do: the head's range check ignores it
         aux_head_spec(self.aux, plans[0].out_width, self.network.num_classes).validate()
         if self.batch_size < 1:
@@ -164,7 +159,7 @@ def _parse_dataset(d: dict):
     return cls(**body)
 
 
-def config_from_dict(d: dict, training: bool = True) -> RunConfig:
+def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(d).__name__}")
     _check_keys(d, _TOP_KEYS, "config")
@@ -186,15 +181,15 @@ def config_from_dict(d: dict, training: bool = True) -> RunConfig:
         cfg = RunConfig(**kw)
     except TypeError as e:
         raise ConfigError(f"bad config value: {e}") from None
-    cfg.validate(training)
+    cfg.validate()
     return cfg
 
 
-def parse_config(path, training: bool = True) -> RunConfig:
+def parse_config(path) -> RunConfig:
     """Load and validate a JSON run configuration."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return config_from_dict(raw, training)
+    return config_from_dict(raw)

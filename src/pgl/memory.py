@@ -1,12 +1,14 @@
 """Analytic training-memory estimator for backprop, decoupled-local, and
 periodically guided schedules.
 
-Nothing here allocates model tensors: unit output sizes and parameter counts
-come from shape formulas over the network spec.  Backprop must hold every
-unit's output activation plus optimizer state for all parameters at once;
-decoupled-local training holds one block at a time (its activations, its
-head, the handed-off boundary input, and its optimizer state).  A guided
-schedule time-averages the two at the guided-epoch fraction.
+Nothing here allocates model tensors: unit output shapes and parameter counts
+come from ``network.unit_plan``, the shape-only walk the backbone builder
+also builds from, so the estimator and the model cannot disagree on either.
+Backprop must hold every unit's output activation plus optimizer state for
+all parameters at once; decoupled-local training holds one block at a time
+(its activations, its head, the handed-off boundary input, and its optimizer
+state).  A guided schedule time-averages the two at the guided-epoch
+fraction.
 
 Absolute bytes ignore framework overheads; comparisons are meaningful as
 ratios.
@@ -17,68 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import AuxHeadSpec, MlpSpec, Partition, ResNetSpec, aux_head_spec
+from .network import AuxHeadSpec, Partition, UnitPlan, aux_head_spec, unit_plan
 from .layers import conv_out_size
 from .training import Schedule, guided_epoch_count
-
-
-@dataclass
-class UnitPlan:
-    """Shape/parameter facts for one backbone unit; duck-types the real unit
-    for the partition helpers."""
-    kind: str                 # "conv" or "dense"
-    partitionable: bool
-    out_shape: tuple          # (C, H, W) or (width,)
-    params: int
-
-    @property
-    def out_width(self) -> int:
-        return self.out_shape[0]
-
-    def out_elements(self, batch: int) -> int:
-        n = batch
-        for s in self.out_shape:
-            n *= s
-        return n
-
-
-def _residual_params(in_ch: int, out_ch: int, stride: int) -> int:
-    p = in_ch * out_ch * 9 + 2 * out_ch      # conv1 + bn1
-    p += out_ch * out_ch * 9 + 2 * out_ch    # conv2 + bn2
-    if in_ch != out_ch or stride != 1:
-        p += in_ch * out_ch + 2 * out_ch     # 1x1 projection + bn
-    return p
-
-
-def unit_plan(spec) -> list:
-    """Mirror of the backbone builder in pure arithmetic."""
-    spec.validate()
-    plans = []
-    if isinstance(spec, ResNetSpec):
-        hw = spec.input_hw
-        ch0 = spec.stage_channels[0]
-        plans.append(UnitPlan("conv", False, (ch0, hw, hw),
-                              spec.in_channels * ch0 * 9 + 2 * ch0))
-        in_ch = ch0
-        for stage, ch in enumerate(spec.stage_channels):
-            for i in range(spec.units_per_stage):
-                stride = 2 if (stage > 0 and i == 0) else 1
-                hw = conv_out_size(hw, 3, stride, 1)
-                plans.append(UnitPlan("conv", True, (ch, hw, hw),
-                                      _residual_params(in_ch, ch, stride)))
-                in_ch = ch
-        plans.append(UnitPlan("dense", False, (spec.num_classes,),
-                              in_ch * spec.num_classes + spec.num_classes))
-    elif isinstance(spec, MlpSpec):
-        d = spec.in_features
-        for w in spec.widths:
-            plans.append(UnitPlan("dense", True, (w,), d * w + w))
-            d = w
-        plans.append(UnitPlan("dense", False, (spec.num_classes,),
-                              d * spec.num_classes + spec.num_classes))
-    else:
-        raise ConfigError(f"unknown network spec {type(spec).__name__}")
-    return plans
 
 
 def head_plan(head: AuxHeadSpec, boundary: UnitPlan, batch: int):

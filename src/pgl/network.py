@@ -1,15 +1,19 @@
 """Backbone construction, block partitioning, and auxiliary classifier heads.
 
 A backbone is a flat list of units (stem / residual blocks / dense layers /
-terminal classifier).  ``partition`` groups the units into J contiguous
-blocks, merging the stem into block 1 and the classifier into block J.  Every
-block except the last gets an auxiliary head; block J's own classifier plays
-that role.  Gradient isolation between blocks comes from detaching boundary
-activations, never from parameter bookkeeping.
+terminal classifier).  ``unit_plan`` walks the spec once, as classes,
+constructor arguments and output shapes; ``build_backbone`` builds that plan
+and the memory estimator reads it.  ``partition`` groups the units into J
+contiguous blocks, merging the stem into block 1 and the classifier into
+block J while J leaves room for that.  Every block except the last gets an
+auxiliary head; block J's own classifier plays that role.  Gradient
+isolation between blocks comes from detaching boundary activations, never
+from parameter bookkeeping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,9 +63,14 @@ class ResNetSpec:
 
 # ---------------------------------------------------------------------------
 # units
+#
+# Each unit class states its kind, whether ``partition`` may split at it, and
+# its parameter count as a function of its constructor arguments, so a
+# ``UnitPlan`` can answer shape and size questions without building it.
 
 class StemUnit:
-    """3x3 conv (in->16) + bn + relu; not partitionable (merges into block 1)."""
+    """3x3 conv (in->16) + bn + relu; not partitionable (merges into block 1
+    unless J exceeds the partitionable units)."""
 
     kind = "conv"
     partitionable = False
@@ -70,6 +79,10 @@ class StemUnit:
         self.conv = L.Conv2d(in_ch, out_ch, 3, rng, stride=1, pad=1, bias=False)
         self.bn = L.BatchNorm2d(out_ch)
         self.out_width = out_ch
+
+    @staticmethod
+    def param_count(in_ch: int, out_ch: int) -> int:
+        return in_ch * out_ch * 9 + 2 * out_ch
 
     def forward(self, x, train=True):
         return T.relu(self.bn.forward(self.conv.forward(x, train), train))
@@ -90,6 +103,14 @@ class ResidualUnit:
         self.block = L.ResidualBasic(in_ch, out_ch, stride, rng)
         self.out_width = out_ch
 
+    @staticmethod
+    def param_count(in_ch: int, out_ch: int, stride: int) -> int:
+        p = in_ch * out_ch * 9 + 2 * out_ch      # conv1 + bn1
+        p += out_ch * out_ch * 9 + 2 * out_ch    # conv2 + bn2
+        if in_ch != out_ch or stride != 1:
+            p += in_ch * out_ch + 2 * out_ch     # 1x1 projection + bn
+        return p
+
     def forward(self, x, train=True):
         return self.block.forward(x, train)
 
@@ -100,38 +121,18 @@ class ResidualUnit:
         yield from self.block.named_bns(prefix)
 
 
-class PoolClassifierUnit:
-    """Global average pool + linear; terminal unit of conv backbones."""
+class _FcUnit:
+    """A unit around one linear layer ``fc``; subclasses choose the forward."""
 
     kind = "dense"
-    partitionable = False
-
-    def __init__(self, in_ch: int, num_classes: int, rng):
-        self.fc = L.Linear(in_ch, num_classes, rng)
-        self.out_width = num_classes
-
-    def forward(self, x, train=True):
-        return self.fc.forward(L.global_avg_pool(x), train)
-
-    def named_params(self, prefix):
-        yield from self.fc.named_params(f"{prefix}.fc")
-
-    def named_bns(self, prefix):
-        return iter(())
-
-
-class DenseUnit:
-    """Linear + relu; the hidden unit of MLP backbones."""
-
-    kind = "dense"
-    partitionable = True
 
     def __init__(self, d_in: int, d_out: int, rng):
         self.fc = L.Linear(d_in, d_out, rng)
         self.out_width = d_out
 
-    def forward(self, x, train=True):
-        return T.relu(self.fc.forward(x, train))
+    @staticmethod
+    def param_count(d_in: int, d_out: int) -> int:
+        return d_in * d_out + d_out
 
     def named_params(self, prefix):
         yield from self.fc.named_params(f"{prefix}.fc")
@@ -140,47 +141,93 @@ class DenseUnit:
         return iter(())
 
 
-class LinearClassifierUnit:
-    kind = "dense"
+class PoolClassifierUnit(_FcUnit):
+    """Global average pool + linear; terminal unit of conv backbones."""
+
     partitionable = False
 
-    def __init__(self, d_in: int, num_classes: int, rng):
-        self.fc = L.Linear(d_in, num_classes, rng)
-        self.out_width = num_classes
+    def forward(self, x, train=True):
+        return self.fc.forward(L.global_avg_pool(x), train)
+
+
+class DenseUnit(_FcUnit):
+    """Linear + relu; the hidden unit of MLP backbones."""
+
+    partitionable = True
+
+    def forward(self, x, train=True):
+        return T.relu(self.fc.forward(x, train))
+
+
+class LinearClassifierUnit(_FcUnit):
+    partitionable = False
 
     def forward(self, x, train=True):
         return self.fc.forward(x, train)
 
-    def named_params(self, prefix):
-        yield from self.fc.named_params(f"{prefix}.fc")
 
-    def named_bns(self, prefix):
-        return iter(())
+@dataclass(frozen=True)
+class UnitPlan:
+    """One backbone unit before it is built: its class, its constructor
+    arguments (all but the rng) and its output shape.  Duck-types the built
+    unit for ``partition`` and head sizing."""
+    cls: type
+    args: tuple
+    out_shape: tuple          # (C, H, W) or (width,)
+
+    @property
+    def kind(self) -> str:
+        return self.cls.kind
+
+    @property
+    def partitionable(self) -> bool:
+        return self.cls.partitionable
+
+    @property
+    def out_width(self) -> int:
+        return self.out_shape[0]
+
+    @property
+    def params(self) -> int:
+        return self.cls.param_count(*self.args)
+
+    def out_elements(self, batch: int) -> int:
+        return batch * math.prod(self.out_shape)
+
+
+def unit_plan(spec) -> list:
+    """The backbone's units in order, as shapes and constructor arguments
+    only; allocates nothing.  ``build_backbone`` builds exactly this list."""
+    spec.validate()
+    if isinstance(spec, ResNetSpec):
+        hw = spec.input_hw
+        in_ch = spec.stage_channels[0]
+        plans = [UnitPlan(StemUnit, (spec.in_channels, in_ch), (in_ch, hw, hw))]
+        for stage, ch in enumerate(spec.stage_channels):
+            for i in range(spec.units_per_stage):
+                stride = 2 if (stage > 0 and i == 0) else 1
+                hw = L.conv_out_size(hw, 3, stride, 1)
+                plans.append(UnitPlan(ResidualUnit, (in_ch, ch, stride), (ch, hw, hw)))
+                in_ch = ch
+        plans.append(UnitPlan(PoolClassifierUnit, (in_ch, spec.num_classes),
+                              (spec.num_classes,)))
+    elif isinstance(spec, MlpSpec):
+        d = spec.in_features
+        plans = []
+        for w in spec.widths:
+            plans.append(UnitPlan(DenseUnit, (d, w), (w,)))
+            d = w
+        plans.append(UnitPlan(LinearClassifierUnit, (d, spec.num_classes),
+                              (spec.num_classes,)))
+    else:
+        raise ConfigError(f"unknown network spec {type(spec).__name__}")
+    return plans
 
 
 def build_backbone(spec, rng) -> list:
     """Materialize the unit list for an MLP or CIFAR-style residual network."""
-    spec.validate()
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    units = []
-    if isinstance(spec, ResNetSpec):
-        units.append(StemUnit(spec.in_channels, spec.stage_channels[0], rng))
-        in_ch = spec.stage_channels[0]
-        for stage, ch in enumerate(spec.stage_channels):
-            for i in range(spec.units_per_stage):
-                stride = 2 if (stage > 0 and i == 0) else 1
-                units.append(ResidualUnit(in_ch, ch, stride, rng))
-                in_ch = ch
-        units.append(PoolClassifierUnit(in_ch, spec.num_classes, rng))
-    elif isinstance(spec, MlpSpec):
-        d = spec.in_features
-        for w in spec.widths:
-            units.append(DenseUnit(d, w, rng))
-            d = w
-        units.append(LinearClassifierUnit(d, spec.num_classes, rng))
-    else:
-        raise ConfigError(f"unknown network spec {type(spec).__name__}")
-    return units
+    return [p.cls(*p.args, rng) for p in unit_plan(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +238,7 @@ class Partition:
     """J contiguous index ranges covering a unit list exactly once."""
     J: int
     ranges: list          # [(start, end)) over the full unit list
-    core_sizes: list = field(default_factory=list)  # partitionable units per block
+    core_sizes: list = field(default_factory=list)  # units dealt out per block
 
     def validate(self, n_units: int):
         if self.J < 1 or len(self.ranges) != self.J:
@@ -209,26 +256,28 @@ class Partition:
         return units[start:end]
 
 
-def _near_equal_sizes(n: int, J: int) -> list:
-    base, rem = divmod(n, J)
-    return [base + 1 if j < rem else base for j in range(J)]
-
-
 def partition(units, J: int) -> Partition:
-    """Split near-equally over the partitionable units; the leading
-    non-partitionable prefix (stem) merges into block 1 and the trailing
-    classifier into block J.  Remainder units go to the earliest blocks."""
+    """Split ``units`` into J contiguous near-equal blocks, 1 <= J <= len(units).
+
+    While J is at most the number of partitionable units, only those are
+    dealt out: the leading non-partitionable prefix (stem) merges into block
+    1 and the trailing classifier into block J.  Above that count every unit
+    counts, so the stem and the classifier may stand as blocks of their own
+    (a 16-way split of the 17-unit depth-32 backbone leaves the classifier
+    alone as block 16).  Remainder units go to the earliest blocks."""
     n = len(units)
+    if not 1 <= J <= n:
+        raise ConfigError(f"blocks={J} out of range: the backbone has {n} units")
     prefix = 0
     while prefix < n and not units[prefix].partitionable:
         prefix += 1
     suffix = 0
     while suffix < n - prefix and not units[n - 1 - suffix].partitionable:
         suffix += 1
-    core = n - prefix - suffix
-    if not 1 <= J <= core:
-        raise ConfigError(f"J={J} out of range: only {core} partitionable units")
-    sizes = _near_equal_sizes(core, J)
+    if J > n - prefix - suffix:
+        prefix = suffix = 0
+    base, rem = divmod(n - prefix - suffix, J)
+    sizes = [base + 1 if j < rem else base for j in range(J)]
     ranges = []
     pos = 0
     for j, size in enumerate(sizes):
@@ -240,27 +289,6 @@ def partition(units, J: int) -> Partition:
             end += suffix
         ranges.append((start, end))
         pos = end
-    p = Partition(J, ranges, sizes)
-    p.validate(n)
-    return p
-
-
-def partition_spanning(units, J: int) -> Partition:
-    """Near-equal split where every unit counts, stem and classifier included.
-
-    This is the block accounting used for footprint profiles at block counts
-    the trainer cannot form (e.g. a 16-way split of the 17-unit depth-32
-    backbone, where the terminal classifier stands alone as the final
-    block)."""
-    n = len(units)
-    if not 1 <= J <= n:
-        raise ConfigError(f"J={J} out of range for {n} units")
-    sizes = _near_equal_sizes(n, J)
-    ranges = []
-    pos = 0
-    for size in sizes:
-        ranges.append((pos, pos + size))
-        pos += size
     p = Partition(J, ranges, sizes)
     p.validate(n)
     return p

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .tensor import Tensor
 
 LOCAL = "local"
@@ -207,7 +207,9 @@ class MetricsRecord:
 def train(config, force_mode: str | None = None):
     """Run the configured regime end to end.
 
-    Returns (metrics records, model, optimizer).  ``force_mode`` overrides
+    Returns (metrics records, model, optimizer).  After each epoch a
+    non-finite mean loss (global or any block's) raises ``DomainError``
+    naming the epoch and the loss.  ``force_mode`` overrides
     the schedule for every epoch; it exists for trajectory-equivalence
     diagnostics (e.g. an all-guided run compared against plain bp).
     """
@@ -232,6 +234,10 @@ def train(config, force_mode: str | None = None):
             global_loss, aux = guided_epoch(model, batch_list, opt, lr,
                                             update_aux=(config.regime != "bp"))
             local_losses = (aux + [None]) if aux is not None else [None] * J
+        named = [("global", global_loss)] + [(f"block {j}", v) for j, v in enumerate(local_losses, 1)]
+        for where, v in named:
+            if v is not None and not math.isfinite(v):
+                raise DomainError(f"epoch {e}: {where} loss is {v}; training diverged")
         train_acc = evaluate(model, D.batches(train_set, config.batch_size, None, 0))
         test_acc = evaluate(model, D.batches(test_set, config.batch_size, None, 0))
         records.append(MetricsRecord(e, mode, lr, global_loss, list(local_losses),

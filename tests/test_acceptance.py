@@ -20,7 +20,7 @@ from pgl.errors import CheckpointError
 from pgl.gradcheck import run_suite
 from pgl.layers import softmax_cross_entropy
 from pgl.memory import activation_sizes, estimate_bp, estimate_local, estimate_schedule_avg, unit_plan
-from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, partition_spanning
+from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, partition
 from pgl.tensor import Tensor, backward
 from pgl.training import GUIDED, Schedule, guided_epoch_count, mode_of_epoch, train
 
@@ -287,7 +287,7 @@ class TestCriterion8:
         t0 = time.time()
         spec = ResNetSpec(depth=32, num_classes=10)
         plans = unit_plan(spec)
-        part = partition_spanning(plans, 16)
+        part = partition(plans, 16)
         profile = activation_sizes(spec, part, batch=1024, aux_policy="aux_adapt")
         bp = estimate_bp(profile)
         local = estimate_local(profile, part)

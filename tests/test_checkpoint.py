@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import pgl.checkpoint as C
 import pgl.data as D
 from pgl.checkpoint import (apply_checkpoint, load_checkpoint, read_tensors,
                             save_checkpoint, write_tensors)
@@ -157,8 +158,9 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match=name):
             apply_checkpoint(load_checkpoint(path), cfg.build_model(), fresh_opt)
 
-    @pytest.mark.parametrize("corrupt", ["missing", "wrong_shape"])
-    def test_bad_batchnorm_stat_fails_eval_cleanly(self, tmp_path, capsys, corrupt):
+    def _eval_with(self, tmp_path, capsys, corrupt):
+        """Save a ResNet checkpoint, let ``corrupt`` edit its tensors, and
+        return (exit code, stderr) of ``pgl eval`` on it."""
         raw = {"network": {"kind": "resnet", "depth": 8, "num_classes": 2, "input_hw": 8},
                "blocks": 2, "regime": "dgl", "epochs": 1,
                "dataset": {"kind": "spirals", "classes": 2}}
@@ -167,12 +169,74 @@ class TestModelCheckpoint:
         path = tmp_path / "final.ckpt"
         save_checkpoint(parse_config(config).build_model(), NesterovSGD(), epoch=0, path=path)
         tensors = read_tensors(path)
-        name = "block1.unit0.bn.running_var"
-        if corrupt == "missing":
-            del tensors[name]
-        else:
-            tensors[name] = tensors[name][:3].copy()
+        corrupt(tensors)
         write_tensors(tensors, path)
-        assert main(["eval", "--ckpt", str(path), "--config", str(config)]) == 1
-        err = capsys.readouterr().err
+        code = main(["eval", "--ckpt", str(path), "--config", str(config)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["missing", "wrong_shape"])
+    def test_bad_batchnorm_stat_fails_eval_cleanly(self, tmp_path, capsys, corrupt):
+        name = "block1.unit0.bn.running_var"
+
+        def edit(tensors):
+            if corrupt == "missing":
+                del tensors[name]
+            else:
+                tensors[name] = tensors[name][:3].copy()
+
+        code, err = self._eval_with(tmp_path, capsys, edit)
+        assert code == 1
         assert err.startswith("error:") and name in err
+
+    def test_unknown_tensor_fails_eval_cleanly(self, tmp_path, capsys):
+        code, err = self._eval_with(tmp_path, capsys,
+                                    lambda t: t.update(unknown=np.zeros(1, np.float32)))
+        assert code == 1
+        assert err.startswith("error:") and "unknown" in err
+
+    @pytest.mark.parametrize("with_opt", [False, True], ids=["no_opt", "opt"])
+    @pytest.mark.parametrize("name", ["block1.unit0.fc.weights", "opt.velocity.block9.unit0.fc.weight"])
+    def test_unread_tensor_rejected_with_or_without_optimizer(self, tmp_path, name, with_opt):
+        cfg, model, opt = self._trained_model()
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(model, opt, epoch=2, path=path)
+        tensors = read_tensors(path)
+        tensors[name] = np.zeros(1, np.float32)
+        write_tensors(tensors, path)
+        fresh_opt = NesterovSGD() if with_opt else None
+        with pytest.raises(CheckpointError, match=name):
+            apply_checkpoint(load_checkpoint(path), cfg.build_model(), fresh_opt)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg, model, opt = self._trained_model()
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(model, opt, epoch=2, path=path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """Writes half of the first chunk it is given, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(C, "open", lambda *a: HalfWriter(open(*a)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(model, opt, epoch=3, path=path)
+        monkeypatch.undo()
+
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+        assert path.read_bytes() == before
+        fresh = cfg.build_model()
+        apply_checkpoint(load_checkpoint(path), fresh, NesterovSGD())
+        for (na, pa), (_, pb) in zip(model.named_params(), fresh.named_params()):
+            assert np.array_equal(pa.data, pb.data), na

@@ -62,8 +62,8 @@ class TestParseConfig:
             parse_config(path)
 
     def test_blocks_bound_checked(self, tmp_path):
-        path = spiral_config(tmp_path, blocks=9)      # mlp has 4 hidden units
-        with pytest.raises(ConfigError, match="partitionable"):
+        path = spiral_config(tmp_path, blocks=6)      # mlp has 4 hidden units + classifier
+        with pytest.raises(ConfigError, match="blocks=6 out of range"):
             parse_config(path)
 
     def test_fixed_aux_range_checked(self, tmp_path):
@@ -120,6 +120,15 @@ class TestCmdTrain:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main(["train", "--config", str(path), "--out", str(blocker)]) == 1
+
+    def test_divergence_nonzero_exit(self, tmp_path, capsys):
+        path = spiral_config(tmp_path, lr0=50.0,
+                             network={"kind": "mlp", "widths": [32] * 4, "num_classes": 2})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch ") and "diverged" in err
+        assert not (tmp_path / "out" / "final.ckpt").exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = spiral_config(tmp_path, regime="pgl", P=2, Q=2)

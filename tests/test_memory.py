@@ -5,8 +5,7 @@ import pytest
 from pgl.errors import ConfigError
 from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate,
                         estimate_bp, estimate_local, estimate_schedule_avg, unit_plan)
-from pgl.network import (DecoupledModel, MlpSpec, Partition, ResNetSpec, partition,
-                         partition_spanning)
+from pgl.network import DecoupledModel, MlpSpec, Partition, ResNetSpec, partition
 from pgl.training import Schedule
 
 
@@ -71,7 +70,7 @@ class TestEstimateLocal:
             part = partition(plans, J)
             profile = activation_sizes(spec, part, batch=256)
             assert estimate_local(profile, part) <= estimate_bp(profile)
-        part16 = partition_spanning(plans, 16)
+        part16 = partition(plans, 16)
         profile16 = activation_sizes(spec, part16, batch=256)
         assert estimate_local(profile16, part16) <= estimate_bp(profile16)
         mspec = MlpSpec(widths=[64] * 8, num_classes=3)
@@ -104,18 +103,22 @@ class TestActivationSizes:
         assert p2.head_activations == [2 * a for a in p1.head_activations]
         assert p2.unit_params == p1.unit_params
 
-    def test_param_counts_match_real_model(self):
-        spec = ResNetSpec(depth=8, num_classes=10)
-        model = DecoupledModel(spec, 2, "aux_adapt", seed=0)
-        profile = activation_sizes(spec, model.partition, batch=1, aux_policy="aux_adapt")
-        analytic = sum(profile.unit_params) + sum(profile.head_params)
-        assert analytic == model.param_count()
-
-    def test_mlp_param_counts_match_real_model(self):
-        spec = MlpSpec(widths=[16, 16, 16, 16], num_classes=3)
-        model = DecoupledModel(spec, 4, "aux_adapt", seed=0)
-        profile = activation_sizes(spec, model.partition, batch=1, aux_policy="aux_adapt")
-        assert sum(profile.unit_params) + sum(profile.head_params) == model.param_count()
+    @pytest.mark.parametrize("policy", ["aux_adapt", (0, 1), (2, 3)],
+                             ids=["aux_adapt", "fixed0-1", "fixed2-3"])
+    @pytest.mark.parametrize("spec", [
+        ResNetSpec(depth=8, num_classes=10),
+        ResNetSpec(depth=20, num_classes=10),
+        ResNetSpec(depth=32, num_classes=10),
+        ResNetSpec(depth=110, num_classes=10),
+        MlpSpec(widths=[16, 16, 16, 16], num_classes=3),
+        MlpSpec(widths=[7, 12, 5], num_classes=4, in_features=3),
+    ], ids=["resnet8", "resnet20", "resnet32", "resnet110", "mlp16x4", "mlp7-12-5"])
+    def test_param_counts_match_real_model(self, spec, policy):
+        # one block per unit puts a head on every boundary, stem included
+        plans = unit_plan(spec)
+        model = DecoupledModel(spec, len(plans), policy, seed=0)
+        profile = activation_sizes(spec, model.partition, batch=1, aux_policy=policy)
+        assert sum(u.params for u in plans) + sum(profile.head_params) == model.param_count()
 
 
 class TestScheduleAvg:
@@ -167,7 +170,7 @@ class TestHeadlineProfile:
         # the headline footprint configuration: J=16 over the 17-unit backbone
         spec = ResNetSpec(depth=32, num_classes=10)
         plans = unit_plan(spec)
-        part = partition_spanning(plans, 16)
+        part = partition(plans, 16)
         profile = activation_sizes(spec, part, batch=1024, aux_policy="aux_adapt")
         ratio = estimate_local(profile, part) / estimate_bp(profile)
         assert ratio <= 0.60
@@ -175,7 +178,7 @@ class TestHeadlineProfile:
     def test_estimator_is_pure(self):
         spec = ResNetSpec(depth=32, num_classes=10)
         plans = unit_plan(spec)
-        part = partition_spanning(plans, 16)
+        part = partition(plans, 16)
         s = Schedule(E=160, P=10, Q=2, regime="pgl")
         a = estimate(spec, part, 1024, s)
         b = estimate(spec, part, 1024, s)

@@ -7,7 +7,7 @@ from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, AuxHeadSpec, DecoupledModel, MlpSpec, ResNetSpec,
                          ResidualUnit, aux_adapt_policy, attach_aux, build_backbone,
-                         partition, partition_spanning)
+                         partition, unit_plan)
 from pgl.tensor import Tensor, backward
 
 
@@ -52,7 +52,7 @@ class TestPartition:
     def test_too_many_blocks(self):
         units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
         with pytest.raises(ConfigError):
-            partition(units, 16)                     # only 15 partitionable units
+            partition(units, 18)                     # only 17 units
 
     def test_one_unit_per_block(self):
         units = build_backbone(MlpSpec(widths=[4] * 16, num_classes=2), rng=0)
@@ -75,14 +75,31 @@ class TestPartition:
 
     def test_spanning_allows_classifier_block(self):
         units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
-        p = partition_spanning(units, 16)            # 17 units incl. stem + classifier
+        p = partition(units, 16)                     # 17 units incl. stem + classifier
         assert p.core_sizes == [2] + [1] * 15
         assert max(p.core_sizes) - min(p.core_sizes) <= 1
+
+    # up to the partitionable count the stem and the classifier merge into
+    # the end blocks; above it every unit counts
+    @pytest.mark.parametrize("spec, J, ranges, sizes", [
+        (ResNetSpec(depth=32, num_classes=10), 4,
+         [(0, 5), (5, 9), (9, 13), (13, 17)], [4, 4, 4, 3]),
+        (ResNetSpec(depth=32, num_classes=10), 15,
+         [(0, 2)] + [(i, i + 1) for i in range(2, 15)] + [(15, 17)], [1] * 15),
+        (ResNetSpec(depth=32, num_classes=10), 16,
+         [(0, 2)] + [(i, i + 1) for i in range(2, 17)], [2] + [1] * 15),
+        (ResNetSpec(depth=32, num_classes=10), 17,
+         [(i, i + 1) for i in range(17)], [1] * 17),
+        (MlpSpec(widths=[4, 4], num_classes=2), 3, [(0, 1), (1, 2), (2, 3)], [1, 1, 1]),
+    ], ids=["resnet32-J4", "resnet32-J15", "resnet32-J16", "resnet32-J17", "mlp4x2-J3"])
+    def test_ranges_pinned(self, spec, J, ranges, sizes):
+        p = partition(unit_plan(spec), J)
+        assert (p.ranges, p.core_sizes) == (ranges, sizes)
 
     def test_spanning_bound(self):
         units = build_backbone(MlpSpec(widths=[4, 4], num_classes=2), rng=0)
         with pytest.raises(ConfigError):
-            partition_spanning(units, 4)
+            partition(units, 4)
 
 
 class TestAuxAdapt:

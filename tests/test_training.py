@@ -8,7 +8,7 @@ import pytest
 import pgl.data as D
 import pgl.tensor as T
 from pgl.config import RunConfig, SpiralsSpec
-from pgl.errors import ConfigError
+from pgl.errors import ConfigError, DomainError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import DecoupledModel, MlpSpec
 from pgl.tensor import Tensor
@@ -290,3 +290,20 @@ class TestTrain:
             first.append(np.mean([r.local_losses[0] for r in tail]))
             last.append(np.mean([r.local_losses[-1] for r in tail]))
         assert np.mean(first) >= np.mean(last)
+
+    @pytest.mark.parametrize("mode", [LOCAL, GUIDED])
+    def test_one_block_per_unit_trains(self, mode):
+        # 5 units, 4 partitionable: the classifier is block 5 on its own
+        cfg = mlp_config(blocks=5, regime="pgl", epochs=2)
+        recs, model, _ = train(cfg, force_mode=mode)
+        assert model.partition.ranges[-1] == (4, 5)
+        losses = [v for r in recs for v in [r.global_loss] + r.local_losses if v is not None]
+        assert len(losses) == 2 * 5                  # 5 local, or global + 4 heads
+        assert all(math.isfinite(v) for v in losses)
+
+    @pytest.mark.parametrize("regime, where", [("dgl", "block"), ("bp", "global")])
+    def test_divergence_raises(self, regime, where):
+        cfg = mlp_config(network=MlpSpec(widths=[32] * 4, num_classes=2), regime=regime,
+                         lr0=50.0, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=rf"epoch \d+: {where}"):
+            train(cfg)
