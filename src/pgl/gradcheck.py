@@ -183,19 +183,6 @@ def _case_slice(rng):
         yield [a], lambda ts, w=w, rr=ranges: _weighted_sum(T.slice_(ts[0], rr), w)
 
 
-def _case_im2col(rng):
-    for _ in range(5):
-        n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        h = int(rng.integers(4, 7))
-        k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        padv = int(rng.integers(0, 2))
-        x = _leaf(rng, (n, c, h, h))
-        oh = L.conv_out_size(h, k, stride, padv)
-        w = _proj(rng, (n * oh * oh, c * k * k))
-        yield [x], lambda ts, w=w, k=k, s=stride, p=padv: _weighted_sum(L.im2col(ts[0], k, s, p), w)
-
-
 def _case_linear(rng):
     for _ in range(5):
         n, di, do = rng.integers(1, 6, size=3)
@@ -204,32 +191,42 @@ def _case_linear(rng):
         yield [x, wgt, b], lambda ts, w=w: _weighted_sum(L.linear_forward(ts[0], ts[1], ts[2]), w)
 
 
+# (k, stride, pad, bias): random kernels with a bias, then the bias-free
+# C != O convs of a downsampling residual block: 3x3 stride 2 and the 1x1
+# stride-2 pad-0 projection
+_CONV_CASES = [(None, 1, 0, True), (None, 2, 1, True), (None, 1, 1, True),
+               (3, 2, 1, False), (1, 2, 0, False)]
+
+
 def _case_conv2d(rng):
-    for i in range(5):
-        n, c, o = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    for k, stride, padv, bias in _CONV_CASES:
+        n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        o = int(rng.integers(1, 3)) if bias else c + 1
         h = int(rng.integers(4, 7))
-        k = int(rng.integers(1, 4))
-        stride = 1 + (i % 2)
-        padv = i % 2
+        k = int(rng.integers(1, 4)) if k is None else k
         x = _leaf(rng, (n, c, h, h))
         wgt = _leaf(rng, (o, c, k, k))
-        b = _leaf(rng, (o,))
+        inputs = [x, wgt, _leaf(rng, (o,))] if bias else [x, wgt]
         oh = L.conv_out_size(h, k, stride, padv)
         w = _proj(rng, (n, o, oh, oh))
-        yield [x, wgt, b], lambda ts, w=w, s=stride, p=padv: _weighted_sum(
-            L.conv2d_forward(ts[0], ts[1], ts[2], s, p), w)
+        yield inputs, lambda ts, w=w, s=stride, p=padv: _weighted_sum(
+            L.conv2d_forward(*ts, stride=s, pad=p), w)
 
 
-def _case_batchnorm(rng):
-    for _ in range(5):
-        n, c, h = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        x = _leaf(rng, (n, c, h, h))
-        gamma = _leaf(rng, (c,), 0.5, 1.5)
-        beta = _leaf(rng, (c,))
-        w = _proj(rng, (n, c, h, h))
-        state = L.BatchNormState.init(c)
-        yield [x, gamma, beta], lambda ts, w=w, st=state: _weighted_sum(
-            L.batchnorm_forward(ts[0], ts[1], ts[2], st, "train"), w)
+def _batchnorm_case(mode):
+    def gen(rng):
+        for _ in range(5):
+            n, c, h = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            x = _leaf(rng, (n, c, h, h))
+            gamma = _leaf(rng, (c,), 0.5, 1.5)
+            beta = _leaf(rng, (c,))
+            w = _proj(rng, (n, c, h, h))
+            state = L.BatchNormState.init(c)
+            if mode == "eval":
+                state = L.BatchNormState(rng.uniform(-0.5, 0.5, c), rng.uniform(0.5, 1.5, c), 1)
+            yield [x, gamma, beta], lambda ts, w=w, st=state: _weighted_sum(
+                L.batchnorm_forward(ts[0], ts[1], ts[2], st, mode), w)
+    return gen
 
 
 def _case_cross_entropy(rng):
@@ -274,10 +271,10 @@ CASES = [
     ("transpose", _case_transpose, DEFAULT_TOL),
     ("pad", _case_pad, DEFAULT_TOL),
     ("slice", _case_slice, DEFAULT_TOL),
-    ("im2col", _case_im2col, DEFAULT_TOL),
     ("linear", _case_linear, DEFAULT_TOL),
     ("conv2d", _case_conv2d, DEFAULT_TOL),
-    ("batchnorm", _case_batchnorm, BN_TOL),
+    ("batchnorm", _batchnorm_case("train"), BN_TOL),
+    ("batchnorm_eval", _batchnorm_case("eval"), DEFAULT_TOL),
     ("cross_entropy", _case_cross_entropy, DEFAULT_TOL),
     ("residual_block", _case_residual, BN_TOL),
 ]

@@ -1,11 +1,12 @@
-"""Neural layers built on the tensor autodiff: linear, conv2d (im2col), batch
-norm, global average pooling, residual basic blocks, and softmax cross
+"""Neural layers built on the tensor autodiff: linear, conv2d (im2col GEMMs),
+batch norm, global average pooling, residual basic blocks, and softmax cross
 entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
-the tensor graph; ``im2col`` and ``softmax_cross_entropy`` are the only
-custom-backward primitives.
+the tensor graph.  ``conv2d_forward``, ``batchnorm_forward`` and
+``softmax_cross_entropy`` are custom-backward primitives, one graph node
+each; ``im2col`` is a plain array function they do not expose to the graph.
 """
 
 from __future__ import annotations
@@ -40,49 +41,63 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return num // stride + 1
 
 
-def im2col(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
-    """Lower NCHW patches to a [N*H'*W', C*k*k] matrix (custom-backward primitive)."""
+def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Lower NCHW patches to a channel-major [C*k*k, N*H'*W'] column matrix.
+
+    Rows run over (c, ky, kx) and columns over (n, y, x), the order both conv
+    GEMMs read without a copy.  A plain array function, not a graph op.
+    """
     n, c, h, w = x.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
-    img = np.pad(x.data, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
-    col = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    img = np.pad(x.transpose(1, 0, 2, 3), [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+    col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
-            col[:, :, ky, kx] = img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
-    out = col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * k * k)
-
-    def grad(g):
-        gcol = g.reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-        gimg = np.zeros_like(img)
-        for ky in range(k):
-            for kx in range(k):
-                gimg[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += gcol[:, :, ky, kx]
-        return gimg[:, :, pad:pad + h, pad:pad + w]
-
-    return apply_op(out, [(x, grad)])
+            col[:, ky, kx] = img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+    return col.reshape(c * k * k, n * oh * ow)
 
 
 def conv2d_forward(x: Tensor, w: Tensor, b: Tensor | None = None,
                    stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W']."""
+    """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W'].
+
+    One graph node.  The output is an NCHW view over [N,H',W',O] memory, the
+    row-major result of the forward GEMM; the input gradient is NCHW memory.
+    Batchnorm's reductions follow these layouts, so they are part of the
+    arithmetic.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and weight, got {list(x.shape)}, {list(w.shape)}")
     n, c, h, width = x.shape
     o, cw, k, k2 = w.shape
     if cw != c or k != k2:
         raise ShapeError(f"conv2d: weight {list(w.shape)} does not match input channels {c}")
+    if b is not None and b.shape != (o,):
+        raise ShapeError(f"conv2d: bias {list(b.shape)} vs {o} output channels")
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
-    col = im2col(x, k, stride, pad)                      # [N*oh*ow, C*k*k]
-    wmat = T.reshape(w, (o, c * k * k))                  # [O, C*k*k]
-    out = T.matmul(col, T.transpose(wmat, (1, 0)))       # [N*oh*ow, O]
+    col = im2col(x.data, k, stride, pad)                 # [C*k*k, N*oh*ow]
+    wmat = w.data.reshape(o, c * k * k)
+    out = col.T @ wmat.T                                 # [N*oh*ow, O]
     if b is not None:
-        if b.shape != (o,):
-            raise ShapeError(f"conv2d: bias {list(b.shape)} vs {o} output channels")
-        out = T.add(out, b)
-    out = T.reshape(out, (n, oh, ow, o))
-    return T.transpose(out, (0, 3, 1, 2))
+        out += b.data
+
+    def rows(g):                                         # [N*oh*ow, O], as the forward GEMM wrote it
+        return g.transpose(0, 2, 3, 1).reshape(-1, o)
+
+    def grad_x(g):
+        dcol = (wmat.T @ rows(g).T).reshape(c, k, k, n, oh, ow)
+        gimg = np.zeros((c, n, h + 2 * pad, width + 2 * pad), dtype=dcol.dtype)
+        for ky in range(k):
+            for kx in range(k):
+                gimg[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcol[:, ky, kx]
+        return np.ascontiguousarray(gimg[:, :, pad:pad + h, pad:pad + width].transpose(1, 0, 2, 3))
+
+    parents = [(x, grad_x), (w, lambda g: (rows(g).T @ col.T).reshape(w.shape))]
+    if b is not None:
+        parents.append((b, lambda g: rows(g).sum(axis=0)))
+    return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), parents)
 
 
 @dataclass
@@ -105,31 +120,54 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Train mode normalizes by batch statistics and updates the running stats
     in place; eval mode uses the running stats and requires them populated.
+    One graph node; the train-mode input gradient is the closed form
+    (gx - mean(gx) - xhat * mean(gx * xhat)) / std with gx = gamma * g.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expects NCHW input, got {list(x.shape)}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: affine params must have shape [{c}]")
-    bshape = (1, c, 1, 1)
+    axes, bshape = (0, 2, 3), (1, c, 1, 1)
+    eps = x.dtype.type(eps)
+    gam = gamma.data.reshape(bshape)
     if mode == "train":
-        mu = T.reduce_mean(x, axes=(0, 2, 3), keepdims=True)
-        xc = T.sub(x, mu)
-        var = T.reduce_mean(T.mul(xc, xc), axes=(0, 2, 3), keepdims=True)
-        xhat = T.div(xc, T.sqrt(T.add(var, eps)))
+        mu = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - mu
+        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        std = np.sqrt(var + eps)
+        xhat /= std
         m = np.float32(momentum)
-        state.running_mean = (1 - m) * state.running_mean + m * mu.data.reshape(c)
-        state.running_var = (1 - m) * state.running_var + m * var.data.reshape(c)
+        state.running_mean = (1 - m) * state.running_mean + m * mu.reshape(c)
+        state.running_var = (1 - m) * state.running_var + m * var.reshape(c)
         state.batches_tracked += 1
+
+        def grad_x(g):
+            # dx takes xhat's memory order, [N,H,W,C] after a conv, so the
+            # conv's backward reads its GEMM rows without a copy
+            gx = g * gam
+            dx = np.subtract(gx, gx.mean(axis=axes, keepdims=True), out=np.empty_like(xhat))
+            dx -= xhat * (gx * xhat).mean(axis=axes, keepdims=True)
+            dx /= std
+            return dx
     elif mode == "eval":
         if state.batches_tracked == 0:
             raise ContractError("batchnorm: eval mode before any train-mode batch")
-        rm = Tensor(state.running_mean.reshape(bshape).astype(x.dtype))
-        rv = Tensor(state.running_var.reshape(bshape).astype(x.dtype))
-        xhat = T.div(T.sub(x, rm), T.sqrt(T.add(rv, eps)))
+        std = np.sqrt(state.running_var.reshape(bshape).astype(x.dtype) + eps)
+        xhat = x.data - state.running_mean.reshape(bshape).astype(x.dtype)
+        xhat /= std
+
+        def grad_x(g):
+            return g * gam / std
     else:
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
-    return T.add(T.mul(T.reshape(gamma, bshape), xhat), T.reshape(beta, bshape))
+    out = gam * xhat
+    out += beta.data.reshape(bshape)
+    return apply_op(out, [
+        (x, grad_x),
+        (gamma, lambda g: (g * xhat).sum(axis=axes)),
+        (beta, lambda g: g.sum(axis=axes)),
+    ])
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -305,8 +305,8 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient at exactly 0 is 0
-    return apply_op(np.where(mask, a.data, 0), [(a, lambda g: g * mask)])
+    mask = a.data > 0  # subgradient at exactly 0 (and at NaN) is 0; NaN passes through
+    return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, lambda g: g * mask)])
 
 
 def exp(a: Tensor) -> Tensor:

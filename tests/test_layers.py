@@ -1,13 +1,18 @@
-"""Layer library: forward values against hand/sliding-window oracles plus
-finite-difference gradient checks."""
+"""Layer library: forward values against hand/sliding-window oracles,
+finite-difference gradient checks, and the fused conv and batchnorm against
+their unfused graph compositions."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import pgl.gradcheck as G
 import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ContractError, DataError, ShapeError
 from pgl.gradcheck import run_case
+from pgl.network import StemUnit
 from pgl.tensor import Tensor, backward
 
 
@@ -94,7 +99,116 @@ class TestConv2d:
         assert run_case("conv2d", seed=0) < 1e-4
 
 
+def reference_conv2d(x, w, b=None, stride=1, pad=0):
+    """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul,
+    bias add, reshape and transpose graph ops."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
+    img = np.pad(x.data, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+    windows = [(ky, kx, np.s_[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride])
+               for ky in range(k) for kx in range(k)]
+    col = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    for ky, kx, sl in windows:
+        col[:, :, ky, kx] = img[sl]
+
+    def grad(g):
+        gcol = g.reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+        gimg = np.zeros_like(img)
+        for ky, kx, sl in windows:
+            gimg[sl] += gcol[:, :, ky, kx]
+        return gimg[:, :, pad:pad + h, pad:pad + wd]
+
+    cols = T.apply_op(col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * k * k), [(x, grad)])
+    out = T.matmul(cols, T.transpose(T.reshape(w, (o, c * k * k)), (1, 0)))
+    if b is not None:
+        out = T.add(out, b)
+    return T.transpose(T.reshape(out, (n, oh, ow, o)), (0, 3, 1, 2))
+
+
+class TestFusedConvBitExact:
+    """The fused conv reproduces the unfused composition bit for bit: its
+    output and input-gradient layouts feed batchnorm's reductions, so a
+    layout change shows up as changed bits downstream."""
+
+    @staticmethod
+    def _run(conv, monkeypatch):
+        monkeypatch.setattr(L, "conv2d_forward", conv)
+        rng = np.random.default_rng(21)
+        # stem 3x3, 3x3 stride 1, 3x3 stride 2 with its 1x1 stride-2 projection
+        units = [StemUnit(3, 8, rng), L.ResidualBasic(8, 8, 1, rng), L.ResidualBasic(8, 16, 2, rng)]
+        x = Tensor(rng.normal(size=(16, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        h = x
+        for u in units:
+            h = u.forward(h, train=True)
+        proj = Tensor(rng.normal(size=h.shape).astype(np.float32))
+        grads = backward(T.reduce_sum(T.mul(h, proj)))
+        params = [p for i, u in enumerate(units) for _, p in u.named_params(f"u{i}")]
+        return [h.data] + [grads[t.node_id].data for t in [x] + params]
+
+    def test_matches_unfused_composition(self, monkeypatch):
+        fused = self._run(L.conv2d_forward, monkeypatch)
+        ref = self._run(reference_conv2d, monkeypatch)
+        assert len(fused) == len(ref) == 2 + 18     # output, x, 18 parameters
+        for a, b in zip(fused, ref):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_layouts_match_unfused(self, bias):
+        # output: an NCHW view over [N,H',W',O] memory; input gradient: NCHW memory
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(4, 3, 7, 7)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True) if bias else None
+        leaves = [t for t in (x, w, b) if t is not None]
+        proj = Tensor(rng.normal(size=(4, 5, 4, 4)).astype(np.float32))
+        runs = []
+        for conv in (L.conv2d_forward, reference_conv2d):
+            out = conv(x, w, b, 2, 1)
+            grads = backward(T.reduce_sum(T.mul(out, proj)))
+            runs.append((out.data, [grads[t.node_id].data for t in leaves]))
+        (out, grads), (ref_out, ref_grads) = runs
+        assert np.array_equal(out, ref_out) and out.strides == ref_out.strides
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+        assert grads[0].flags.c_contiguous
+
+
+def reference_batchnorm(x, gamma, beta, eps=1e-5):
+    """The unfused train-mode batchnorm: ten graph ops."""
+    c = x.shape[1]
+    mu = T.reduce_mean(x, axes=(0, 2, 3), keepdims=True)
+    xc = T.sub(x, mu)
+    var = T.reduce_mean(T.mul(xc, xc), axes=(0, 2, 3), keepdims=True)
+    xhat = T.div(xc, T.sqrt(T.add(var, eps)))
+    return T.add(T.mul(T.reshape(gamma, (1, c, 1, 1)), xhat), T.reshape(beta, (1, c, 1, 1)))
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_matches_unfused_composition(self, layout):
+        # same forward arithmetic, bit for bit; the closed-form input gradient
+        # reorders float32 sums, so it agrees to a few ulps of the largest entry
+        rng = np.random.default_rng(3)
+        data = rng.normal(2.0, 3.0, size=(32, 8, 6, 6)).astype(np.float32)
+        if layout == "nhwc":                     # a conv output's memory order
+            data = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x = Tensor(data, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 8).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+        proj = Tensor(rng.normal(size=data.shape).astype(np.float32))
+        runs = []
+        for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8), "train"),
+                    reference_batchnorm(x, gamma, beta)):
+            grads = backward(T.reduce_sum(T.mul(out, proj)))
+            runs.append([out.data] + [grads[t.node_id].data for t in (x, gamma, beta)])
+        (out, gx, gg, gb), (ref_out, ref_gx, ref_gg, ref_gb) = runs
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(gg, ref_gg) and np.array_equal(gb, ref_gb)
+        assert np.max(np.abs(gx - ref_gx)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(ref_gx))
+
     def test_standardizes_batch(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(3.0, 2.5, size=(8, 3, 4, 4)).astype(np.float32))
@@ -243,6 +357,34 @@ class TestPooling:
         assert out.data.tolist() == [[1.5, 5.5]]
 
 
-class TestIm2col:
-    def test_gradcheck(self):
-        assert run_case("im2col", seed=0) < 1e-4
+class TestGradcheckCoverage:
+    @staticmethod
+    def _graph_ops():
+        """Public functions of pgl.tensor and pgl.layers that build a graph node."""
+        for mod in (T, L):
+            for name, fn in vars(mod).items():
+                if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                        and not name.startswith("_") and name != "apply_op"
+                        and "apply_op(" in inspect.getsource(fn)):
+                    yield mod, name
+
+    def test_every_graph_op_is_gradchecked(self, monkeypatch):
+        ops = list(self._graph_ops())
+        names = {f"{mod.__name__}.{name}" for mod, name in ops}
+        assert {"pgl.tensor.relu", "pgl.layers.conv2d_forward",
+                "pgl.layers.batchnorm_forward"} <= names
+        assert "pgl.layers.im2col" not in names
+        called = set()
+
+        def spy(mod, name, fn):
+            def wrapped(*args, **kwargs):
+                called.add(f"{mod.__name__}.{name}")
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod, name in ops:
+            monkeypatch.setattr(mod, name, spy(mod, name, getattr(mod, name)))
+        for _, gen, _ in G.CASES:
+            for inputs, f in gen(np.random.default_rng(0)):
+                f(inputs)
+        assert names - called == set()

@@ -110,6 +110,16 @@ class TestElementwise:
         g = backward(T.reduce_sum(T.relu(x)))
         assert g[x.node_id].data.tolist() == [0, 0, 1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_passes_nan_with_zero_gradient(self, dtype):
+        # a diverging activation stays NaN, so the per-epoch loss check sees it
+        x = Tensor(np.array([np.nan, -1.0, 2.0], dtype=dtype), requires_grad=True)
+        out = T.relu(x)
+        assert out.dtype == dtype
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0, 2]
+        g = backward(T.reduce_sum(out))
+        assert g[x.node_id].data.tolist() == [0, 0, 1]
+
 
 class TestReduce:
     def test_sum_all(self):
