@@ -7,7 +7,7 @@ loop and its baselines (``training``), an analytic memory estimator
 ``checkpoint``, ``cli``).
 """
 
-from .tensor import Tensor, backward, create, detach, no_grad
+from .tensor import Tensor, backward, create, no_grad
 from .network import (AuxHeadSpec, DecoupledModel, MlpSpec, Partition, ResNetSpec,
                       aux_adapt_policy, build_backbone, partition, unit_plan)
 from .training import (GUIDED, LOCAL, MetricsRecord, NesterovSGD, Schedule,

@@ -105,9 +105,6 @@ class Checkpoint:
     def epoch(self) -> int:
         return int(self.tensors.get("meta.epoch", np.zeros(1))[0])
 
-    def __getitem__(self, name):
-        return self.tensors[name]
-
 
 def save_checkpoint(model, opt, epoch: int, path):
     """Serialize model params, batchnorm stats, velocities, and the epoch."""

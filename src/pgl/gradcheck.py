@@ -3,8 +3,11 @@
 The oracle is independent of the autodiff graph: central differences with
 step 1e-3, evaluated in float64.  Each case runs several random small shapes
 and reports the worst elementwise error, measured relative to
-max(1, |numeric|).  The same suite backs both the pytest gradient tests and
-the ``gradcheck`` CLI subcommand.
+max(1, |numeric|).  A case reduces its op's output to a scalar through a
+random weighted sum (``mul`` then ``reduce_sum``), which is why the tensor
+core keeps those two primitives although training never calls them.  The
+same suite backs both the pytest gradient tests and the ``gradcheck`` CLI
+subcommand.
 """
 
 from __future__ import annotations
@@ -93,19 +96,17 @@ def _binary_case(op_name):
             a = _leaf(rng, shape)
             # alternate equal shapes and scalar broadcast
             b = _leaf(rng, shape if i % 2 == 0 else (1,) * len(shape))
-            if op_name == "div":
-                b.data = np.abs(b.data) + 0.5
             w = _proj(rng, shape)
             yield [a, b], lambda ts, w=w, op=op: _weighted_sum(op(ts[0], ts[1]), w)
     return gen
 
 
-def _unary_case(op_name, lo=-1.0, hi=1.0, avoid_kink=0.0):
+def _unary_case(op_name, avoid_kink=0.0):
     def gen(rng):
         op = getattr(T, op_name)
         for _ in range(5):
             shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-            a = _leaf(rng, shape, lo, hi)
+            a = _leaf(rng, shape)
             if avoid_kink:
                 a.data = np.where(np.abs(a.data) < avoid_kink,
                                   a.data + np.sign(a.data + 1e-12) * avoid_kink, a.data)
@@ -132,55 +133,6 @@ def _case_mean(rng):
         out_shape = np.mean(a.data, axis=axes).shape
         w = _proj(rng, out_shape)
         yield [a], lambda ts, w=w, axes=axes: _weighted_sum(T.reduce_mean(ts[0], axes), w)
-
-
-def _case_max(rng):
-    for _ in range(5):
-        n = int(rng.integers(3, 9))
-        # keep a clear gap so the finite-difference step cannot flip the argmax
-        vals = rng.permutation(np.linspace(-1.0, 1.0, n)) * 0.9
-        a = Tensor(vals, requires_grad=True)
-        yield [a], lambda ts: T.reduce_max(ts[0])
-
-
-def _case_reshape(rng):
-    for _ in range(5):
-        m, n = rng.integers(1, 5, size=2)
-        a = _leaf(rng, (m, n))
-        w = _proj(rng, (m * n,))
-        yield [a], lambda ts, w=w, mn=m * n: _weighted_sum(T.reshape(ts[0], (mn,)), w)
-
-
-def _case_transpose(rng):
-    for _ in range(5):
-        shape = tuple(rng.integers(1, 5, size=3))
-        axes = tuple(rng.permutation(3))
-        a = _leaf(rng, shape)
-        w = _proj(rng, tuple(shape[ax] for ax in axes))
-        yield [a], lambda ts, w=w, axes=axes: _weighted_sum(T.transpose(ts[0], axes), w)
-
-
-def _case_pad(rng):
-    for _ in range(5):
-        shape = tuple(rng.integers(1, 5, size=2))
-        pads = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in shape]
-        a = _leaf(rng, shape)
-        out_shape = tuple(s + lo + hi for s, (lo, hi) in zip(shape, pads))
-        w = _proj(rng, out_shape)
-        yield [a], lambda ts, w=w, pads=pads: _weighted_sum(T.pad(ts[0], pads), w)
-
-
-def _case_slice(rng):
-    for _ in range(5):
-        shape = tuple(rng.integers(2, 6, size=2))
-        ranges = []
-        for s in shape:
-            lo = int(rng.integers(0, s))
-            hi = int(rng.integers(lo + 1, s + 1))
-            ranges.append((lo, hi))
-        a = _leaf(rng, shape)
-        w = _proj(rng, tuple(hi - lo for lo, hi in ranges))
-        yield [a], lambda ts, w=w, rr=ranges: _weighted_sum(T.slice_(ts[0], rr), w)
 
 
 def _case_linear(rng):
@@ -256,21 +208,10 @@ def _case_residual(rng):
 CASES = [
     ("matmul", _case_matmul, DEFAULT_TOL),
     ("add", _binary_case("add"), DEFAULT_TOL),
-    ("sub", _binary_case("sub"), DEFAULT_TOL),
     ("mul", _binary_case("mul"), DEFAULT_TOL),
-    ("div", _binary_case("div"), DEFAULT_TOL),
-    ("neg", _unary_case("neg"), DEFAULT_TOL),
     ("relu", _unary_case("relu", avoid_kink=0.05), DEFAULT_TOL),
-    ("exp", _unary_case("exp"), DEFAULT_TOL),
-    ("log", _unary_case("log", lo=0.2, hi=1.2), DEFAULT_TOL),
-    ("sqrt", _unary_case("sqrt", lo=0.2, hi=1.2), DEFAULT_TOL),
     ("sum", _case_sum, DEFAULT_TOL),
     ("mean", _case_mean, DEFAULT_TOL),
-    ("max", _case_max, DEFAULT_TOL),
-    ("reshape", _case_reshape, DEFAULT_TOL),
-    ("transpose", _case_transpose, DEFAULT_TOL),
-    ("pad", _case_pad, DEFAULT_TOL),
-    ("slice", _case_slice, DEFAULT_TOL),
     ("linear", _case_linear, DEFAULT_TOL),
     ("conv2d", _case_conv2d, DEFAULT_TOL),
     ("batchnorm", _batchnorm_case("train"), BN_TOL),

@@ -213,6 +213,10 @@ class Linear:
         self.w = T.create((d_in, d_out), ("kaiming_normal", d_in), rng, requires_grad=True)
         self.b = T.create((d_out,), "zeros", requires_grad=True) if bias else None
 
+    @staticmethod
+    def param_count(d_in: int, d_out: int, bias: bool = True) -> int:
+        return d_in * d_out + (d_out if bias else 0)
+
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         return linear_forward(x, self.w, self.b)
 

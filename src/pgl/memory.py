@@ -1,9 +1,10 @@
 """Analytic training-memory estimator for backprop, decoupled-local, and
 periodically guided schedules.
 
-Nothing here allocates model tensors: unit output shapes and parameter counts
-come from ``network.unit_plan``, the shape-only walk the backbone builder
-also builds from, so the estimator and the model cannot disagree on either.
+Nothing here allocates model tensors: output shapes and parameter counts
+come from ``network.unit_plan`` and ``network.head_plan``, the shape-only
+walks the backbone and the auxiliary heads are built from, so the estimator
+and the model cannot disagree on either.
 Backprop must hold every unit's output activation plus optimizer state for
 all parameters at once; decoupled-local training holds one block at a time
 (its activations, its head, the handed-off boundary input, and its optimizer
@@ -19,36 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import AuxHeadSpec, Partition, UnitPlan, aux_head_spec, unit_plan
-from .layers import conv_out_size
+from .network import Partition, aux_head_spec, head_plan, unit_plan
 from .training import Schedule, guided_epoch_count
-
-
-def head_plan(head: AuxHeadSpec, boundary: UnitPlan, batch: int):
-    """(activation elements, parameter count) for one auxiliary head."""
-    acts = 0
-    params = 0
-    if boundary.kind == "conv":
-        c, h, w = boundary.out_shape
-        for _ in range(head.n_conv):
-            h = conv_out_size(h, 3, 2, 1)
-            w = conv_out_size(w, 3, 2, 1)
-            acts += batch * c * h * w
-            params += c * c * 9
-        acts += batch * c          # global average pool
-        d = c
-    else:
-        (d,) = boundary.out_shape
-        for _ in range(head.n_conv):
-            acts += batch * d
-            params += d * d + d
-    for _ in range(head.n_fc - 1):
-        acts += batch * head.hidden
-        params += d * head.hidden + head.hidden
-        d = head.hidden
-    acts += batch * head.num_classes
-    params += d * head.num_classes + head.num_classes
-    return acts, params
 
 
 @dataclass
@@ -69,10 +42,10 @@ def activation_sizes(spec, part: Partition, batch: int, aux_policy="aux_adapt") 
     head_acts, head_params = [], []
     for j in range(1, part.J):
         boundary = plans[part.ranges[j - 1][1] - 1]
-        a, p = head_plan(aux_head_spec(aux_policy, boundary.out_width, spec.num_classes),
-                         boundary, batch)
-        head_acts.append(a)
-        head_params.append(p)
+        head = aux_head_spec(aux_policy, boundary.out_width, spec.num_classes)
+        layers = [p for _, p in head_plan(head, boundary)]
+        head_acts.append(sum(p.out_elements(batch) for p in layers))
+        head_params.append(sum(p.params for p in layers))
     return MemProfile([u.out_elements(batch) for u in plans],
                       [u.params for u in plans], head_acts, head_params)
 
@@ -99,17 +72,16 @@ def block_footprints(profile: MemProfile, part: Partition) -> list:
     parameters and its head's.
     """
     part.validate(len(profile.unit_activations))
-    # canonical profiles carry J-1 heads (block J's classifier is in-block);
-    # hand-built toy profiles may charge an aux term to every block
+    # blocks 1..J-1 carry a head; block J's classifier is in-block
     n_heads = len(profile.head_activations)
-    if n_heads not in (part.J - 1, part.J):
-        raise ConfigError(f"profile has {n_heads} heads for J={part.J}")
+    if n_heads != part.J - 1:
+        raise ConfigError(f"profile has {n_heads} heads for J={part.J}, expected {part.J - 1}")
     out = []
     for j in range(1, part.J + 1):
         start, end = part.ranges[j - 1]
         acts = sum(profile.unit_activations[start:end])
         params = sum(profile.unit_params[start:end])
-        if j - 1 < n_heads:
+        if j < part.J:
             acts += profile.head_activations[j - 1]
             params += profile.head_params[j - 1]
         if j >= 2:

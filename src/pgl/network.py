@@ -6,9 +6,10 @@ constructor arguments and output shapes; ``build_backbone`` builds that plan
 and the memory estimator reads it.  ``partition`` groups the units into J
 contiguous blocks, merging the stem into block 1 and the classifier into
 block J while J leaves room for that.  Every block except the last gets an
-auxiliary head; block J's own classifier plays that role.  Gradient
-isolation between blocks comes from detaching boundary activations, never
-from parameter bookkeeping.
+auxiliary head; block J's own classifier plays that role.  ``head_plan`` is
+the one walk of a head's layers, which ``AuxHead`` builds and the memory
+estimator reads.  Gradient isolation between blocks comes from detaching
+boundary activations, never from parameter bookkeeping.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class _FcUnit:
 
     @staticmethod
     def param_count(d_in: int, d_out: int) -> int:
-        return d_in * d_out + d_out
+        return L.Linear.param_count(d_in, d_out)
 
     def named_params(self, prefix):
         yield from self.fc.named_params(f"{prefix}.fc")
@@ -168,9 +169,9 @@ class LinearClassifierUnit(_FcUnit):
 
 @dataclass(frozen=True)
 class UnitPlan:
-    """One backbone unit before it is built: its class, its constructor
-    arguments (all but the rng) and its output shape.  Duck-types the built
-    unit for ``partition`` and head sizing."""
+    """One backbone unit or head layer before it is built: its class, its
+    constructor arguments (all but the rng) and its output shape.  A unit's
+    plan duck-types the built unit for ``partition`` and head sizing."""
     cls: type
     args: tuple
     out_shape: tuple          # (C, H, W) or (width,)
@@ -334,58 +335,96 @@ def aux_head_spec(policy, in_width: int, num_classes: int) -> AuxHeadSpec:
     return AuxHeadSpec(n_conv, n_fc, int(in_width), num_classes)
 
 
-class AuxHead:
-    """Small classifier on a block boundary.
+class HeadConv(L.Conv2d):
+    """A head's channel-preserving 3x3 stride-2 conv, bias-free."""
 
-    Conv inputs: n_conv channel-preserving 3x3 stride-2 convs with relu, then
-    global average pooling, then the fc stack.  Dense inputs replace each conv
-    with a width-preserving linear + relu.  The fc stack ends in num_classes;
-    intermediate fc layers use the hidden width with relu between.
+    def __init__(self, ch: int, rng):
+        super().__init__(ch, ch, 3, rng, stride=2, pad=1, bias=False)
+
+    @staticmethod
+    def param_count(ch: int) -> int:
+        return ch * ch * 9
+
+
+class HeadPool:
+    """Global average pooling, between a conv head's convs and its fc stack."""
+
+    def __init__(self, rng):
+        pass
+
+    @staticmethod
+    def param_count() -> int:
+        return 0
+
+    def forward(self, x, train=True):
+        return L.global_avg_pool(x)
+
+    def named_params(self, prefix):
+        return iter(())
+
+
+def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
+    """The head ``spec`` puts on ``boundary``, as (name, UnitPlan) pairs in
+    build order; allocates nothing.  ``AuxHead`` builds exactly this list
+    and the memory estimator sums it.
+
+    Conv boundaries: n_conv ``HeadConv`` layers, then global average pooling.
+    Dense boundaries replace each conv with a width-preserving linear layer.
+    The fc stack follows: n_fc - 1 linear layers of the hidden width, then
+    one to num_classes.  The names ("conv{i}", "pool", "fc{i}") prefix the
+    layers' parameter names inside the head.
     """
+    spec.validate()
+    c = spec.in_width
+    conv = boundary.kind == "conv"
+    shape = (c,) + boundary.out_shape[1:]
+    plan = []
+    for i in range(spec.n_conv):
+        if conv:
+            shape = (c,) + tuple(L.conv_out_size(s, 3, 2, 1) for s in shape[1:])
+            plan.append((f"conv{i}", UnitPlan(HeadConv, (c,), shape)))
+        else:
+            plan.append((f"conv{i}", UnitPlan(L.Linear, (c, c), shape)))
+    if conv:
+        plan.append(("pool", UnitPlan(HeadPool, (), (c,))))
+    d = c
+    for i in range(spec.n_fc):
+        out = spec.hidden if i < spec.n_fc - 1 else spec.num_classes
+        plan.append((f"fc{i}", UnitPlan(L.Linear, (d, out), (out,))))
+        d = out
+    return plan
 
-    def __init__(self, spec: AuxHeadSpec, input_kind: str, rng):
-        spec.validate()
+
+class AuxHead:
+    """Small classifier on a block boundary, built layer by layer from
+    ``head_plan``; relu follows every layer but the pool and the last."""
+
+    def __init__(self, spec: AuxHeadSpec, boundary: UnitPlan, rng):
         self.spec = spec
-        self.input_kind = input_kind
-        self.convs = []
-        w = spec.in_width
-        for _ in range(spec.n_conv):
-            if input_kind == "conv":
-                self.convs.append(L.Conv2d(w, w, 3, rng, stride=2, pad=1, bias=False))
-            else:
-                self.convs.append(L.Linear(w, w, rng))
-        self.fcs = []
-        d = w
-        for i in range(spec.n_fc - 1):
-            self.fcs.append(L.Linear(d, spec.hidden, rng))
-            d = spec.hidden
-        self.fcs.append(L.Linear(d, spec.num_classes, rng))
+        self.layers = [(name, p.cls(*p.args, rng)) for name, p in head_plan(spec, boundary)]
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         h = x
-        for conv in self.convs:
-            h = T.relu(conv.forward(h, train))
-        if self.input_kind == "conv":
-            h = L.global_avg_pool(h)
-        for fc in self.fcs[:-1]:
-            h = T.relu(fc.forward(h, train))
-        return self.fcs[-1].forward(h, train)
+        for name, layer in self.layers[:-1]:
+            h = layer.forward(h, train)
+            if name != "pool":
+                h = T.relu(h)
+        return self.layers[-1][1].forward(h, train)
 
     def named_params(self, prefix):
-        for i, conv in enumerate(self.convs):
-            yield from conv.named_params(f"{prefix}.conv{i}")
-        for i, fc in enumerate(self.fcs):
-            yield from fc.named_params(f"{prefix}.fc{i}")
+        for name, layer in self.layers:
+            yield from layer.named_params(f"{prefix}.{name}")
 
 
-def attach_aux(units, part: Partition, policy, num_classes: int, rng) -> list:
-    """Build heads for blocks 1..J-1, sized by ``aux_head_spec``."""
+def attach_aux(plans, part: Partition, policy, num_classes: int, rng) -> list:
+    """Build heads for blocks 1..J-1 on the backbone's ``unit_plan``, sized
+    by ``aux_head_spec``."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     heads = []
     for j in range(1, part.J):
-        boundary_unit = units[part.ranges[j - 1][1] - 1]
-        spec = aux_head_spec(policy, boundary_unit.out_width, num_classes)
-        heads.append(AuxHead(spec, boundary_unit.kind, rng))
+        boundary = plans[part.ranges[j - 1][1] - 1]
+        spec = aux_head_spec(policy, boundary.out_width, num_classes)
+        heads.append(AuxHead(spec, boundary, rng))
     return heads
 
 
@@ -398,10 +437,11 @@ class DecoupledModel:
     def __init__(self, spec, J: int, aux_policy, seed: int):
         rng = np.random.default_rng(seed)
         self.spec = spec
+        plans = unit_plan(spec)
         self.units = build_backbone(spec, rng)
-        self.partition = partition(self.units, J)
+        self.partition = partition(plans, J)
         self.num_classes = spec.num_classes
-        self.heads = attach_aux(self.units, self.partition, aux_policy, self.num_classes, rng)
+        self.heads = attach_aux(plans, self.partition, aux_policy, self.num_classes, rng)
         self.aux_policy = aux_policy
         self.seed = seed
 

@@ -7,6 +7,11 @@ themselves and lives exactly as long as a Python reference reaches it.
 mapping from leaf node ids to gradient tensors.  Detaching a tensor cuts it
 from its producers; nothing else has to be cleared between steps.
 
+The primitives are the ones training and evaluation reach (``add``,
+``relu``, ``matmul``, ``reduce_mean``) plus ``mul`` and ``reduce_sum``, which
+form the gradient checker's weighted sum.  The layers build their fused ops
+on ``apply_op``.
+
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
 """
@@ -18,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -80,60 +85,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars are allowed on either side.
+    # Arithmetic sugar; a scalar is allowed on the right.
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
     def sum(self, axes=None, keepdims=False):
         return reduce_sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return reduce_mean(self, axes, keepdims)
-
-    def max(self, axes=None):
-        return reduce_max(self, axes)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _lift(x, dtype):
@@ -198,7 +158,7 @@ def backward(loss: Tensor) -> dict:
 # ---------------------------------------------------------------------------
 # creation
 
-_INIT_RULES = ("zeros", "ones", "constant", "uniform", "kaiming_normal")
+_INIT_RULES = ("zeros", "ones", "kaiming_normal")
 
 
 def _as_rng(rng):
@@ -210,10 +170,10 @@ def _as_rng(rng):
 def create(shape, init="zeros", rng=None, requires_grad=False) -> Tensor:
     """Allocate a float32 tensor under a named init rule.
 
-    ``init`` is a rule name or a (name, arg) pair: ("constant", c),
-    ("uniform", a) for U(-a, a), ("kaiming_normal", fan_in).  kaiming_normal
-    uses std = sqrt(2 / fan_in); fan_in defaults to prod(shape[1:]) for rank
-    >= 2.  Random rules are deterministic given ``rng`` (seed or Generator).
+    ``init`` is "zeros", "ones", "kaiming_normal" or ("kaiming_normal",
+    fan_in).  kaiming_normal uses std = sqrt(2 / fan_in); fan_in defaults to
+    prod(shape[1:]) for rank >= 2.  It is deterministic given ``rng`` (seed or
+    Generator).
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0 or any(s < 1 for s in shape):
@@ -230,10 +190,6 @@ def create(shape, init="zeros", rng=None, requires_grad=False) -> Tensor:
         data = np.zeros(shape, dtype=np.float32)
     elif name == "ones":
         data = np.ones(shape, dtype=np.float32)
-    elif name == "constant":
-        data = np.full(shape, float(arg), dtype=np.float32)
-    elif name == "uniform":
-        data = rng.uniform(-float(arg), float(arg), size=shape).astype(np.float32)
     else:  # kaiming_normal
         fan_in = arg if arg is not None else int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
         std = np.sqrt(2.0 / fan_in)
@@ -271,15 +227,6 @@ def add(a: Tensor, b) -> Tensor:
     ])
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _lift(b, a.dtype)
-    _check_broadcast(a, b, "sub")
-    return apply_op(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
-    ])
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     _check_broadcast(a, b, "mul")
@@ -290,42 +237,9 @@ def mul(a: Tensor, b) -> Tensor:
     ])
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _lift(b, a.dtype)
-    _check_broadcast(a, b, "div")
-    ad, bd = a.data, b.data
-    return apply_op(ad / bd, [
-        (a, lambda g: _unbroadcast(g / bd, a.shape)),
-        (b, lambda g: _unbroadcast(-g * ad / (bd * bd), b.shape)),
-    ])
-
-
-def neg(a: Tensor) -> Tensor:
-    return apply_op(-a.data, [(a, lambda g: -g)])
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at exactly 0 (and at NaN) is 0; NaN passes through
     return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, lambda g: g * mask)])
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return apply_op(out, [(a, lambda g: g * out)])
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log: all entries must be > 0")
-    ad = a.data
-    return apply_op(np.log(ad), [(a, lambda g: g / ad)])
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise DomainError("sqrt: all entries must be >= 0")
-    out = np.sqrt(a.data)
-    return apply_op(out, [(a, lambda g: g * 0.5 / out)])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -375,83 +289,3 @@ def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
         return np.broadcast_to(g, a.shape) / count
 
     return apply_op(out, [(a, grad)])
-
-
-def reduce_max(a: Tensor, axes=None) -> Tensor:
-    """Max over all elements (axes=None) or one axis; gradient goes to the
-    first maximum only."""
-    if axes is None:
-        flat = a.data.reshape(-1)
-        idx = int(np.argmax(flat))
-        out = flat[idx]
-
-        def grad(g):
-            full = np.zeros_like(flat)
-            full[idx] = np.asarray(g).reshape(())
-            return full.reshape(a.shape)
-
-        return apply_op(np.asarray(out), [(a, grad)])
-
-    (axis,) = _norm_axes(axes if isinstance(axes, int) else tuple(axes), a.data.ndim)
-    out = a.data.max(axis=axis)
-    idx = np.argmax(a.data, axis=axis)
-
-    def grad(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        return full
-
-    return apply_op(out, [(a, grad)])
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if -1 in shape:
-        known = int(np.prod([s for s in shape if s != -1]))
-        if shape.count(-1) > 1 or a.data.size % known:
-            raise ShapeError(f"reshape: cannot infer {list(shape)} from {list(a.shape)}")
-        shape = tuple(a.data.size // known if s == -1 else s for s in shape)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: {list(a.shape)} has {a.data.size} elements, target {list(shape)}")
-    return apply_op(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose: axes {list(axes)} are not a permutation of rank {a.data.ndim}")
-    inv = np.argsort(axes)
-    return apply_op(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
-
-
-def pad(a: Tensor, pad_width) -> Tensor:
-    """Zero-pad with per-axis (before, after) amounts; gradient slices back."""
-    pad_width = [(int(lo), int(hi)) for lo, hi in pad_width]
-    if len(pad_width) != a.data.ndim:
-        raise ShapeError(f"pad: {len(pad_width)} pad pairs for rank {a.data.ndim}")
-    if any(lo < 0 or hi < 0 for lo, hi in pad_width):
-        raise ShapeError("pad: amounts must be >= 0")
-    slices = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, a.shape))
-    return apply_op(np.pad(a.data, pad_width), [(a, lambda g: g[slices])])
-
-
-def slice_(a: Tensor, ranges) -> Tensor:
-    """Take per-axis [start, stop) ranges; gradient scatters into zeros."""
-    ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-    if len(ranges) != a.data.ndim:
-        raise ShapeError(f"slice: {len(ranges)} ranges for rank {a.data.ndim}")
-    for (lo, hi), s in zip(ranges, a.shape):
-        if not (0 <= lo <= hi <= s):
-            raise ShapeError(f"slice: range [{lo},{hi}) out of bounds for dim {s}")
-    sl = tuple(slice(lo, hi) for lo, hi in ranges)
-
-    def grad(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        return full
-
-    return apply_op(a.data[sl].copy(), [(a, grad)])
-
-
-def detach(a: Tensor) -> Tensor:
-    return a.detach()

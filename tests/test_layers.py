@@ -1,6 +1,6 @@
 """Layer library: forward values against hand/sliding-window oracles,
-finite-difference gradient checks, and the fused conv and batchnorm against
-their unfused graph compositions."""
+finite-difference gradient checks, the fused conv and batchnorm against
+their unfused graph compositions, and the reach of every graph op."""
 
 import inspect
 
@@ -12,8 +12,9 @@ import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ContractError, DataError, ShapeError
 from pgl.gradcheck import run_case
-from pgl.network import StemUnit
+from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, StemUnit
 from pgl.tensor import Tensor, backward
+from pgl.training import NesterovSGD, evaluate, guided_epoch, local_epoch
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -100,8 +101,9 @@ class TestConv2d:
 
 
 def reference_conv2d(x, w, b=None, stride=1, pad=0):
-    """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul,
-    bias add, reshape and transpose graph ops."""
+    """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul and
+    bias add.  The weight's reshape-transpose and the output's
+    reshape-transpose are test-local graph nodes."""
     n, c, h, wd = x.shape
     o, _, k, _ = w.shape
     oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
@@ -120,10 +122,13 @@ def reference_conv2d(x, w, b=None, stride=1, pad=0):
         return gimg[:, :, pad:pad + h, pad:pad + wd]
 
     cols = T.apply_op(col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * k * k), [(x, grad)])
-    out = T.matmul(cols, T.transpose(T.reshape(w, (o, c * k * k)), (1, 0)))
+    wmat = T.apply_op(w.data.reshape(o, c * k * k).transpose(1, 0),
+                      [(w, lambda g: g.transpose(1, 0).reshape(w.shape))])
+    rows = T.matmul(cols, wmat)
     if b is not None:
-        out = T.add(out, b)
-    return T.transpose(T.reshape(out, (n, oh, ow, o)), (0, 3, 1, 2))
+        rows = T.add(rows, b)
+    return T.apply_op(rows.data.reshape(n, oh, ow, o).transpose(0, 3, 1, 2),
+                      [(rows, lambda g: g.transpose(0, 2, 3, 1).reshape(rows.shape))])
 
 
 class TestFusedConvBitExact:
@@ -177,13 +182,27 @@ class TestFusedConvBitExact:
 
 
 def reference_batchnorm(x, gamma, beta, eps=1e-5):
-    """The unfused train-mode batchnorm: ten graph ops."""
-    c = x.shape[1]
-    mu = T.reduce_mean(x, axes=(0, 2, 3), keepdims=True)
-    xc = T.sub(x, mu)
-    var = T.reduce_mean(T.mul(xc, xc), axes=(0, 2, 3), keepdims=True)
-    xhat = T.div(xc, T.sqrt(T.add(var, eps)))
-    return T.add(T.mul(T.reshape(gamma, (1, c, 1, 1)), xhat), T.reshape(beta, (1, c, 1, 1)))
+    """The unfused train-mode batchnorm: ten graph ops.  The subtraction,
+    square root, division and the two reshapes are test-local nodes; a
+    per-channel operand's gradient sums over the broadcast axes."""
+    c, axes = x.shape[1], (0, 2, 3)
+    mu = T.reduce_mean(x, axes=axes, keepdims=True)
+    xc = T.apply_op(x.data - mu.data, [
+        (x, lambda g: g),
+        (mu, lambda g: (-g).sum(axis=axes, keepdims=True)),
+    ])
+    var_eps = T.add(T.reduce_mean(T.mul(xc, xc), axes=axes, keepdims=True), eps)
+    sd = np.sqrt(var_eps.data)
+    std = T.apply_op(sd, [(var_eps, lambda g: g * 0.5 / sd)])
+    xhat = T.apply_op(xc.data / sd, [
+        (xc, lambda g: g / sd),
+        (std, lambda g: (-g * xc.data / (sd * sd)).sum(axis=axes, keepdims=True)),
+    ])
+
+    def per_channel(t):
+        return T.apply_op(t.data.reshape(1, c, 1, 1), [(t, lambda g: g.reshape(c))])
+
+    return T.add(T.mul(per_channel(gamma), xhat), per_channel(beta))
 
 
 class TestBatchNorm:
@@ -368,12 +387,10 @@ class TestGradcheckCoverage:
                         and "apply_op(" in inspect.getsource(fn)):
                     yield mod, name
 
-    def test_every_graph_op_is_gradchecked(self, monkeypatch):
-        ops = list(self._graph_ops())
-        names = {f"{mod.__name__}.{name}" for mod, name in ops}
-        assert {"pgl.tensor.relu", "pgl.layers.conv2d_forward",
-                "pgl.layers.batchnorm_forward"} <= names
-        assert "pgl.layers.im2col" not in names
+    @classmethod
+    def _spy(cls, monkeypatch):
+        """Wrap every graph op; returns (their names, the names called so far)."""
+        ops = list(cls._graph_ops())
         called = set()
 
         def spy(mod, name, fn):
@@ -384,7 +401,30 @@ class TestGradcheckCoverage:
 
         for mod, name in ops:
             monkeypatch.setattr(mod, name, spy(mod, name, getattr(mod, name)))
+        return {f"{mod.__name__}.{name}" for mod, name in ops}, called
+
+    def test_every_graph_op_is_gradchecked(self, monkeypatch):
+        names, called = self._spy(monkeypatch)
+        assert {"pgl.tensor.relu", "pgl.layers.conv2d_forward",
+                "pgl.layers.batchnorm_forward"} <= names
+        assert "pgl.layers.im2col" not in names
         for _, gen, _ in G.CASES:
             for inputs, f in gen(np.random.default_rng(0)):
                 f(inputs)
         assert names - called == set()
+
+    def test_every_graph_op_is_reached_by_a_run(self, monkeypatch):
+        # the gradient checker's weighted sum is the only reason to keep an op
+        # that training and evaluation never build
+        names, called = self._spy(monkeypatch)
+        rng = np.random.default_rng(0)
+        for spec, in_shape in [(MlpSpec(widths=[4, 4], num_classes=3), (2,)),
+                               (ResNetSpec(depth=8, num_classes=3, input_hw=4), (3, 4, 4))]:
+            model = DecoupledModel(spec, 2, "aux_adapt", seed=0)
+            batch_list = [(rng.normal(size=(6,) + in_shape).astype(np.float32),
+                           np.array([0, 1, 2, 0, 1, 2]))]
+            opt = NesterovSGD()
+            local_epoch(model, batch_list, opt, 0.01)
+            guided_epoch(model, batch_list, opt, 0.01)
+            evaluate(model, batch_list)
+        assert names - called - {"pgl.tensor.mul", "pgl.tensor.reduce_sum"} == set()

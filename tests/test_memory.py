@@ -1,19 +1,24 @@
 """Analytic memory model: frozen toy values, degenerate cases, monotonicity."""
 
+import math
+
+import numpy as np
 import pytest
 
 from pgl.errors import ConfigError
 from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate,
                         estimate_bp, estimate_local, estimate_schedule_avg, unit_plan)
-from pgl.network import DecoupledModel, MlpSpec, Partition, ResNetSpec, partition
+from pgl.network import (DecoupledModel, MlpSpec, Partition, ResNetSpec, aux_head_spec,
+                         head_plan, partition)
+from pgl.tensor import Tensor, no_grad
 from pgl.training import Schedule
 
 
 def toy_profile():
-    # two blocks of two units each: activations 20 per block, aux 2 per block,
-    # boundary into block 2 is 10, no parameters anywhere
+    # two blocks of two units each: activations 20 per block, one aux head of
+    # 2 on block 1, boundary into block 2 is 10, no parameters anywhere
     return MemProfile(unit_activations=[10, 10, 10, 10], unit_params=[0, 0, 0, 0],
-                      head_activations=[2, 2], head_params=[0, 0])
+                      head_activations=[2], head_params=[0])
 
 
 def toy_partition():
@@ -38,10 +43,10 @@ class TestEstimateBp:
 class TestEstimateLocal:
     def test_frozen_toy_value(self):
         local = estimate_local(toy_profile(), toy_partition())
-        assert local == 32 * 4  # block 2: 20 acts + 2 aux + 10 boundary
+        assert local == 30 * 4  # block 2: 20 acts + 10 boundary (block 1: 20 + 2 aux)
         bp = estimate_bp(toy_profile())
         assert bp == 40 * 4
-        assert local / bp == 0.8
+        assert local / bp == 0.75
 
     def test_j1_degenerates_to_bp(self):
         profile = MemProfile([10, 10, 10, 10], [5, 0, 0, 0], [], [])
@@ -59,9 +64,10 @@ class TestEstimateLocal:
         assert all(a >= b for a, b in zip(costs, costs[1:])), costs
 
     def test_head_count_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_local(MemProfile([1, 1], [0, 0], [5, 5, 5], [0, 0, 0]),
-                           Partition(2, [(0, 1), (1, 2)], [1, 1]))
+        part = Partition(2, [(0, 1), (1, 2)], [1, 1])
+        for heads in ([5, 5, 5], [5, 5]):        # J + 1 heads, and a head on every block
+            with pytest.raises(ConfigError):
+                estimate_local(MemProfile([1, 1], [0, 0], heads, [0] * len(heads)), part)
 
     def test_local_never_exceeds_bp_on_shipped_configs(self):
         spec = ResNetSpec(depth=32, num_classes=10)
@@ -117,8 +123,26 @@ class TestActivationSizes:
         # one block per unit puts a head on every boundary, stem included
         plans = unit_plan(spec)
         model = DecoupledModel(spec, len(plans), policy, seed=0)
-        profile = activation_sizes(spec, model.partition, batch=1, aux_policy=policy)
+        profile = activation_sizes(spec, model.partition, batch=2, aux_policy=policy)
         assert sum(u.params for u in plans) + sum(profile.head_params) == model.param_count()
+        # each head's plan against the built head: the output shape of every
+        # layer as AuxHead.forward produces it on a batch of 2, and the size
+        for j, head in enumerate(model.heads, 1):
+            boundary = plans[model.partition.ranges[j - 1][1] - 1]
+            plan = head_plan(aux_head_spec(policy, boundary.out_width, spec.num_classes), boundary)
+            shapes = []
+            for _, layer in head.layers:
+                def spy(x, train=True, forward=layer.forward):
+                    out = forward(x, train)
+                    shapes.append(out.shape)
+                    return out
+                layer.forward = spy
+            with no_grad():
+                head.forward(Tensor(np.zeros((2,) + boundary.out_shape, dtype=np.float32)))
+            assert shapes == [(2,) + p.out_shape for _, p in plan]
+            assert profile.head_activations[j - 1] == sum(math.prod(s) for s in shapes)
+            built = sum(p.size for _, p in head.named_params(f"aux{j}"))
+            assert sum(p.params for _, p in plan) == profile.head_params[j - 1] == built
 
 
 class TestScheduleAvg:

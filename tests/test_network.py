@@ -119,7 +119,7 @@ class TestAttachAux:
         assert len(m.heads) == 1
 
     def test_resnet_j8_head_channels(self):
-        units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
         p = partition(units, 8)
         heads = attach_aux(units, p, "aux_adapt", 10, rng=0)
         assert len(heads) == 7
@@ -130,17 +130,19 @@ class TestAttachAux:
         assert expected == [16, 16, 32, 32, 32, 64, 64]
 
     def test_fixed_policy_structure(self):
-        units = build_backbone(ResNetSpec(depth=20, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=20, num_classes=10))
         p = partition(units, 3)
         heads = attach_aux(units, p, (1, 2), 10, rng=0)
         for h in heads:
-            assert len(h.convs) == 1 and len(h.fcs) == 2
+            assert [name for name, _ in h.layers] == ["conv0", "pool", "fc0", "fc1"]
 
     def test_head_forward_shapes(self):
-        head = AuxHead(AuxHeadSpec(2, 2, 16, 10), "conv", np.random.default_rng(0))
+        stem = unit_plan(ResNetSpec(depth=8, num_classes=10, input_hw=8))[0]    # [16, 8, 8]
+        head = AuxHead(AuxHeadSpec(2, 2, 16, 10), stem, np.random.default_rng(0))
         out = head.forward(Tensor(np.zeros((4, 16, 8, 8), dtype=np.float32)))
         assert out.shape == (4, 10)
-        dense = AuxHead(AuxHeadSpec(1, 3, 8, 5), "dense", np.random.default_rng(0))
+        hidden = unit_plan(MlpSpec(widths=[8], num_classes=5))[0]                 # [8]
+        dense = AuxHead(AuxHeadSpec(1, 3, 8, 5), hidden, np.random.default_rng(0))
         assert dense.forward(Tensor(np.zeros((4, 8), dtype=np.float32))).shape == (4, 5)
 
 
