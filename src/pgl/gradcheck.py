@@ -143,25 +143,24 @@ def _case_linear(rng):
         yield [x, wgt, b], lambda ts, w=w: _weighted_sum(L.linear_forward(ts[0], ts[1], ts[2]), w)
 
 
-# (k, stride, pad, bias): random kernels with a bias, then the bias-free
-# C != O convs of a downsampling residual block: 3x3 stride 2 and the 1x1
-# stride-2 pad-0 projection
-_CONV_CASES = [(None, 1, 0, True), (None, 2, 1, True), (None, 1, 1, True),
-               (3, 2, 1, False), (1, 2, 0, False)]
+# (k, stride, pad): random kernels at stride 1 and 2, the C != O convs of a
+# downsampling residual block (3x3 stride 2 and the 1x1 stride-2 pad-0
+# projection), and a 3x3 stride-2 pad-0 conv on H=8 that drops the last row
+_CONV_CASES = [(None, 1, 0, None), (None, 2, 1, None), (None, 1, 1, None),
+               (3, 2, 1, None), (1, 2, 0, None), (3, 2, 0, 8)]
 
 
 def _case_conv2d(rng):
-    for k, stride, padv, bias in _CONV_CASES:
+    for k, stride, padv, h in _CONV_CASES:
         n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        o = int(rng.integers(1, 3)) if bias else c + 1
-        h = int(rng.integers(4, 7))
+        o = c + 1
+        h = int(rng.integers(4, 7)) if h is None else h
         k = int(rng.integers(1, 4)) if k is None else k
         x = _leaf(rng, (n, c, h, h))
         wgt = _leaf(rng, (o, c, k, k))
-        inputs = [x, wgt, _leaf(rng, (o,))] if bias else [x, wgt]
         oh = L.conv_out_size(h, k, stride, padv)
         w = _proj(rng, (n, o, oh, oh))
-        yield inputs, lambda ts, w=w, s=stride, p=padv: _weighted_sum(
+        yield [x, wgt], lambda ts, w=w, s=stride, p=padv: _weighted_sum(
             L.conv2d_forward(*ts, stride=s, pad=p), w)
 
 

@@ -1,4 +1,5 @@
-"""Neural layers built on the tensor autodiff: linear, conv2d (im2col GEMMs),
+"""Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
+forward and weight gradient, a per-kernel-offset GEMM input gradient),
 batch norm, global average pooling, residual basic blocks, and softmax cross
 entropy.
 
@@ -23,14 +24,11 @@ from .tensor import Tensor, apply_op
 # ---------------------------------------------------------------------------
 # functional ops
 
-def linear_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[N,d_in] @ w[d_in,d_out] (+ b[d_out] broadcast over rows)."""
-    out = T.matmul(x, w)
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear: bias {list(b.shape)} vs out dim {w.shape[1]}")
-        out = T.add(out, b)
-    return out
+def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[N,d_in] @ w[d_in,d_out] + b[d_out] broadcast over rows."""
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias {list(b.shape)} vs out dim {w.shape[1]}")
+    return T.add(T.matmul(x, w), b)
 
 
 def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -44,13 +42,15 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Lower NCHW patches to a channel-major [C*k*k, N*H'*W'] column matrix.
 
-    Rows run over (c, ky, kx) and columns over (n, y, x), the order both conv
-    GEMMs read without a copy.  A plain array function, not a graph op.
+    Rows run over (c, ky, kx) and columns over (n, y, x), the order the
+    forward and weight-gradient GEMMs read without a copy.  A plain array
+    function, not a graph op.
     """
     n, c, h, w = x.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
-    img = np.pad(x.transpose(1, 0, 2, 3), [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+    img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    img[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
@@ -58,14 +58,18 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return col.reshape(c * k * k, n * oh * ow)
 
 
-def conv2d_forward(x: Tensor, w: Tensor, b: Tensor | None = None,
-                   stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W'].
+def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W'], no bias.
 
-    One graph node.  The output is an NCHW view over [N,H',W',O] memory, the
-    row-major result of the forward GEMM; the input gradient is NCHW memory.
-    Batchnorm's reductions follow these layouts, so they are part of the
-    arithmetic.
+    One graph node.  The forward and the weight gradient are one GEMM each
+    against the im2col matrix; the output is an NCHW view over the
+    [N,H',W',O] memory the forward GEMM wrote.  The input gradient is one
+    GEMM per kernel offset, [N*H'*W', O] @ w[:, :, ky, kx], each added in
+    (ky, kx) order into a zeroed padded [N,Hp,Wp,C] buffer that is then
+    copied to NCHW memory: every element sums the same terms in the same
+    order as a column-gradient GEMM and col2im would, without the
+    column-sized buffer.  Batchnorm's reductions follow these layouts, so
+    they are part of the arithmetic.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and weight, got {list(x.shape)}, {list(w.shape)}")
@@ -73,31 +77,38 @@ def conv2d_forward(x: Tensor, w: Tensor, b: Tensor | None = None,
     o, cw, k, k2 = w.shape
     if cw != c or k != k2:
         raise ShapeError(f"conv2d: weight {list(w.shape)} does not match input channels {c}")
-    if b is not None and b.shape != (o,):
-        raise ShapeError(f"conv2d: bias {list(b.shape)} vs {o} output channels")
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
     col = im2col(x.data, k, stride, pad)                 # [C*k*k, N*oh*ow]
     wmat = w.data.reshape(o, c * k * k)
     out = col.T @ wmat.T                                 # [N*oh*ow, O]
-    if b is not None:
-        out += b.data
+    # grad_x and grad_w run back to back on the same output gradient; when
+    # both are in the graph, the first leaves its rows for the second, so a
+    # gradient in NCHW memory is copied to rows once, not twice
+    shared = x.requires_grad and w.requires_grad
+    pending = []
 
     def rows(g):                                         # [N*oh*ow, O], as the forward GEMM wrote it
-        return g.transpose(0, 2, 3, 1).reshape(-1, o)
+        if pending:
+            return pending.pop()
+        r = g.transpose(0, 2, 3, 1).reshape(-1, o)
+        if shared:
+            pending.append(r)
+        return r
 
     def grad_x(g):
-        dcol = (wmat.T @ rows(g).T).reshape(c, k, k, n, oh, ow)
-        gimg = np.zeros((c, n, h + 2 * pad, width + 2 * pad), dtype=dcol.dtype)
+        gr = rows(g)
+        gimg = np.zeros((n, h + 2 * pad, width + 2 * pad, c), dtype=gr.dtype)
         for ky in range(k):
             for kx in range(k):
-                gimg[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcol[:, ky, kx]
-        return np.ascontiguousarray(gimg[:, :, pad:pad + h, pad:pad + width].transpose(1, 0, 2, 3))
+                gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
+                    (gr @ w.data[:, :, ky, kx]).reshape(n, oh, ow, c)
+        return np.ascontiguousarray(gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2))
 
-    parents = [(x, grad_x), (w, lambda g: (rows(g).T @ col.T).reshape(w.shape))]
-    if b is not None:
-        parents.append((b, lambda g: rows(g).sum(axis=0)))
-    return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), parents)
+    return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [
+        (x, grad_x),
+        (w, lambda g: (rows(g).T @ col.T).reshape(w.shape)),
+    ])
 
 
 @dataclass
@@ -209,38 +220,37 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # stateful layers
 
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng):
         self.w = T.create((d_in, d_out), ("kaiming_normal", d_in), rng, requires_grad=True)
-        self.b = T.create((d_out,), "zeros", requires_grad=True) if bias else None
+        self.b = T.create((d_out,), "zeros", requires_grad=True)
 
     @staticmethod
-    def param_count(d_in: int, d_out: int, bias: bool = True) -> int:
-        return d_in * d_out + (d_out if bias else 0)
+    def param_count(d_in: int, d_out: int) -> int:
+        return d_in * d_out + d_out
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         return linear_forward(x, self.w, self.b)
 
     def named_params(self, prefix: str):
         yield f"{prefix}.weight", self.w
-        if self.b is not None:
-            yield f"{prefix}.bias", self.b
+        yield f"{prefix}.bias", self.b
 
 
 class Conv2d:
+    """A bias-free conv; every conv in the networks feeds a batchnorm or an
+    aux head's relu."""
+
     def __init__(self, in_ch: int, out_ch: int, k: int, rng,
-                 stride: int = 1, pad: int = 0, bias: bool = True):
+                 stride: int = 1, pad: int = 0):
         self.stride, self.pad = stride, pad
         fan_in = in_ch * k * k
         self.w = T.create((out_ch, in_ch, k, k), ("kaiming_normal", fan_in), rng, requires_grad=True)
-        self.b = T.create((out_ch,), "zeros", requires_grad=True) if bias else None
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        return conv2d_forward(x, self.w, self.b, self.stride, self.pad)
+        return conv2d_forward(x, self.w, self.stride, self.pad)
 
     def named_params(self, prefix: str):
         yield f"{prefix}.weight", self.w
-        if self.b is not None:
-            yield f"{prefix}.bias", self.b
 
 
 class BatchNorm2d:
@@ -271,12 +281,12 @@ class ResidualBasic:
     """
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
-        self.conv1 = Conv2d(in_ch, out_ch, 3, rng, stride=stride, pad=1, bias=False)
+        self.conv1 = Conv2d(in_ch, out_ch, 3, rng, stride=stride, pad=1)
         self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, rng, stride=1, pad=1, bias=False)
+        self.conv2 = Conv2d(out_ch, out_ch, 3, rng, stride=1, pad=1)
         self.bn2 = BatchNorm2d(out_ch)
         if in_ch != out_ch or stride != 1:
-            self.proj = Conv2d(in_ch, out_ch, 1, rng, stride=stride, pad=0, bias=False)
+            self.proj = Conv2d(in_ch, out_ch, 1, rng, stride=stride, pad=0)
             self.proj_bn = BatchNorm2d(out_ch)
         else:
             self.proj = None

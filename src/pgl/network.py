@@ -77,7 +77,7 @@ class StemUnit:
     partitionable = False
 
     def __init__(self, in_ch: int, out_ch: int, rng):
-        self.conv = L.Conv2d(in_ch, out_ch, 3, rng, stride=1, pad=1, bias=False)
+        self.conv = L.Conv2d(in_ch, out_ch, 3, rng, stride=1, pad=1)
         self.bn = L.BatchNorm2d(out_ch)
         self.out_width = out_ch
 
@@ -336,10 +336,10 @@ def aux_head_spec(policy, in_width: int, num_classes: int) -> AuxHeadSpec:
 
 
 class HeadConv(L.Conv2d):
-    """A head's channel-preserving 3x3 stride-2 conv, bias-free."""
+    """A head's channel-preserving 3x3 stride-2 conv."""
 
     def __init__(self, ch: int, rng):
-        super().__init__(ch, ch, 3, rng, stride=2, pad=1, bias=False)
+        super().__init__(ch, ch, 3, rng, stride=2, pad=1)
 
     @staticmethod
     def param_count(ch: int) -> int:

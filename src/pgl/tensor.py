@@ -239,7 +239,17 @@ def mul(a: Tensor, b) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at exactly 0 (and at NaN) is 0; NaN passes through
-    return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, lambda g: g * mask)])
+
+    def grad(g):
+        # After a conv the mask is NHWC memory while g, a conv's input
+        # gradient, is NCHW; a product over mixed orders walks short inner
+        # runs.  Copying the 1-byte mask to g's order first is faster and
+        # gives the same values and strides as g * mask, which are C order.
+        if g.flags.c_contiguous and not mask.flags.c_contiguous:
+            return g * np.ascontiguousarray(mask)
+        return g * mask
+
+    return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, grad)])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -3,6 +3,7 @@ finite-difference gradient checks, the fused conv and batchnorm against
 their unfused graph compositions, and the reach of every graph op."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ContractError, DataError, ShapeError
 from pgl.gradcheck import run_case
-from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, StemUnit
+from pgl.network import DecoupledModel, HeadConv, MlpSpec, ResNetSpec, StemUnit
 from pgl.tensor import Tensor, backward
 from pgl.training import NesterovSGD, evaluate, guided_epoch, local_epoch
 
 
-def conv_oracle(x, w, b, stride, pad):
+def conv_oracle(x, w, stride, pad):
     """Direct sliding-window cross-correlation."""
     n, c, h, wd = x.shape
     o, _, k, _ = w.shape
@@ -30,7 +31,7 @@ def conv_oracle(x, w, b, stride, pad):
             for y in range(oh):
                 for z in range(ow):
                     patch = xp[i, :, y * stride:y * stride + k, z * stride:z * stride + k]
-                    out[i, f, y, z] = (patch * w[f]).sum() + (b[f] if b is not None else 0)
+                    out[i, f, y, z] = (patch * w[f]).sum()
     return out
 
 
@@ -67,16 +68,15 @@ class TestConv2d:
         w = np.ones((1, 1, 2, 2), dtype=np.float32)
         out = L.conv2d_forward(Tensor(x), Tensor(w), stride=1, pad=0)
         assert out.data.reshape(2, 2).tolist() == [[12, 16], [24, 28]]
-        assert np.allclose(out.data, conv_oracle(x, w, None, 1, 0))
+        assert np.allclose(out.data, conv_oracle(x, w, 1, 0))
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
         for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-            got = L.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
-            assert np.allclose(got, conv_oracle(x, w, b, stride, pad), atol=1e-6)
+            got = L.conv2d_forward(Tensor(x), Tensor(w), stride, pad).data
+            assert np.allclose(got, conv_oracle(x, w, stride, pad), atol=1e-6)
 
     def test_output_size_formula(self):
         assert L.conv_out_size(32, 3, 2, 1) == 16
@@ -99,11 +99,28 @@ class TestConv2d:
     def test_gradcheck(self):
         assert run_case("conv2d", seed=0) < 1e-4
 
+    def test_backward_allocates_less_than_a_column_matrix(self):
+        # the input gradient is built one kernel offset at a time, never as
+        # the [C*k*k, N*H'*W'] column gradient
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(64, 16, 16, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        loss = T.reduce_sum(L.conv2d_forward(x, w, 1, 1))
+        column_bytes = 16 * 9 * 64 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            grads = backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[x.node_id].shape == x.shape
+        assert peak < column_bytes
 
-def reference_conv2d(x, w, b=None, stride=1, pad=0):
-    """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul and
-    bias add.  The weight's reshape-transpose and the output's
-    reshape-transpose are test-local graph nodes."""
+
+def reference_conv2d(x, w, stride=1, pad=0):
+    """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul.
+    The weight's reshape-transpose and the output's reshape-transpose are
+    test-local graph nodes."""
     n, c, h, wd = x.shape
     o, _, k, _ = w.shape
     oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
@@ -125,8 +142,6 @@ def reference_conv2d(x, w, b=None, stride=1, pad=0):
     wmat = T.apply_op(w.data.reshape(o, c * k * k).transpose(1, 0),
                       [(w, lambda g: g.transpose(1, 0).reshape(w.shape))])
     rows = T.matmul(cols, wmat)
-    if b is not None:
-        rows = T.add(rows, b)
     return T.apply_op(rows.data.reshape(n, oh, ow, o).transpose(0, 3, 1, 2),
                       [(rows, lambda g: g.transpose(0, 2, 3, 1).reshape(rows.shape))])
 
@@ -143,34 +158,42 @@ class TestFusedConvBitExact:
         # stem 3x3, 3x3 stride 1, 3x3 stride 2 with its 1x1 stride-2 projection
         units = [StemUnit(3, 8, rng), L.ResidualBasic(8, 8, 1, rng), L.ResidualBasic(8, 16, 2, rng)]
         x = Tensor(rng.normal(size=(16, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        # an aux head's 3x3 stride-2 conv -> relu on the relu'd boundary after
+        # unit 1, whose gradient then sums the head's and the backbone's
+        head = HeadConv(8, rng)
         h = x
-        for u in units:
+        for i, u in enumerate(units):
             h = u.forward(h, train=True)
-        proj = Tensor(rng.normal(size=h.shape).astype(np.float32))
-        grads = backward(T.reduce_sum(T.mul(h, proj)))
-        params = [p for i, u in enumerate(units) for _, p in u.named_params(f"u{i}")]
-        return [h.data] + [grads[t.node_id].data for t in [x] + params]
+            if i == 1:
+                head_out = T.relu(head.forward(h, train=True))
+        loss = T.add(T.reduce_sum(T.mul(h, Tensor(rng.normal(size=h.shape).astype(np.float32)))),
+                     T.reduce_sum(T.mul(head_out, Tensor(rng.normal(size=head_out.shape).astype(np.float32)))))
+        grads = backward(loss)
+        params = [p for i, u in enumerate(units + [head]) for _, p in u.named_params(f"u{i}")]
+        return [h.data, head_out.data] + [grads[t.node_id].data for t in [x] + params]
 
     def test_matches_unfused_composition(self, monkeypatch):
         fused = self._run(L.conv2d_forward, monkeypatch)
         ref = self._run(reference_conv2d, monkeypatch)
-        assert len(fused) == len(ref) == 2 + 18     # output, x, 18 parameters
+        assert len(fused) == len(ref) == 3 + 19     # 2 outputs, x, 18 backbone + 1 head parameters
         for a, b in zip(fused, ref):
             assert a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_layouts_match_unfused(self, bias):
+    # 3x3 stride 2 on H=7 with pad 1, and on H=8 with pad 0, where the
+    # trailing row and column fit no full stride and are dropped
+    @pytest.mark.parametrize("h, pad", [(7, 1), (8, 0)], ids=["pad1", "floor"])
+    def test_layouts_match_unfused(self, h, pad):
         # output: an NCHW view over [N,H',W',O] memory; input gradient: NCHW memory
         rng = np.random.default_rng(22)
-        x = Tensor(rng.normal(size=(4, 3, 7, 7)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3, h, h)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True) if bias else None
-        leaves = [t for t in (x, w, b) if t is not None]
-        proj = Tensor(rng.normal(size=(4, 5, 4, 4)).astype(np.float32))
+        leaves = [x, w]
+        oh = L.conv_out_size(h, 3, 2, pad)
+        proj = Tensor(rng.normal(size=(4, 5, oh, oh)).astype(np.float32))
         runs = []
         for conv in (L.conv2d_forward, reference_conv2d):
-            out = conv(x, w, b, 2, 1)
+            out = conv(x, w, 2, pad)
             grads = backward(T.reduce_sum(T.mul(out, proj)))
             runs.append((out.data, [grads[t.node_id].data for t in leaves]))
         (out, grads), (ref_out, ref_grads) = runs

@@ -103,6 +103,27 @@ class TestElementwise:
         g = backward(T.reduce_sum(out))
         assert g[x.node_id].data.tolist() == [0, 0, 1]
 
+    @pytest.mark.parametrize("case", ["nchw_g_nhwc_mask", "nhwc_g_nhwc_mask", "2d"])
+    def test_relu_backward_is_g_times_mask(self, case):
+        # relu copies the mask into g's memory order before multiplying; the
+        # result must keep g * mask's bits (signed zeros, NaN) and strides
+        rng = np.random.default_rng(5)
+        shape = (7, 9) if case == "2d" else (4, 6, 5, 3)      # 2-D, or [N,H,W,C]
+        a = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        a.reshape(-1)[::7] = 0.0
+        g.reshape(-1)[::11] = np.nan
+        if case != "2d":
+            a = a.transpose(0, 3, 1, 2)                         # NCHW view of NHWC memory
+            g = g.transpose(0, 3, 1, 2)
+            if case == "nchw_g_nhwc_mask":
+                g = np.ascontiguousarray(g)
+        out = T.relu(Tensor(a, requires_grad=True))
+        (_, grad_fn), = out.parents
+        got, ref = grad_fn(g), g * (a > 0)
+        assert got.dtype == ref.dtype and got.strides == ref.strides
+        assert got.tobytes() == ref.tobytes()
+
 
 class TestReduce:
     def test_sum_all(self):
