@@ -7,6 +7,7 @@ Run:  python3 demos/01_autodiff_tape.py
 
 import numpy as np
 
+import pgl.layers as L
 import pgl.tensor as T
 from pgl.tensor import Tensor, backward, create
 
@@ -28,19 +29,20 @@ x = Tensor([2.0], requires_grad=True)
 y = (x * x + x).sum()                       # d/dx = 2x + 1
 print(f"d(x^2 + x)/dx at x=2: {backward(y)[x.node_id].data}   (expected [5])")
 
-print("\n== a matmul gradient vs central finite differences ==")
+print("\n== a linear layer's gradient vs central finite differences ==")
 rng = np.random.default_rng(0)
 a64 = rng.uniform(-1, 1, size=(3, 4))       # float64 for a sharp oracle
-b64 = rng.uniform(-1, 1, size=(4, 2))
+w64 = rng.uniform(-1, 1, size=(4, 2))
+b64 = rng.uniform(-1, 1, size=2)
 
 
 def loss_fn(a_data):
     with T.no_grad():
-        return float(T.reduce_sum(T.matmul(Tensor(a_data), Tensor(b64))).item())
+        return float(T.reduce_sum(L.linear_forward(Tensor(a_data), Tensor(w64), Tensor(b64))).item())
 
 
 a = Tensor(a64, requires_grad=True)
-analytic = backward(T.reduce_sum(T.matmul(a, Tensor(b64))))[a.node_id].data
+analytic = backward(T.reduce_sum(L.linear_forward(a, Tensor(w64), Tensor(b64))))[a.node_id].data
 
 h = 1e-3
 numeric = np.zeros_like(a64)

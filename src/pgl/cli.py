@@ -74,7 +74,8 @@ def cmd_eval(args) -> int:
     _, test_set = config.build_datasets()
     from . import data as D
 
-    acc = evaluate(model, D.batches(test_set, config.batch_size, None, 0))
+    rows = M.eval_rows(config.network, model.partition, config.batch_size, config.aux)
+    acc = evaluate(model, D.batches(test_set, rows, None, 0))
     print(f"test accuracy: {acc:.4f}")
     return 0
 

@@ -79,14 +79,6 @@ def _proj(rng, shape):
 # ---------------------------------------------------------------------------
 # cases: each yields (inputs, f) pairs for several random shapes
 
-def _case_matmul(rng):
-    for _ in range(5):
-        m, k, n = rng.integers(1, 6, size=3)
-        a, b = _leaf(rng, (m, k)), _leaf(rng, (k, n))
-        w = _proj(rng, (m, n))
-        yield [a, b], lambda ts, w=w: _weighted_sum(T.matmul(ts[0], ts[1]), w)
-
-
 def _binary_case(op_name):
     # ops resolve at run time so the suite always checks the live implementation
     def gen(rng):
@@ -205,7 +197,6 @@ def _case_residual(rng):
 
 
 CASES = [
-    ("matmul", _case_matmul, DEFAULT_TOL),
     ("add", _binary_case("add"), DEFAULT_TOL),
     ("mul", _binary_case("mul"), DEFAULT_TOL),
     ("relu", _unary_case("relu", avoid_kink=0.05), DEFAULT_TOL),

@@ -5,9 +5,10 @@ entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
-the tensor graph.  ``conv2d_forward``, ``batchnorm_forward`` and
-``softmax_cross_entropy`` are custom-backward primitives, one graph node
-each; ``im2col`` is a plain array function they do not expose to the graph.
+the tensor graph.  ``linear_forward``, ``conv2d_forward``,
+``batchnorm_forward`` and ``softmax_cross_entropy`` are custom-backward
+primitives, one graph node each; ``im2col`` is a plain array function they
+do not expose to the graph.
 """
 
 from __future__ import annotations
@@ -25,10 +26,23 @@ from .tensor import Tensor, apply_op
 # functional ops
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[N,d_in] @ w[d_in,d_out] + b[d_out] broadcast over rows."""
+    """x[N,d_in] @ w[d_in,d_out] + b[d_out] broadcast over rows.
+
+    One graph node, with the arithmetic of a matmul node followed by a
+    broadcast add: dx = g @ w.T, dw = x.T @ g, db = g summed over rows.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear: expects rank-2 input and weight, got {list(x.shape)} x {list(w.shape)}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: input {list(x.shape)} vs weight {list(w.shape)}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {list(b.shape)} vs out dim {w.shape[1]}")
-    return T.add(T.matmul(x, w), b)
+    xd, wd = x.data, w.data
+    return apply_op(xd @ wd + b.data, [
+        (x, lambda g: g @ wd.T),
+        (w, lambda g: xd.T @ g),
+        (b, lambda g: g.sum(axis=0)),
+    ])
 
 
 def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:

@@ -9,7 +9,8 @@ Backprop must hold every unit's output activation plus optimizer state for
 all parameters at once; decoupled-local training holds one block at a time
 (its activations, its head, the handed-off boundary input, and its optimizer
 state).  A guided schedule time-averages the two at the guided-epoch
-fraction.
+fraction.  ``eval_rows`` sizes evaluation batches so that a no-grad pass
+stays within the local step's activation figure.
 
 Absolute bytes ignore framework overheads; comparisons are meaningful as
 ratios.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import Partition, aux_head_spec, head_plan, unit_plan
+from .network import Partition, ResNetSpec, aux_head_spec, head_plan, unit_plan
 from .training import Schedule, guided_epoch_count
 
 
@@ -63,14 +64,9 @@ def estimate_bp(profile: MemProfile) -> int:
     return total * profile.bytes_per_element
 
 
-def block_footprints(profile: MemProfile, part: Partition) -> list:
-    """Per-block byte counts under one-block-at-a-time training.
-
-    Block j holds its own unit activations, its aux head's activations, the
-    detached boundary input handed over from block j-1 (none for block 1,
-    whose input is the data batch itself), and optimizer state for its
-    parameters and its head's.
-    """
+def _block_elements(profile: MemProfile, part: Partition) -> list:
+    """(activation elements, parameter count) per block under
+    one-block-at-a-time training; see ``block_footprints``."""
     part.validate(len(profile.unit_activations))
     # blocks 1..J-1 carry a head; block J's classifier is in-block
     n_heads = len(profile.head_activations)
@@ -86,8 +82,20 @@ def block_footprints(profile: MemProfile, part: Partition) -> list:
             params += profile.head_params[j - 1]
         if j >= 2:
             acts += profile.unit_activations[part.ranges[j - 2][1] - 1]
-        out.append((acts + _OPT_FACTOR * params) * profile.bytes_per_element)
+        out.append((acts, params))
     return out
+
+
+def block_footprints(profile: MemProfile, part: Partition) -> list:
+    """Per-block byte counts under one-block-at-a-time training.
+
+    Block j holds its own unit activations, its aux head's activations, the
+    detached boundary input handed over from block j-1 (none for block 1,
+    whose input is the data batch itself), and optimizer state for its
+    parameters and its head's.
+    """
+    return [(acts + _OPT_FACTOR * params) * profile.bytes_per_element
+            for acts, params in _block_elements(profile, part)]
 
 
 def estimate_local(profile: MemProfile, part: Partition) -> int:
@@ -100,6 +108,29 @@ def estimate_schedule_avg(profile: MemProfile, part: Partition, schedule: Schedu
     schedule.validate()
     f_guided = guided_epoch_count(schedule) / schedule.E
     return f_guided * estimate_bp(profile) + (1.0 - f_guided) * estimate_local(profile, part)
+
+
+def _input_elements(spec) -> int:
+    """Elements per sample of the backbone's input."""
+    if isinstance(spec, ResNetSpec):
+        return spec.in_channels * spec.input_hw * spec.input_hw
+    return spec.in_features
+
+
+def eval_rows(spec, part: Partition, batch: int, aux_policy="aux_adapt") -> int:
+    """Rows per evaluation batch, never fewer than ``batch``.
+
+    The widest no-grad step holds one unit's input and output.  This is the
+    most rows for which that step fits in the local training step's
+    activation elements at ``batch`` (``block_footprints`` without optimizer
+    state), so evaluation holds no more activation than a local step does.
+    """
+    plans = unit_plan(spec)
+    inputs = [_input_elements(spec)] + [u.out_elements(1) for u in plans[:-1]]
+    widest = max(i + u.out_elements(1) for i, u in zip(inputs, plans))
+    profile = activation_sizes(spec, part, batch, aux_policy)
+    local = max(acts for acts, _ in _block_elements(profile, part))
+    return max(batch, local // widest)
 
 
 @dataclass

@@ -8,9 +8,9 @@ mapping from leaf node ids to gradient tensors.  Detaching a tensor cuts it
 from its producers; nothing else has to be cleared between steps.
 
 The primitives are the ones training and evaluation reach (``add``,
-``relu``, ``matmul``, ``reduce_mean``) plus ``mul`` and ``reduce_sum``, which
-form the gradient checker's weighted sum.  The layers build their fused ops
-on ``apply_op``.
+``relu``, ``reduce_mean``) plus ``mul`` and ``reduce_sum``, which form the
+gradient checker's weighted sum.  The layers build their fused ops (linear,
+conv, batchnorm, cross-entropy) on ``apply_op``, one graph node each.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -250,18 +250,6 @@ def relu(a: Tensor) -> Tensor:
         return g * mask
 
     return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, grad)])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects rank-2 operands, got {list(a.shape)} x {list(b.shape)}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {list(a.shape)} x {list(b.shape)}")
-    ad, bd = a.data, b.data
-    return apply_op(ad @ bd, [
-        (a, lambda g: g @ bd.T),
-        (b, lambda g: ad.T @ g),
-    ])
 
 
 def _norm_axes(axes, ndim):

@@ -6,6 +6,8 @@ losses.  ``bp`` runs every epoch end-to-end with the heads idle.  ``pgl``
 interleaves: local epochs, punctuated by Q guided epochs whenever the epoch
 index crosses a multiple of the period P.  During guidance the global loss
 updates the backbone while local losses update only the auxiliary heads.
+Each update runs in its own step function, so its graph dies on return, and
+``NesterovSGD`` updates parameters and velocities in place.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ class NesterovSGD:
 
     Velocities live per parameter name and persist across epoch-mode
     switches.  Weight decay applies to every parameter, biases and batchnorm
-    affine terms included.
+    affine terms included.  The update runs in place on one scratch array
+    per parameter and on the stored velocity, in the formula's operation
+    order (IEEE addition and multiplication commute, so every bit matches
+    the out-of-place formula).  A velocity is its own array: it never
+    aliases a gradient or a parameter.
     """
 
     def __init__(self, momentum: float = 0.9, weight_decay: float = 1e-4):
@@ -88,11 +94,17 @@ class NesterovSGD:
                 raise ContractError(f"no gradient for parameter {name}")
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape {list(g.shape)} != param shape {list(p.shape)} ({name})")
-            gd = g.data + wd * p.data
+            gd = wd * p.data
+            gd += g.data
             v = self.velocity.get(name)
-            v = gd if v is None else mu * v + gd
-            self.velocity[name] = v
-            p.data -= lr * (gd + mu * v)
+            if v is None:
+                v = self.velocity[name] = gd.copy()
+            else:
+                v *= mu
+                v += gd
+            gd += mu * v
+            gd *= lr
+            p.data -= gd
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +224,19 @@ def train(config, force_mode: str | None = None):
     naming the epoch and the loss.  ``force_mode`` overrides
     the schedule for every epoch; it exists for trajectory-equivalence
     diagnostics (e.g. an all-guided run compared against plain bp).
+    Accuracies are evaluated in batches of ``memory.eval_rows`` rows; logits
+    match training-sized batches bit for bit unless BLAS sums a small GEMM
+    (a few dozen rows) in a row-count-dependent order.
     """
     from . import data as D
+    from .memory import eval_rows
 
     schedule = Schedule(config.epochs, config.P, config.Q, config.regime)
     schedule.validate()
     model = config.build_model()
     train_set, test_set = config.build_datasets()
     opt = NesterovSGD(config.momentum, config.weight_decay)
+    rows = eval_rows(config.network, model.partition, config.batch_size, config.aux)
 
     J = model.J
     records = []
@@ -238,8 +255,8 @@ def train(config, force_mode: str | None = None):
         for where, v in named:
             if v is not None and not math.isfinite(v):
                 raise DomainError(f"epoch {e}: {where} loss is {v}; training diverged")
-        train_acc = evaluate(model, D.batches(train_set, config.batch_size, None, 0))
-        test_acc = evaluate(model, D.batches(test_set, config.batch_size, None, 0))
+        train_acc = evaluate(model, D.batches(train_set, rows, None, 0))
+        test_acc = evaluate(model, D.batches(test_set, rows, None, 0))
         records.append(MetricsRecord(e, mode, lr, global_loss, list(local_losses),
                                      train_acc, test_acc))
     return records, model, opt

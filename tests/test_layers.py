@@ -35,6 +35,30 @@ def conv_oracle(x, w, stride, pad):
     return out
 
 
+def matmul(a, b):
+    """A rank-2 matmul graph node: followed by a broadcast add, the unfused
+    reference for linear; after the graph im2col, the one for conv."""
+    ad, bd = a.data, b.data
+    return T.apply_op(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+
+
+def matmul_oracle(a, b):
+    """Naive triple loop, independent of the numpy path under test."""
+    m, k = a.shape
+    k2, n = b.shape
+    assert k == k2
+    out = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                out[i, j] += a[i, t] * b[t, j]
+    return out
+
+
+def zero_bias_linear(x, w):
+    return L.linear_forward(Tensor(x), Tensor(w), Tensor(np.zeros(w.shape[1], dtype=w.dtype)))
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor([[1.0, 2.0]])
@@ -51,6 +75,48 @@ class TestLinear:
     def test_bias_shape_error(self):
         with pytest.raises(ShapeError):
             L.linear_forward(Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+
+    def test_zero_bias_identity_input(self):
+        w = np.array([[5.0, 6.0], [7.0, 8.0]])
+        assert zero_bias_linear(np.eye(2), w).data.tolist() == [[5, 6], [7, 8]]
+
+    def test_zero_bias_against_triple_loop(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
+        got = zero_bias_linear(a, b).data
+        assert got.tolist() == [[19, 22], [43, 50]]
+        assert np.allclose(got, matmul_oracle(a, b))
+
+    def test_zero_bias_random_against_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            m, k, n = rng.integers(1, 7, size=3)
+            a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+            assert np.allclose(zero_bias_linear(a, b).data, matmul_oracle(a, b), atol=1e-6)
+
+    @pytest.mark.parametrize("x, w", [((2, 3), (2, 3)), ((2, 3, 1), (3, 3))],
+                             ids=["inner_dims", "rank"])
+    def test_shape_error(self, x, w):
+        with pytest.raises(ShapeError):
+            zero_bias_linear(np.zeros(x), np.zeros(w))
+
+    @pytest.mark.parametrize("n", [64, 5])
+    def test_matches_unfused_composition(self, n):
+        # one node with the arithmetic of matmul -> broadcast add: output, dx,
+        # dW and db equal bit for bit
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(n, 64)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 128)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=128).astype(np.float32), requires_grad=True)
+        proj = Tensor(rng.normal(size=(n, 128)).astype(np.float32))
+        runs = []
+        for out in (L.linear_forward(x, w, b), T.add(matmul(x, w), b)):
+            grads = backward(T.reduce_sum(T.mul(out, proj)))
+            runs.append([out.data] + [grads[t.node_id].data for t in (x, w, b)])
+        assert len(L.linear_forward(x, w, b).parents) == 3
+        for a, ref in zip(*runs):
+            assert a.dtype == ref.dtype == np.float32
+            assert np.array_equal(a, ref)
 
     def test_gradcheck(self):
         assert run_case("linear", seed=0) < 1e-4
@@ -141,7 +207,7 @@ def reference_conv2d(x, w, stride=1, pad=0):
     cols = T.apply_op(col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * k * k), [(x, grad)])
     wmat = T.apply_op(w.data.reshape(o, c * k * k).transpose(1, 0),
                       [(w, lambda g: g.transpose(1, 0).reshape(w.shape))])
-    rows = T.matmul(cols, wmat)
+    rows = matmul(cols, wmat)
     return T.apply_op(rows.data.reshape(n, oh, ow, o).transpose(0, 3, 1, 2),
                       [(rows, lambda g: g.transpose(0, 2, 3, 1).reshape(rows.shape))])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pgl.errors import ConfigError
-from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate,
+from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate, eval_rows,
                         estimate_bp, estimate_local, estimate_schedule_avg, unit_plan)
 from pgl.network import (DecoupledModel, MlpSpec, Partition, ResNetSpec, aux_head_spec,
                          head_plan, partition)
@@ -216,3 +216,55 @@ class TestHeadlineProfile:
         blocks = block_footprints(profile, part)
         assert max(blocks) == estimate_local(profile, part)
         assert len(blocks) == 8
+
+
+class TestEvalRows:
+    """Evaluation batches hold no more activation than a local step: rows x
+    (widest unit input + output) fits in the largest block's activation
+    elements at the training batch, and rows is the most that fit."""
+
+    @staticmethod
+    def _widest(spec):
+        plans = unit_plan(spec)
+        first = (spec.in_channels * spec.input_hw ** 2 if isinstance(spec, ResNetSpec)
+                 else spec.in_features)
+        ins = [first] + [math.prod(u.out_shape) for u in plans[:-1]]
+        return max(i + math.prod(u.out_shape) for i, u in zip(ins, plans))
+
+    @staticmethod
+    def _local_activations(spec, part, batch, policy):
+        # the local step's figure without optimizer state
+        p = activation_sizes(spec, part, batch, policy)
+        bare = MemProfile(p.unit_activations, [0] * len(p.unit_params),
+                          p.head_activations, [0] * len(p.head_params))
+        return max(block_footprints(bare, part)) // bare.bytes_per_element
+
+    @pytest.mark.parametrize("spec, J, policy, batch, want", [
+        (MlpSpec(widths=[64] * 8, num_classes=3), 4, "aux_adapt", 64, 193),
+        (MlpSpec(widths=[32] * 8, num_classes=3), 9, (0, 1), 64, None),
+        (ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, "aux_adapt", 64, 139),
+        (ResNetSpec(depth=20, num_classes=10), 2, "aux_adapt", 64, None),
+        (ResNetSpec(depth=20, num_classes=10), 4, "aux_adapt", 64, None),
+        (ResNetSpec(depth=20, num_classes=10), 8, "aux_adapt", 64, None),
+        (ResNetSpec(depth=32, num_classes=10), 2, "aux_adapt", 128, None),
+        (ResNetSpec(depth=32, num_classes=10), 4, "aux_adapt", 128, None),
+        (ResNetSpec(depth=32, num_classes=10), 8, "aux_adapt", 128, None),
+    ], ids=["acceptance-mlp", "mlp32x8-j9", "resnet20-img16", "resnet20-j2", "resnet20-j4",
+            "resnet20-j8", "resnet32-j2", "resnet32-j4", "resnet32-j8"])
+    def test_fits_the_local_step(self, spec, J, policy, batch, want):
+        part = partition(unit_plan(spec), J)
+        rows = eval_rows(spec, part, batch, policy)
+        widest = self._widest(spec)
+        local = self._local_activations(spec, part, batch, policy)
+        assert rows >= batch
+        assert rows * widest <= local < (rows + 1) * widest
+        if want is not None:
+            assert rows == want
+
+    def test_never_below_batch(self):
+        # one dense unit per block with a wide input: the widest step at the
+        # training batch already exceeds the local figure
+        spec = MlpSpec(widths=[2], num_classes=2, in_features=64)
+        part = partition(unit_plan(spec), 2)
+        assert self._local_activations(spec, part, 8, (0, 1)) < 8 * self._widest(spec)
+        assert eval_rows(spec, part, 8, (0, 1)) == 8

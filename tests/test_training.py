@@ -10,7 +10,8 @@ import pgl.tensor as T
 from pgl.config import RunConfig, SpiralsSpec
 from pgl.errors import ConfigError, DomainError
 from pgl.layers import softmax_cross_entropy
-from pgl.network import DecoupledModel, MlpSpec
+from pgl.memory import eval_rows
+from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, partition, unit_plan
 from pgl.tensor import Tensor
 from pgl.training import (GUIDED, LOCAL, NesterovSGD, Schedule, evaluate,
                           guided_epoch, guided_epoch_count, local_epoch, lr_at,
@@ -119,6 +120,32 @@ class TestNesterovSGD:
         opt = NesterovSGD(mu, wd)
         opt.step([("p", p)], {p.node_id: Tensor(np.zeros((3, 2), dtype=np.float32))}, lr)
         assert np.allclose(p.data, before * (1 - lr * wd * (1 + mu)), atol=1e-8)
+
+    def test_in_place_matches_formula(self):
+        # three steps, the first included, against the out-of-place formula
+        # g = grad + wd*p; v = g (first) or mu*v + g; p -= lr*(g + mu*v)
+        lr, wd, mu = 0.05, 1e-4, 0.9
+        rng = np.random.default_rng(7)
+        shapes = {"w": (64, 128), "b": (128,), "gamma": (16,)}
+        params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for n, s in shapes.items()}
+        ref_p = {n: p.data.copy() for n, p in params.items()}
+        ref_v = {}
+        opt = NesterovSGD(mu, wd)
+        for step in range(3):
+            grads = {n: Tensor(rng.normal(size=s).astype(np.float32)) for n, s in shapes.items()}
+            opt.step(list(params.items()), {params[n].node_id: g for n, g in grads.items()}, lr)
+            for n in shapes:
+                g = grads[n].data + np.float32(wd) * ref_p[n]
+                v = ref_v.get(n)
+                v = g if v is None else np.float32(mu) * v + g
+                ref_v[n] = v
+                ref_p[n] = ref_p[n] - np.float32(lr) * (g + np.float32(mu) * v)
+                stored = opt.velocity[n]
+                assert np.array_equal(params[n].data, ref_p[n]), (step, n)
+                assert np.array_equal(stored, ref_v[n]), (step, n)
+                assert not np.shares_memory(stored, grads[n].data)
+                assert not np.shares_memory(stored, params[n].data)
 
     def test_missing_gradient_raises(self):
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
@@ -246,6 +273,57 @@ class TestEvaluate:
         batches = D.batches(test_set, 16, None, 0)
         model.forward_global(Tensor(test_set.inputs[:4]), train=True)
         assert evaluate(model, batches) == evaluate(model, batches)
+
+
+class ImageSpec:
+    """A tiny synthetic image dataset: a fixed prototype per class plus noise."""
+
+    def __init__(self, n: int, hw: int, classes: int):
+        self.n, self.hw, self.classes = n, hw, classes
+
+    def build(self, seed):
+        rng = np.random.default_rng(seed)
+        proto = rng.normal(size=(self.classes, 3, self.hw, self.hw))
+        sets = []
+        for _ in range(2):
+            y = np.arange(self.n) % self.classes
+            x = proto[y] + rng.normal(size=(self.n, 3, self.hw, self.hw))
+            sets.append(D.Dataset(x.astype(np.float32), y.astype(np.int64), self.classes))
+        return tuple(sets)
+
+
+class TestEvalChunks:
+    """train() evaluates in ``eval_rows``-row batches; the accuracies equal
+    those of training-sized batches exactly.  So do the MLP's logits.  On this
+    tiny ResNet the 2x2 stage's GEMMs are small enough that BLAS sums them in
+    a row-count-dependent order, and logits move in the last bits."""
+
+    @pytest.mark.parametrize("cfg, exact_logits", [
+        (mlp_config(regime="pgl", P=2, Q=1, epochs=3,
+                    dataset=SpiralsSpec(classes=2, n_per_class=100, test_n_per_class=90)), True),
+        (mlp_config(network=ResNetSpec(depth=8, num_classes=3, input_hw=8), blocks=2,
+                    regime="pgl", P=2, Q=1, epochs=3, batch_size=8,
+                    dataset=ImageSpec(45, 8, 3)), False),
+    ], ids=["mlp", "resnet"])
+    def test_accuracies_equal_training_batch_evaluation(self, cfg, exact_logits):
+        rows = eval_rows(cfg.network, partition(unit_plan(cfg.network), cfg.blocks),
+                         cfg.batch_size, cfg.aux)
+        recs, model, _ = train(cfg)
+        train_set, test_set = cfg.build_datasets()
+        # both cuts end in a short batch
+        assert rows > cfg.batch_size
+        assert all(len(ds) % rows and len(ds) % cfg.batch_size for ds in (train_set, test_set))
+        for ds, acc in [(train_set, recs[-1].train_acc), (test_set, recs[-1].test_acc)]:
+            assert evaluate(model, D.batches(ds, cfg.batch_size, None, 0)) == acc
+            logits = []
+            with T.no_grad():
+                for size in (cfg.batch_size, rows):
+                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0].data
+                                                  for x, _ in D.batches(ds, size, None, 0)]))
+            if exact_logits:
+                assert np.array_equal(*logits)
+            else:
+                assert np.allclose(*logits, rtol=1e-5, atol=1e-5)
 
 
 class TestTrain:
