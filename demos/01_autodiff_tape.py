@@ -1,14 +1,17 @@
 """A walk through the tensor core: building expressions, backpropagating
-through the graph they form, and checking a gradient against finite
-differences.
+through the graph they form, how long that graph keeps its arrays, and
+checking a gradient against finite differences.
 
 Run:  python3 demos/01_autodiff_tape.py
 """
+
+import weakref
 
 import numpy as np
 
 import pgl.layers as L
 import pgl.tensor as T
+from pgl.errors import ContractError
 from pgl.tensor import Tensor, backward, create
 
 print("== tensors and their graph ==")
@@ -28,6 +31,19 @@ print("\n== gradient accumulation over reuse ==")
 x = Tensor([2.0], requires_grad=True)
 y = (x * x + x).sum()                       # d/dx = 2x + 1
 print(f"d(x^2 + x)/dx at x=2: {backward(y)[x.node_id].data}   (expected [5])")
+
+print("\n== the graph keeps only what backward reads ==")
+x = Tensor(np.ones((4, 3)), requires_grad=True)
+hidden = T.relu(x * 2.0)                    # relu's backward reads a 1-byte mask, not its output
+probe = weakref.ref(hidden.data)
+y = hidden.sum()                            # sum's backward reads only a shape
+del hidden
+print(f"relu output freed while the loss lives: {probe() is None}")
+backward(y)                                 # releases the graph as it walks it
+try:
+    backward(y)
+except ContractError as e:
+    print(f"a second backward is refused: {e}")
 
 print("\n== a linear layer's gradient vs central finite differences ==")
 rng = np.random.default_rng(0)

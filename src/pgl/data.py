@@ -121,15 +121,16 @@ def batches(dataset: Dataset, batch_size: int, seed, epoch: int) -> list:
     """Deterministic per-epoch shuffled batches; the final short batch is kept.
 
     The permutation depends only on (seed, epoch).  ``seed=None`` keeps the
-    dataset order (used for evaluation passes).
+    dataset order (used for evaluation passes) and returns views into the
+    dataset's arrays instead of copies.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if seed is None:
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng([seed, epoch]).permutation(n)
+        return [(dataset.inputs[start:start + batch_size], dataset.labels[start:start + batch_size])
+                for start in range(0, n, batch_size)]
+    order = np.random.default_rng([seed, epoch]).permutation(n)
     out = []
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]

@@ -94,8 +94,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
     col = im2col(x.data, k, stride, pad)                 # [C*k*k, N*oh*ow]
-    wmat = w.data.reshape(o, c * k * k)
-    out = col.T @ wmat.T                                 # [N*oh*ow, O]
+    wd, wshape = w.data, w.shape
+    out = col.T @ wd.reshape(o, c * k * k).T             # [N*oh*ow, O]
     # grad_x and grad_w run back to back on the same output gradient; when
     # both are in the graph, the first leaves its rows for the second, so a
     # gradient in NCHW memory is copied to rows once, not twice
@@ -116,12 +116,12 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         for ky in range(k):
             for kx in range(k):
                 gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
-                    (gr @ w.data[:, :, ky, kx]).reshape(n, oh, ow, c)
+                    (gr @ wd[:, :, ky, kx]).reshape(n, oh, ow, c)
         return np.ascontiguousarray(gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2))
 
     return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [
         (x, grad_x),
-        (w, lambda g: (rows(g).T @ col.T).reshape(w.shape)),
+        (w, lambda g: (rows(g).T @ col.T).reshape(wshape)),
     ])
 
 
@@ -208,7 +208,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DataError(f"cross_entropy: {n} rows but {labels.shape} labels")
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"cross_entropy: labels must lie in [0, {c})")
-    z = logits.data.astype(np.float64) if logits.dtype == np.float64 else logits.data
+    dtype = logits.dtype
+    z = logits.data.astype(np.float64) if dtype == np.float64 else logits.data
     z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)
     probs = ez / ez.sum(axis=1, keepdims=True)
@@ -218,9 +219,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def grad(g):
         gl = probs.copy()
         gl[rows, labels] -= 1.0
-        return (gl / n).astype(logits.dtype) * g
+        return (gl / n).astype(dtype) * g
 
-    return apply_op(np.asarray(loss, dtype=logits.dtype), [(logits, grad)])
+    return apply_op(np.asarray(loss, dtype=dtype), [(logits, grad)])
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

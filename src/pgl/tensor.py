@@ -1,11 +1,15 @@
 """Dense tensors with dynamic reverse-mode differentiation.
 
-Every operation that touches a gradient-tracking tensor stores its tracked
-(parent, grad_fn) pairs on its output, so the graph is owned by the tensors
-themselves and lives exactly as long as a Python reference reaches it.
-``backward(loss)`` walks the graph reachable from the loss and returns a
-mapping from leaf node ids to gradient tensors.  Detaching a tensor cuts it
-from its producers; nothing else has to be cleared between steps.
+A tensor in a graph carries a ``Node`` holding its creation order and the
+(parent node, grad_fn) edges of the op that made it; requires-grad leaves and
+tracked op outputs have one, untracked tensors none.  Nodes hold no arrays
+and each grad_fn captures only what it reads, so an activation lives only
+while a Python reference or a grad_fn that reads it reaches it.
+``backward(loss)`` walks the graph reachable from the loss, releasing each
+node's edges once they have run, and returns a mapping from leaf node ids to
+gradient tensors; walking a released graph again raises ``ContractError``.
+Detaching a tensor cuts it from its producers; nothing else has to be
+cleared between steps.
 
 The primitives are the ones training and evaluation reach (``add``,
 ``relu``, ``reduce_mean``) plus ``mul`` and ``reduce_sum``, which form the
@@ -41,14 +45,27 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Node:
+    """A tensor's place in the graph; holds no data.
+
+    ``parents`` holds the (parent node, grad_fn) pairs of the op that made
+    the tensor: empty for a leaf, None once ``backward`` has run them.
+    """
+
+    __slots__ = ("node_id", "parents")
+
+    def __init__(self, parents=()):
+        self.node_id = next(_node_ids)
+        self.parents = parents
+
+
 class Tensor:
     """A rank-N float array, optionally tracked for differentiation.
 
-    ``parents`` holds the (parent tensor, grad_fn) pairs of the op that made
-    this tensor; it is empty for leaves and for untracked tensors.
+    ``node`` is the tensor's ``Node`` if it is in a graph, else None.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id", "parents")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -57,9 +74,21 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_ids)
-        self.parents = ()
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def node_id(self):
+        """The key of this tensor's gradient in ``backward``'s result; None
+        for an untracked tensor."""
+        return None if self.node is None else self.node.node_id
+
+    @property
+    def parents(self):
+        return () if self.node is None else self.node.parents
 
     @property
     def shape(self):
@@ -108,13 +137,17 @@ def apply_op(data, parents):
     ``parents`` is a list of (tensor, grad_fn) pairs where grad_fn maps the
     output gradient to that parent's gradient contribution.  Parents that do
     not require gradients are dropped, so they never join the graph.
+    ``data`` is already an array of the inputs' float dtype, so the output
+    skips ``Tensor.__init__``'s conversion; a full reduction's numpy scalar
+    becomes a 0-d array.
     """
-    out = Tensor(data)
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.node = None
     if _grad_enabled:
-        tracked = [(p, fn) for p, fn in parents if p.requires_grad]
+        tracked = [(p.node, fn) for p, fn in parents if p.node is not None]
         if tracked:
-            out.requires_grad = True
-            out.parents = tracked
+            out.node = Node(tracked)
     return out
 
 
@@ -124,34 +157,42 @@ def backward(loss: Tensor) -> dict:
     Nodes are processed in descending ``node_id``.  An op's output is always
     created after its inputs, so every node is reached after all its
     consumers, and each gradient sum adds its terms in creation order.  An
-    interior gradient is dropped once it has been passed to its parents.
+    interior gradient is dropped once it has been passed to its parents, and
+    an interior node's edges (with the arrays its grad_fns captured) once
+    they have run.
 
     Returns {node_id: gradient Tensor} for the reachable leaves only: tensors
     that require gradients and have no parents.  Unreachable parameters are
-    simply absent.
+    simply absent.  Raises ``ContractError`` if the graph reaches a node an
+    earlier ``backward`` released.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
-    if not loss.requires_grad:
+    root = loss.node
+    if root is None:
         return {}                     # no differentiable lineage at all
-    nodes = {loss.node_id: loss}
-    stack = [loss]
+    nodes = {root.node_id: root}
+    stack = [root]
     while stack:
-        for p, _ in stack.pop().parents:
+        node = stack.pop()
+        if node.parents is None:
+            raise ContractError("backward() through a graph an earlier backward() released")
+        for p, _ in node.parents:
             if p.node_id not in nodes:
                 nodes[p.node_id] = p
                 stack.append(p)
-    grads = {loss.node_id: np.ones_like(loss.data)}
+    grads = {root.node_id: np.ones_like(loss.data)}
     leaves = {}
     for nid in sorted(nodes, reverse=True):
         node = nodes[nid]
         g = grads.pop(nid)
         if not node.parents:
             leaves[nid] = Tensor(g)
+            continue
         for p, fn in node.parents:
-            contrib = fn(g)
             pid = p.node_id
-            grads[pid] = grads[pid] + contrib if pid in grads else contrib
+            grads[pid] = grads[pid] + fn(g) if pid in grads else fn(g)
+        node.parents = None
     return leaves
 
 
@@ -221,9 +262,10 @@ def _check_broadcast(a, b, opname):
 def add(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     _check_broadcast(a, b, "add")
+    ashape, bshape = a.shape, b.shape
     return apply_op(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (a, lambda g: _unbroadcast(g, ashape)),
+        (b, lambda g: _unbroadcast(g, bshape)),
     ])
 
 
@@ -231,9 +273,10 @@ def mul(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
+    ashape, bshape = a.shape, b.shape
     return apply_op(ad * bd, [
-        (a, lambda g: _unbroadcast(g * bd, a.shape)),
-        (b, lambda g: _unbroadcast(g * ad, b.shape)),
+        (a, lambda g: _unbroadcast(g * bd, ashape)),
+        (b, lambda g: _unbroadcast(g * ad, bshape)),
     ])
 
 
@@ -267,23 +310,25 @@ def _norm_axes(axes, ndim):
 def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
     axes = _norm_axes(axes, a.data.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def grad(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
+        return np.broadcast_to(g, shape).copy()
 
     return apply_op(out, [(a, grad)])
 
 
 def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
     axes = _norm_axes(axes, a.data.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
+    shape = a.shape
+    count = int(np.prod([shape[ax] for ax in axes])) if axes else 1
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def grad(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape) / count
+        return np.broadcast_to(g, shape) / count
 
     return apply_op(out, [(a, grad)])

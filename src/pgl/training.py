@@ -6,8 +6,9 @@ losses.  ``bp`` runs every epoch end-to-end with the heads idle.  ``pgl``
 interleaves: local epochs, punctuated by Q guided epochs whenever the epoch
 index crosses a multiple of the period P.  During guidance the global loss
 updates the backbone while local losses update only the auxiliary heads.
-Each update runs in its own step function, so its graph dies on return, and
-``NesterovSGD`` updates parameters and velocities in place.
+Each update runs in its own step function, whose ``backward`` releases the
+graph before the optimizer step, and ``NesterovSGD`` updates parameters and
+velocities in place.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class NesterovSGD:
 def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     """Update block j (and its head) from its local loss on a detached input.
 
-    Returns (loss value, detached X_j).  The step's graph dies on return.
+    Returns (loss value, detached X_j).  ``backward`` releases the step's
+    graph before the update.
     """
     x_j, logits = model.forward_local(h, j, train=True)
     loss = L.softmax_cross_entropy(logits, y)

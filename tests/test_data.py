@@ -153,3 +153,11 @@ class TestBatches:
         x, _ = D.batches(ds, 6, seed=None, epoch=0)[0]
         assert np.array_equal(x, ds.inputs)
 
+
+    def test_unshuffled_batches_are_views_in_order(self):
+        ds = self._tiny(10)
+        got = D.batches(ds, 4, seed=None, epoch=0)
+        assert [len(y) for _, y in got] == [4, 4, 2]
+        for (x, y), idx in zip(got, np.array_split(np.arange(10), [4, 8])):
+            assert np.shares_memory(x, ds.inputs) and np.shares_memory(y, ds.labels)
+            assert np.array_equal(x, ds.inputs[idx]) and np.array_equal(y, ds.labels[idx])

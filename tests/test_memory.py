@@ -1,17 +1,22 @@
-"""Analytic memory model: frozen toy values, degenerate cases, monotonicity."""
+"""Analytic memory model: frozen toy values, degenerate cases, monotonicity;
+and the measured peak of a guided step against what its backward must keep."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import pgl.layers as L
+import pgl.tensor as T
 from pgl.errors import ConfigError
 from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate, eval_rows,
                         estimate_bp, estimate_local, estimate_schedule_avg, unit_plan)
 from pgl.network import (DecoupledModel, MlpSpec, Partition, ResNetSpec, aux_head_spec,
                          head_plan, partition)
 from pgl.tensor import Tensor, no_grad
-from pgl.training import Schedule
+from pgl.training import NesterovSGD, Schedule, guided_epoch, local_epoch
 
 
 def toy_profile():
@@ -268,3 +273,51 @@ class TestEvalRows:
         part = partition(unit_plan(spec), 2)
         assert self._local_activations(spec, part, 8, (0, 1)) < 8 * self._widest(spec)
         assert eval_rows(spec, part, 8, (0, 1)) == 8
+
+
+class TestMeasuredPeak:
+    """The running implementation keeps only what backward reads: the
+    ``tracemalloc`` peak of one guided step stays close to the bytes its
+    grad_fns must hold."""
+
+    @staticmethod
+    def _saved_bytes(model, x, monkeypatch) -> int:
+        """Bytes of every im2col column matrix, batchnorm xhat (the size of
+        its output) and 1-byte relu mask one global forward builds."""
+        sizes = []
+
+        def spy(fn, nbytes):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                sizes.append(nbytes(out))
+                return out
+            return wrapped
+
+        with monkeypatch.context() as m:
+            m.setattr(L, "im2col", spy(L.im2col, lambda col: col.nbytes))
+            m.setattr(L, "batchnorm_forward", spy(L.batchnorm_forward, lambda t: t.data.nbytes))
+            m.setattr(T, "relu", spy(T.relu, lambda t: t.data.size))
+            model.forward_global(Tensor(x), train=True)
+        return sum(sizes)
+
+    def test_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
+        model = DecoupledModel(ResNetSpec(depth=8, num_classes=10, input_hw=8), 2, "aux_adapt", seed=0)
+        opt = NesterovSGD()
+        rng = np.random.default_rng(0)
+        batch = [(rng.normal(size=(16, 3, 8, 8)).astype(np.float32), rng.integers(0, 10, size=16))]
+        # one step of each mode first, so every velocity exists, as in the benchmark's memory pass
+        local_epoch(model, batch, opt, 0.1)
+        guided_epoch(model, batch, opt, 0.1)
+        saved = self._saved_bytes(model, batch[0][0], monkeypatch)
+        gc.collect()
+        gc.disable()                  # as in the benchmark: the peak repeats exactly
+        try:
+            tracemalloc.start()
+            try:
+                guided_epoch(model, batch, opt, 0.1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert peak <= 1.25 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"

@@ -1,7 +1,13 @@
-"""The byte-exact oracle: the benchmark's frozen acceptance MLP, trained at
-seed 0 through the CLI, must write the recorded ``metrics.csv`` for every
-regime.  A change that is meant to keep the arithmetic must keep these bytes;
-only a change meant to alter it re-records ``benchmarks/reference.json``."""
+"""The byte-exact oracles.
+
+The benchmark's frozen acceptance MLP, trained at seed 0 through the CLI,
+must write the recorded ``metrics.csv`` for every regime; only a change meant
+to alter the arithmetic re-records ``benchmarks/reference.json``.  A short
+ResNet-8 run of every regime must reproduce the digest of its losses,
+accuracies and final checkpoint recorded in ``resnet_oracle.json`` beside
+this file, which covers the conv, batchnorm and residual paths the MLP never
+runs.  Both run in a fresh interpreter with BLAS pinned to one thread.
+"""
 
 import hashlib
 import importlib.util
@@ -16,6 +22,49 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmarks"
 PIN_VARS = ("PGL_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RESNET_ORACLE = Path(__file__).resolve().parent / "resnet_oracle.json"
+
+# Trains ResNet-8 (J=2, 3x8x8 synthetic images, 3 epochs with one guided
+# epoch under pgl) for the regime in argv[1], saves the final checkpoint to
+# argv[2] and prints the sha256 of the float64 losses and accuracies
+# followed by the checkpoint bytes.
+RESNET_RUN = """
+import hashlib, sys
+import numpy as np
+from pgl import checkpoint, data, training
+from pgl.config import RunConfig
+from pgl.network import ResNetSpec
+
+class Images:
+    def build(self, seed):
+        rng = np.random.default_rng(seed)
+        proto = rng.normal(size=(3, 3, 8, 8))
+        sets = []
+        for n in (40, 24):
+            y = np.arange(n) % 3
+            x = proto[y] + rng.normal(size=(n, 3, 8, 8))
+            sets.append(data.Dataset(x.astype(np.float32), y.astype(np.int64), 3))
+        return tuple(sets)
+
+regime, ckpt = sys.argv[1], sys.argv[2]
+config = RunConfig(network=ResNetSpec(depth=8, num_classes=3, input_hw=8), blocks=2,
+                   regime=regime, epochs=3, P=2, Q=1, lr0=0.1, batch_size=16, seed=0,
+                   dataset=Images()).validate()
+records, model, opt = training.train(config)
+values = [v for r in records for v in [r.global_loss, *r.local_losses, r.train_acc, r.test_acc]
+          if v is not None]
+checkpoint.save_checkpoint(model, opt, len(records), ckpt)
+digest = hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes())
+with open(ckpt, "rb") as f:
+    digest.update(f.read())
+print(digest.hexdigest())
+"""
+
+
+def _pinned_env(src):
+    # a fresh interpreter, so BLAS is pinned to one thread before numpy loads,
+    # as in the benchmark
+    return dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in PIN_VARS})
 
 
 def _mlp_workload(out):
@@ -37,12 +86,26 @@ def test_mlp_metrics_csv_matches_reference(regime, tmp_path):
     out = tmp_path / regime
     cfg = dict(_mlp_workload(tmp_path).config_dict(seed), regime=regime, out_dir=str(out))
     config.write_text(json.dumps(cfg, indent=1))
-    # a fresh interpreter, so BLAS is pinned to one thread before numpy loads,
-    # as in the benchmark; pgl.cli's entry point is pgl.cli.main
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{v: "1" for v in PIN_VARS})
+    # pgl.cli's entry point is pgl.cli.main
     argv = ["train", "--config", str(config), "--seed", str(seed), "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-m", "pgl.cli", *argv], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-m", "pgl.cli", *argv], cwd=tmp_path,
+                          env=_pinned_env(ROOT / "src"),
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     assert digest == ref["train"][regime]["metrics_csv_sha256"]
+
+
+def resnet_digest(regime, tmp_path, src=ROOT / "src"):
+    """The digest ``RESNET_RUN`` prints for ``regime`` with pgl from ``src``."""
+    proc = subprocess.run([sys.executable, "-c", RESNET_RUN, regime, str(tmp_path / f"{regime}.ckpt")],
+                          cwd=tmp_path, env=_pinned_env(src), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("regime", ["bp", "pgl", "dgl"])
+def test_resnet_run_matches_recorded_digest(regime, tmp_path):
+    want = json.loads(RESNET_ORACLE.read_text())["sha256"][regime]
+    assert resnet_digest(regime, tmp_path) == want

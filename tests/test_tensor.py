@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ContractError, ShapeError
 from pgl.gradcheck import run_case
@@ -197,17 +198,90 @@ class TestDetach:
 
 
 class TestGraphLifetime:
+    """A node holds no array: an activation lives while a Python reference or
+    a grad_fn that reads it reaches it, and ``backward`` releases the graph."""
+
     def test_interior_activation_lives_as_long_as_the_loss(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
         hidden = T.relu(T.mul(x, 2.0))
         alive = weakref.ref(hidden.data)
-        loss = T.reduce_sum(hidden)
+        loss = T.reduce_sum(T.mul(hidden, hidden))    # mul's grad_fns read hidden
         del hidden
         gc.collect()
         assert alive() is not None
         del loss
         gc.collect()
         assert alive() is None
+
+    @staticmethod
+    def _mlp(rng):
+        x = Tensor(rng.normal(size=(8, 5)).astype(np.float32))
+        w1, w2 = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in [(5, 6), (6, 3)])
+        b1, b2 = (Tensor(np.zeros(d, dtype=np.float32), requires_grad=True) for d in (6, 3))
+        h = L.linear_forward(x, w1, b1)
+        r = T.relu(h)
+        loss = L.softmax_cross_entropy(L.linear_forward(r, w2, b2), [0, 1, 2, 0, 1, 2, 0, 1])
+        return h, r, loss
+
+    def test_unread_linear_output_is_collected(self):
+        h, r, loss = self._mlp(np.random.default_rng(0))
+        lin_out, lin_in = weakref.ref(h.data), weakref.ref(r.data)
+        del h, r
+        gc.collect()
+        assert lin_out() is None          # relu keeps only its mask
+        assert lin_in() is not None       # the second linear's dW reads its input
+        assert loss.requires_grad
+
+    def test_unread_batchnorm_output_is_collected(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(4, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        bn = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(3))
+        total = T.add(bn, x)                              # a residual add reads shapes only
+        loss = T.reduce_mean(T.relu(total))
+        bn_out, sum_out = weakref.ref(bn.data), weakref.ref(total.data)
+        del bn, total
+        gc.collect()
+        assert bn_out() is None and sum_out() is None
+        assert set(backward(loss)) == {x.node_id, gamma.node_id, beta.node_id}
+
+    def test_backward_frees_the_saved_arrays(self, monkeypatch):
+        cols, plain_im2col = [], L.im2col
+
+        def im2col(*args):
+            col = plain_im2col(*args)
+            cols.append(weakref.ref(col))
+            return col
+
+        monkeypatch.setattr(L, "im2col", im2col)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        conv = L.conv2d_forward(x, w, stride=1, pad=1)
+        _, r, loss = self._mlp(rng)
+        loss = T.add(loss, T.reduce_mean(conv))
+        lin_in = weakref.ref(r.data)
+        del conv, r
+        gc.collect()
+        assert lin_in() is not None and cols[0]() is not None
+        grads = backward(loss)
+        gc.collect()
+        assert lin_in() is None and cols[0]() is None      # dW's inputs go with the graph
+        assert w.node_id in grads and np.isfinite(loss.item())  # the loss value stays readable
+
+    def test_second_backward_is_refused(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        hidden = T.relu(T.mul(x, 2.0))
+        loss = T.reduce_sum(hidden)
+        assert backward(loss)[x.node_id].data.tolist() == [2, 0, 2]
+        with pytest.raises(ContractError):
+            backward(loss)
+        with pytest.raises(ContractError):          # shares hidden's released node
+            backward(T.reduce_mean(T.add(hidden, x)))
+        # leaves are never released: a fresh graph on x differentiates as before
+        assert backward(T.reduce_sum(T.relu(T.mul(x, 2.0))))[x.node_id].data.tolist() == [2, 0, 2]
 
 
 class TestDeterminism:
