@@ -1,6 +1,7 @@
 """A walk through the tensor core: building expressions, backpropagating
-through the graph they form, how long that graph keeps its arrays, and
-checking a gradient against finite differences.
+through the graph they form from an output gradient or a scalar loss, how
+long that graph keeps its arrays, and checking a gradient against finite
+differences.
 
 Run:  python3 demos/01_autodiff_tape.py
 """
@@ -15,33 +16,44 @@ from pgl.errors import ContractError
 from pgl.tensor import Tensor, backward, create
 
 print("== tensors and their graph ==")
-x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-y = (x * x).sum()                           # y = sum(x^2)
-grads = backward(y)
-print(f"x = {x.data},  y = sum(x*x) = {y.item()}")
-print(f"dy/dx = {grads[x.node_id].data}   (expected 2x = [2, 4, 6])")
+x = Tensor([[1.0, 2.0]], requires_grad=True)
+w = Tensor([[1.0, -2.0], [3.0, 1.0]], requires_grad=True)
+b = Tensor([0.5, -1.0], requires_grad=True)
+y = T.relu(L.linear_forward(x, w, b))         # relu(x @ w + b): one linear node, one relu node
+print(f"y = relu(x @ w + b) = {y.data}")
 
-print("\n== detach severs the gradient path ==")
-x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-y = (x.detach() * x).sum()                  # one factor is frozen
-grads = backward(y)
-print(f"d sum(stop(x) * x) / dx = {grads[x.node_id].data}   (expected x itself)")
+print("\n== backward seeded with an output gradient ==")
+seed = np.array([[2.0, 5.0]])                 # d(loss)/dy from some downstream consumer
+grads = backward(y, seed)                     # the vector-Jacobian product seed^T dy/d(x, w, b)
+masked = seed * (y.data > 0)                  # relu passes the seed where its input was positive
+print(f"dx = {grads[x.node_id].data}   (expected masked @ w.T = {masked @ w.data.T})")
+print(f"dw = {grads[w.node_id].data.tolist()}   (expected x.T @ masked = {(x.data.T @ masked).tolist()})")
+print(f"db = {grads[b.node_id].data}   (expected masked = {masked[0]})")
 
-print("\n== gradient accumulation over reuse ==")
-x = Tensor([2.0], requires_grad=True)
-y = (x * x + x).sum()                       # d/dx = 2x + 1
-print(f"d(x^2 + x)/dx at x=2: {backward(y)[x.node_id].data}   (expected [5])")
+print("\n== a scalar loss needs no seed ==")
+labels = np.array([0])
+loss = L.softmax_cross_entropy(T.relu(L.linear_forward(x, w, b)), labels)
+grads = backward(loss)                        # seeded with ones, d(loss)/d(loss)
+print(f"cross-entropy {loss.item():.4f}; d loss / db = {grads[b.node_id].data}")
+
+print("\n== detach severs the gradient path; reuse accumulates ==")
+x = Tensor([2.0, -1.0], requires_grad=True)
+y = T.add(T.relu(x), x.detach())              # the detached copy is a constant
+print(f"d(relu(x) + stop(x))/dx = {backward(y, np.ones(2))[x.node_id].data}   (expected [1, 0])")
+x = Tensor([2.0, -1.0], requires_grad=True)
+y = T.add(T.relu(x), x)                       # x reaches y twice; the terms add
+print(f"d(relu(x) + x)/dx = {backward(y, np.ones(2))[x.node_id].data}   (expected [2, 1])")
 
 print("\n== the graph keeps only what backward reads ==")
 x = Tensor(np.ones((4, 3)), requires_grad=True)
-hidden = T.relu(x * 2.0)                    # relu's backward reads a 1-byte mask, not its output
+hidden = T.relu(T.add(x, x))                  # relu's backward reads a 1-byte mask, not its output
 probe = weakref.ref(hidden.data)
-y = hidden.sum()                            # sum's backward reads only a shape
+y = T.relu(hidden)
 del hidden
-print(f"relu output freed while the loss lives: {probe() is None}")
-backward(y)                                 # releases the graph as it walks it
+print(f"first relu output freed while the graph lives: {probe() is None}")
+backward(y, np.ones((4, 3)))                  # releases the graph as it walks it
 try:
-    backward(y)
+    backward(y, np.ones((4, 3)))
 except ContractError as e:
     print(f"a second backward is refused: {e}")
 
@@ -50,15 +62,16 @@ rng = np.random.default_rng(0)
 a64 = rng.uniform(-1, 1, size=(3, 4))       # float64 for a sharp oracle
 w64 = rng.uniform(-1, 1, size=(4, 2))
 b64 = rng.uniform(-1, 1, size=2)
+proj = rng.uniform(-1, 1, size=(3, 2))      # project the output onto a random direction
 
 
 def loss_fn(a_data):
     with T.no_grad():
-        return float(T.reduce_sum(L.linear_forward(Tensor(a_data), Tensor(w64), Tensor(b64))).item())
+        return float(np.sum(L.linear_forward(Tensor(a_data), Tensor(w64), Tensor(b64)).data * proj))
 
 
 a = Tensor(a64, requires_grad=True)
-analytic = backward(T.reduce_sum(L.linear_forward(a, Tensor(w64), Tensor(b64))))[a.node_id].data
+analytic = backward(L.linear_forward(a, Tensor(w64), Tensor(b64)), proj)[a.node_id].data
 
 h = 1e-3
 numeric = np.zeros_like(a64)

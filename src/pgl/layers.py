@@ -6,9 +6,9 @@ entropy.
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
 the tensor graph.  ``linear_forward``, ``conv2d_forward``,
-``batchnorm_forward`` and ``softmax_cross_entropy`` are custom-backward
-primitives, one graph node each; ``im2col`` is a plain array function they
-do not expose to the graph.
+``batchnorm_forward``, ``softmax_cross_entropy`` and ``global_avg_pool`` are
+custom-backward primitives, one graph node each; ``im2col`` is a plain array
+function they do not expose to the graph.
 """
 
 from __future__ import annotations
@@ -139,14 +139,13 @@ class BatchNormState:
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                      state: BatchNormState, mode: str = "train",
-                      eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                      state: BatchNormState, train: bool = True) -> Tensor:
     """Per-channel normalization over (N,H,W) with biased batch variance.
 
-    Train mode normalizes by batch statistics and updates the running stats
-    in place; eval mode uses the running stats and requires them populated.
-    One graph node; the train-mode input gradient is the closed form
-    (gx - mean(gx) - xhat * mean(gx * xhat)) / std with gx = gamma * g.
+    Training normalizes by batch statistics and updates the running stats in
+    place with momentum 0.1; evaluation uses the running stats and requires
+    them populated.  eps is 1e-5.  One graph node; the training input
+    gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma * g.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expects NCHW input, got {list(x.shape)}")
@@ -154,15 +153,15 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: affine params must have shape [{c}]")
     axes, bshape = (0, 2, 3), (1, c, 1, 1)
-    eps = x.dtype.type(eps)
+    eps = x.dtype.type(1e-5)
     gam = gamma.data.reshape(bshape)
-    if mode == "train":
+    if train:
         mu = x.data.mean(axis=axes, keepdims=True)
         xhat = x.data - mu
         var = (xhat * xhat).mean(axis=axes, keepdims=True)
         std = np.sqrt(var + eps)
         xhat /= std
-        m = np.float32(momentum)
+        m = np.float32(0.1)
         state.running_mean = (1 - m) * state.running_mean + m * mu.reshape(c)
         state.running_var = (1 - m) * state.running_var + m * var.reshape(c)
         state.batches_tracked += 1
@@ -175,7 +174,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
             dx -= xhat * (gx * xhat).mean(axis=axes, keepdims=True)
             dx /= std
             return dx
-    elif mode == "eval":
+    else:
         if state.batches_tracked == 0:
             raise ContractError("batchnorm: eval mode before any train-mode batch")
         std = np.sqrt(state.running_var.reshape(bshape).astype(x.dtype) + eps)
@@ -184,8 +183,6 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
         def grad_x(g):
             return g * gam / std
-    else:
-        raise ValueError(f"batchnorm: unknown mode {mode!r}")
     out = gam * xhat
     out += beta.data.reshape(bshape)
     return apply_op(out, [
@@ -209,8 +206,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"cross_entropy: labels must lie in [0, {c})")
     dtype = logits.dtype
-    z = logits.data.astype(np.float64) if dtype == np.float64 else logits.data
-    z = z - z.max(axis=1, keepdims=True)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     probs = ez / ez.sum(axis=1, keepdims=True)
     rows = np.arange(n)
@@ -225,10 +221,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N,C] spatial mean."""
+    """[N,C,H,W] -> [N,C] spatial mean; one graph node whose backward spreads
+    g / (H*W) over each window."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: expects NCHW input, got {list(x.shape)}")
-    return T.reduce_mean(x, axes=(2, 3))
+    shape = x.shape
+    count = shape[2] * shape[3]
+    return apply_op(x.data.mean(axis=(2, 3)), [
+        (x, lambda g: np.broadcast_to(g[:, :, None, None], shape) / count),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +270,13 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.gamma = T.create((channels,), "ones", requires_grad=True)
         self.beta = T.create((channels,), "zeros", requires_grad=True)
         self.state = BatchNormState.init(channels)
-        self.eps, self.momentum = eps, momentum
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        mode = "train" if train else "eval"
-        return batchnorm_forward(x, self.gamma, self.beta, self.state, mode,
-                                 self.eps, self.momentum)
+        return batchnorm_forward(x, self.gamma, self.beta, self.state, train)
 
     def named_params(self, prefix: str):
         yield f"{prefix}.gamma", self.gamma

@@ -41,19 +41,19 @@ class MlpSpec:
             raise ConfigError("num_classes must be >= 2")
 
 
+STAGE_CHANNELS = (16, 32, 64)    # the CIFAR ResNet widths of the three stages
+
+
 @dataclass
 class ResNetSpec:
     depth: int
     num_classes: int
     in_channels: int = 3
     input_hw: int = 32
-    stage_channels: tuple = (16, 32, 64)
 
     def validate(self):
         if self.depth < 8 or (self.depth - 2) % 6 != 0:
             raise ConfigError(f"resnet depth must be 6n+2, got {self.depth}")
-        if tuple(self.stage_channels) != (16, 32, 64):
-            raise ConfigError("stage_channels are fixed at (16, 32, 64)")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
 
@@ -202,9 +202,9 @@ def unit_plan(spec) -> list:
     spec.validate()
     if isinstance(spec, ResNetSpec):
         hw = spec.input_hw
-        in_ch = spec.stage_channels[0]
+        in_ch = STAGE_CHANNELS[0]
         plans = [UnitPlan(StemUnit, (spec.in_channels, in_ch), (in_ch, hw, hw))]
-        for stage, ch in enumerate(spec.stage_channels):
+        for stage, ch in enumerate(STAGE_CHANNELS):
             for i in range(spec.units_per_stage):
                 stride = 2 if (stage > 0 and i == 0) else 1
                 hw = L.conv_out_size(hw, 3, stride, 1)
@@ -304,7 +304,6 @@ class AuxHeadSpec:
     n_fc: int
     in_width: int
     num_classes: int
-    hidden: int = 128
 
     def validate(self):
         if not (0 <= self.n_conv <= 2):
@@ -313,6 +312,7 @@ class AuxHeadSpec:
             raise ConfigError(f"aux head n_fc must be 1..3, got {self.n_fc}")
 
 
+AUX_HIDDEN = 128                 # width of a head's inner fc layers
 _AUX_ADAPT = {16: (2, 2), 32: (1, 3), 64: (1, 2)}
 
 
@@ -370,7 +370,7 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
 
     Conv boundaries: n_conv ``HeadConv`` layers, then global average pooling.
     Dense boundaries replace each conv with a width-preserving linear layer.
-    The fc stack follows: n_fc - 1 linear layers of the hidden width, then
+    The fc stack follows: n_fc - 1 linear layers of width ``AUX_HIDDEN``, then
     one to num_classes.  The names ("conv{i}", "pool", "fc{i}") prefix the
     layers' parameter names inside the head.
     """
@@ -389,7 +389,7 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
         plan.append(("pool", UnitPlan(HeadPool, (), (c,))))
     d = c
     for i in range(spec.n_fc):
-        out = spec.hidden if i < spec.n_fc - 1 else spec.num_classes
+        out = AUX_HIDDEN if i < spec.n_fc - 1 else spec.num_classes
         plan.append((f"fc{i}", UnitPlan(L.Linear, (d, out), (out,))))
         d = out
     return plan

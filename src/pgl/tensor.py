@@ -5,16 +5,17 @@ A tensor in a graph carries a ``Node`` holding its creation order and the
 tracked op outputs have one, untracked tensors none.  Nodes hold no arrays
 and each grad_fn captures only what it reads, so an activation lives only
 while a Python reference or a grad_fn that reads it reaches it.
-``backward(loss)`` walks the graph reachable from the loss, releasing each
-node's edges once they have run, and returns a mapping from leaf node ids to
-gradient tensors; walking a released graph again raises ``ContractError``.
-Detaching a tensor cuts it from its producers; nothing else has to be
-cleared between steps.
+``backward(out, grad)`` walks the graph reachable from ``out``, seeded with
+the output gradient ``grad`` (a vector-Jacobian product; ones for a scalar
+loss), releasing each node's edges once they have run, and returns a mapping
+from leaf node ids to gradient tensors; walking a released graph again raises
+``ContractError``.  Detaching a tensor cuts it from its producers; nothing
+else has to be cleared between steps.
 
-The primitives are the ones training and evaluation reach (``add``,
-``relu``, ``reduce_mean``) plus ``mul`` and ``reduce_sum``, which form the
-gradient checker's weighted sum.  The layers build their fused ops (linear,
-conv, batchnorm, cross-entropy) on ``apply_op``, one graph node each.
+The primitives are the two that training builds outside the layers: the
+same-shape residual ``add`` and ``relu``.  The layers build their fused ops
+(linear, conv, batchnorm, pooling, cross-entropy) on ``apply_op``, one graph
+node each.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -68,8 +69,6 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -114,22 +113,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; a scalar is allowed on the right.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def sum(self, axes=None, keepdims=False):
-        return reduce_sum(self, axes, keepdims)
-
-
-def _lift(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
 
 def apply_op(data, parents):
     """Build a tensor from a primitive's forward result.
@@ -137,12 +120,11 @@ def apply_op(data, parents):
     ``parents`` is a list of (tensor, grad_fn) pairs where grad_fn maps the
     output gradient to that parent's gradient contribution.  Parents that do
     not require gradients are dropped, so they never join the graph.
-    ``data`` is already an array of the inputs' float dtype, so the output
-    skips ``Tensor.__init__``'s conversion; a full reduction's numpy scalar
-    becomes a 0-d array.
+    ``data`` must already be an array of the inputs' float dtype, so the
+    output skips ``Tensor.__init__``'s conversion.
     """
     out = object.__new__(Tensor)
-    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.data = data
     out.node = None
     if _grad_enabled:
         tracked = [(p.node, fn) for p, fn in parents if p.node is not None]
@@ -151,9 +133,13 @@ def apply_op(data, parents):
     return out
 
 
-def backward(loss: Tensor) -> dict:
-    """Reverse-accumulate gradients of a scalar loss over its graph.
+def backward(out: Tensor, grad=None) -> dict:
+    """Reverse-accumulate the gradient ``grad`` of ``out`` over its graph.
 
+    With ``grad`` None, ``out`` must be a scalar loss and the walk starts
+    from ones.  Otherwise ``grad`` is the gradient of some downstream scalar
+    with respect to ``out``; it is taken in ``out``'s dtype, must have
+    ``out``'s shape (else ``ShapeError``), and is read, never written.
     Nodes are processed in descending ``node_id``.  An op's output is always
     created after its inputs, so every node is reached after all its
     consumers, and each gradient sum adds its terms in creation order.  An
@@ -166,9 +152,15 @@ def backward(loss: Tensor) -> dict:
     simply absent.  Raises ``ContractError`` if the graph reaches a node an
     earlier ``backward`` released.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
-    root = loss.node
+    if grad is None:
+        if out.data.size != 1:
+            raise ContractError(f"backward() needs a scalar loss, got shape {list(out.shape)}")
+        grad = np.ones_like(out.data)
+    else:
+        grad = np.asarray(grad, dtype=out.dtype)
+        if grad.shape != out.shape:
+            raise ShapeError(f"backward(): seed {list(grad.shape)} != output {list(out.shape)}")
+    root = out.node
     if root is None:
         return {}                     # no differentiable lineage at all
     nodes = {root.node_id: root}
@@ -181,7 +173,7 @@ def backward(loss: Tensor) -> dict:
             if p.node_id not in nodes:
                 nodes[p.node_id] = p
                 stack.append(p)
-    grads = {root.node_id: np.ones_like(loss.data)}
+    grads = {root.node_id: grad}
     leaves = {}
     for nid in sorted(nodes, reverse=True):
         node = nodes[nid]
@@ -241,43 +233,15 @@ def create(shape, init="zeros", rng=None, requires_grad=False) -> Tensor:
 # ---------------------------------------------------------------------------
 # primitives
 
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _identity(g):
+    return g
 
 
-def _check_broadcast(a, b, opname):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: shapes {list(a.shape)} and {list(b.shape)} do not broadcast") from None
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _lift(b, a.dtype)
-    _check_broadcast(a, b, "add")
-    ashape, bshape = a.shape, b.shape
-    return apply_op(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, ashape)),
-        (b, lambda g: _unbroadcast(g, bshape)),
-    ])
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b = _lift(b, a.dtype)
-    _check_broadcast(a, b, "mul")
-    ad, bd = a.data, b.data
-    ashape, bshape = a.shape, b.shape
-    return apply_op(ad * bd, [
-        (a, lambda g: _unbroadcast(g * bd, ashape)),
-        (b, lambda g: _unbroadcast(g * ad, bshape)),
-    ])
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two same-shape tensors (the residual add)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {list(a.shape)} and {list(b.shape)} differ")
+    return apply_op(a.data + b.data, [(a, _identity), (b, _identity)])
 
 
 def relu(a: Tensor) -> Tensor:
@@ -293,42 +257,3 @@ def relu(a: Tensor) -> Tensor:
         return g * mask
 
     return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, grad)])
-
-
-def _norm_axes(axes, ndim):
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(int(ax) for ax in axes)
-    for ax in axes:
-        if ax < -ndim or ax >= ndim:
-            raise ShapeError(f"reduce: axis {ax} out of range for rank {ndim}")
-    return tuple(ax % ndim for ax in axes)
-
-
-def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
-    axes = _norm_axes(axes, a.data.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-    shape = a.shape
-
-    def grad(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, shape).copy()
-
-    return apply_op(out, [(a, grad)])
-
-
-def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
-    axes = _norm_axes(axes, a.data.ndim)
-    shape = a.shape
-    count = int(np.prod([shape[ax] for ax in axes])) if axes else 1
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-
-    def grad(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, shape) / count
-
-    return apply_op(out, [(a, grad)])

@@ -193,15 +193,27 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
 
 def evaluate(model, batch_list) -> float:
     """Fraction of argmax(global logits) == label, in eval mode."""
+    return _evaluate(model, batch_list)[0]
+
+
+def _evaluate(model, batch_list, check_collapse: bool = False):
+    """(accuracy, collapsed): ``collapsed`` is whether every row got bitwise
+    the same logits, or None unless ``check_collapse``."""
     correct = 0
     total = 0
+    first = None
+    collapsed = True if check_collapse else None
     with T.no_grad():
         for x, y in batch_list:
             logits, _ = model.forward_global(Tensor(x), train=False)
             pred = np.argmax(logits.data, axis=1)
             correct += int((pred == np.asarray(y)).sum())
             total += len(y)
-    return correct / total
+            if collapsed:
+                bits = logits.data.view(f"u{logits.dtype.itemsize}")
+                first = bits[0] if first is None else first
+                collapsed = bool((bits == first).all())
+    return correct / total, collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +235,9 @@ def train(config, force_mode: str | None = None):
 
     Returns (metrics records, model, optimizer).  After each epoch a
     non-finite mean loss (global or any block's) raises ``DomainError``
-    naming the epoch and the loss.  ``force_mode`` overrides
+    naming the epoch and the loss.  After the last epoch, so does a model
+    that gives every training row bitwise the same logits: it has collapsed
+    to a constant guess, whatever its accuracy.  ``force_mode`` overrides
     the schedule for every epoch; it exists for trajectory-equivalence
     diagnostics (e.g. an all-guided run compared against plain bp).
     Accuracies are evaluated in batches of ``memory.eval_rows`` rows; logits
@@ -257,7 +271,14 @@ def train(config, force_mode: str | None = None):
         for where, v in named:
             if v is not None and not math.isfinite(v):
                 raise DomainError(f"epoch {e}: {where} loss is {v}; training diverged")
-        train_acc = evaluate(model, D.batches(train_set, rows, None, 0))
+        train_eval = D.batches(train_set, rows, None, 0)
+        if e < schedule.E - 1:
+            train_acc = evaluate(model, train_eval)
+        else:
+            train_acc, collapsed = _evaluate(model, train_eval, check_collapse=True)
+            if collapsed:
+                raise DomainError(f"epoch {e}: every training row gets the same logits; "
+                                  "training collapsed to a constant guess")
         test_acc = evaluate(model, D.batches(test_set, rows, None, 0))
         records.append(MetricsRecord(e, mode, lr, global_loss, list(local_losses),
                                      train_acc, test_acc))

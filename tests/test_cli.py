@@ -130,6 +130,22 @@ class TestCmdTrain:
         assert err.startswith("error: epoch ") and "diverged" in err
         assert not (tmp_path / "out" / "final.ckpt").exists()
 
+    @pytest.mark.parametrize("regime", ["dgl", "bp", "pgl"])
+    def test_collapse_nonzero_exit(self, tmp_path, capsys, regime):
+        # lr0=50 leaves this MLP with finite losses but one output for every row
+        path = spiral_config(tmp_path, regime=regime, lr0=50.0)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: ") and "collapsed" in err
+        assert not (tmp_path / "out" / "final.ckpt").exists()
+
+    def test_chance_accuracy_alone_is_not_collapse(self, tmp_path, capsys):
+        # this run ends at chance, but its logits still differ between rows
+        path = spiral_config(tmp_path, regime="bp", seed=1)
+        assert main(["train", "--config", str(path)]) == 0
+        assert "final test accuracy: 0.5000" in capsys.readouterr().out
+        assert (tmp_path / "out" / "final.ckpt").exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = spiral_config(tmp_path, regime="pgl", P=2, Q=2)
         assert main(["train", "--config", str(path)]) == 1
@@ -152,7 +168,7 @@ class TestCmdGradcheck:
     def test_passes_on_fresh_checkout(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert "0 failed" in out
+        assert "9 ops checked" in out and "0 failed" in out
 
     def test_injected_relu_sign_flip_fails(self, monkeypatch):
         import pgl.gradcheck as G

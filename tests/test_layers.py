@@ -36,10 +36,16 @@ def conv_oracle(x, w, stride, pad):
 
 
 def matmul(a, b):
-    """A rank-2 matmul graph node: followed by a broadcast add, the unfused
+    """A rank-2 matmul graph node: followed by ``bias_add``, the unfused
     reference for linear; after the graph im2col, the one for conv."""
     ad, bd = a.data, b.data
     return T.apply_op(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+
+
+def bias_add(a, b):
+    """A graph node adding the row vector b to every row of a; b's gradient
+    sums over the rows."""
+    return T.apply_op(a.data + b.data, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
 
 
 def matmul_oracle(a, b):
@@ -108,10 +114,10 @@ class TestLinear:
         x = Tensor(rng.normal(size=(n, 64)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(64, 128)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=128).astype(np.float32), requires_grad=True)
-        proj = Tensor(rng.normal(size=(n, 128)).astype(np.float32))
+        proj = rng.normal(size=(n, 128)).astype(np.float32)
         runs = []
-        for out in (L.linear_forward(x, w, b), T.add(matmul(x, w), b)):
-            grads = backward(T.reduce_sum(T.mul(out, proj)))
+        for out in (L.linear_forward(x, w, b), bias_add(matmul(x, w), b)):
+            grads = backward(out, proj)
             runs.append([out.data] + [grads[t.node_id].data for t in (x, w, b)])
         assert len(L.linear_forward(x, w, b).parents) == 3
         for a, ref in zip(*runs):
@@ -171,11 +177,12 @@ class TestConv2d:
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(64, 16, 16, 16)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        loss = T.reduce_sum(L.conv2d_forward(x, w, 1, 1))
+        out = L.conv2d_forward(x, w, 1, 1)
+        seed = np.ones_like(out.data)
         column_bytes = 16 * 9 * 64 * 16 * 16 * 4
         tracemalloc.start()
         try:
-            grads = backward(loss)
+            grads = backward(out, seed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -232,8 +239,11 @@ class TestFusedConvBitExact:
             h = u.forward(h, train=True)
             if i == 1:
                 head_out = T.relu(head.forward(h, train=True))
-        loss = T.add(T.reduce_sum(T.mul(h, Tensor(rng.normal(size=h.shape).astype(np.float32)))),
-                     T.reduce_sum(T.mul(head_out, Tensor(rng.normal(size=head_out.shape).astype(np.float32)))))
+        # one scalar root over both outputs: a node whose gradient at each
+        # output is that output's random projection w, as sum(out * w) has
+        pairs = [(t, rng.normal(size=t.shape).astype(np.float32)) for t in (h, head_out)]
+        loss = T.apply_op(np.asarray(sum((t.data * w).sum() for t, w in pairs), np.float32),
+                          [(t, lambda g, w=w: g * w) for t, w in pairs])
         grads = backward(loss)
         params = [p for i, u in enumerate(units + [head]) for _, p in u.named_params(f"u{i}")]
         return [h.data, head_out.data] + [grads[t.node_id].data for t in [x] + params]
@@ -256,11 +266,11 @@ class TestFusedConvBitExact:
         w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
         leaves = [x, w]
         oh = L.conv_out_size(h, 3, 2, pad)
-        proj = Tensor(rng.normal(size=(4, 5, oh, oh)).astype(np.float32))
+        proj = rng.normal(size=(4, 5, oh, oh)).astype(np.float32)
         runs = []
         for conv in (L.conv2d_forward, reference_conv2d):
             out = conv(x, w, 2, pad)
-            grads = backward(T.reduce_sum(T.mul(out, proj)))
+            grads = backward(out, proj)
             runs.append((out.data, [grads[t.node_id].data for t in leaves]))
         (out, grads), (ref_out, ref_grads) = runs
         assert np.array_equal(out, ref_out) and out.strides == ref_out.strides
@@ -271,16 +281,25 @@ class TestFusedConvBitExact:
 
 
 def reference_batchnorm(x, gamma, beta, eps=1e-5):
-    """The unfused train-mode batchnorm: ten graph ops.  The subtraction,
-    square root, division and the two reshapes are test-local nodes; a
+    """The unfused train-mode batchnorm: eleven test-local graph nodes (two
+    per-channel means, the centring, the square, the eps add, the square
+    root, the division, two reshapes, the scale and the shift).  A
     per-channel operand's gradient sums over the broadcast axes."""
     c, axes = x.shape[1], (0, 2, 3)
-    mu = T.reduce_mean(x, axes=axes, keepdims=True)
+
+    def mean(t):                                 # over (N, H, W), keepdims
+        shape, count = t.shape, t.shape[0] * t.shape[2] * t.shape[3]
+        return T.apply_op(t.data.mean(axis=axes, keepdims=True),
+                          [(t, lambda g: np.broadcast_to(g, shape) / count)])
+
+    mu = mean(x)
     xc = T.apply_op(x.data - mu.data, [
         (x, lambda g: g),
         (mu, lambda g: (-g).sum(axis=axes, keepdims=True)),
     ])
-    var_eps = T.add(T.reduce_mean(T.mul(xc, xc), axes=axes, keepdims=True), eps)
+    xcd = xc.data
+    var = mean(T.apply_op(xcd * xcd, [(xc, lambda g: g * xcd), (xc, lambda g: g * xcd)]))
+    var_eps = T.apply_op(var.data + np.float32(eps), [(var, lambda g: g)])
     sd = np.sqrt(var_eps.data)
     std = T.apply_op(sd, [(var_eps, lambda g: g * 0.5 / sd)])
     xhat = T.apply_op(xc.data / sd, [
@@ -291,7 +310,16 @@ def reference_batchnorm(x, gamma, beta, eps=1e-5):
     def per_channel(t):
         return T.apply_op(t.data.reshape(1, c, 1, 1), [(t, lambda g: g.reshape(c))])
 
-    return T.add(T.mul(per_channel(gamma), xhat), per_channel(beta))
+    gam, xh = per_channel(gamma), xhat.data
+    scaled = T.apply_op(gam.data * xh, [
+        (gam, lambda g: (g * xh).sum(axis=axes, keepdims=True)),
+        (xhat, lambda g: g * gam.data),
+    ])
+    bet = per_channel(beta)
+    return T.apply_op(scaled.data + bet.data, [
+        (scaled, lambda g: g),
+        (bet, lambda g: g.sum(axis=axes, keepdims=True)),
+    ])
 
 
 class TestBatchNorm:
@@ -306,11 +334,11 @@ class TestBatchNorm:
         x = Tensor(data, requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, 8).astype(np.float32), requires_grad=True)
         beta = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
-        proj = Tensor(rng.normal(size=data.shape).astype(np.float32))
+        proj = rng.normal(size=data.shape).astype(np.float32)
         runs = []
-        for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8), "train"),
+        for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8)),
                     reference_batchnorm(x, gamma, beta)):
-            grads = backward(T.reduce_sum(T.mul(out, proj)))
+            grads = backward(out, proj)
             runs.append([out.data] + [grads[t.node_id].data for t in (x, gamma, beta)])
         (out, gx, gg, gb), (ref_out, ref_gx, ref_gg, ref_gb) = runs
         assert np.array_equal(out, ref_out)
@@ -322,7 +350,7 @@ class TestBatchNorm:
         x = Tensor(rng.normal(3.0, 2.5, size=(8, 3, 4, 4)).astype(np.float32))
         gamma, beta = Tensor(np.ones(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32))
         state = L.BatchNormState.init(3)
-        out = L.batchnorm_forward(x, gamma, beta, state, "train").data
+        out = L.batchnorm_forward(x, gamma, beta, state).data
         for c in range(3):
             assert abs(out[:, c].mean()) < 1e-4
             assert abs(out[:, c].var() - 1.0) < 1e-3
@@ -332,14 +360,14 @@ class TestBatchNorm:
         x = Tensor(rng.normal(size=(16, 2, 3, 3)).astype(np.float32))
         gamma = Tensor(np.full(2, 2.0, dtype=np.float32))
         beta = Tensor(np.full(2, 3.0, dtype=np.float32))
-        out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(2), "train").data
+        out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(2)).data
         assert abs(out.mean() - 3.0) < 1e-3
         assert abs(out.std() - 2.0) < 1e-2
 
     def test_running_stats_updated(self):
         x = Tensor(np.ones((4, 2, 2, 2), dtype=np.float32) * 5)
         state = L.BatchNormState.init(2)
-        L.batchnorm_forward(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "train")
+        L.batchnorm_forward(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state)
         assert np.allclose(state.running_mean, 0.5)       # 0.9*0 + 0.1*5
         assert np.allclose(state.running_var, 0.9)        # 0.9*1 + 0.1*0
         assert state.batches_tracked == 1
@@ -351,14 +379,14 @@ class TestBatchNorm:
         state.running_var[:] = 4.0
         state.batches_tracked = 1
         x = Tensor(np.full((1, 1, 1, 2), 3.0, dtype=np.float32))
-        out = L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, "eval")
+        out = L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, train=False)
         assert np.allclose(out.data, (3 - 1) / np.sqrt(4 + 1e-5), atol=1e-6)
 
     def test_eval_empty_state_error(self):
         x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(ContractError):
             L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                                L.BatchNormState.init(1), "eval")
+                                L.BatchNormState.init(1), train=False)
 
     def test_gradcheck(self):
         assert run_case("batchnorm", seed=0) < 1e-3
@@ -464,6 +492,16 @@ class TestPooling:
         out = L.global_avg_pool(x)
         assert out.data.tolist() == [[1.5, 5.5]]
 
+    def test_backward_distributes(self):
+        # each window's four inputs get a quarter of its output gradient
+        x = Tensor(np.ones((2, 3, 2, 2)), requires_grad=True)
+        seed = np.arange(6.0).reshape(2, 3)
+        g = backward(L.global_avg_pool(x), seed)[x.node_id].data
+        assert np.array_equal(g, np.broadcast_to(seed[:, :, None, None] / 4, x.shape))
+
+    def test_gradcheck(self):
+        assert run_case("global_avg_pool", seed=0) < 1e-4
+
 
 class TestGradcheckCoverage:
     @staticmethod
@@ -498,13 +536,12 @@ class TestGradcheckCoverage:
                 "pgl.layers.batchnorm_forward"} <= names
         assert "pgl.layers.im2col" not in names
         for _, gen, _ in G.CASES:
-            for inputs, f in gen(np.random.default_rng(0)):
+            for inputs, f, _ in gen(np.random.default_rng(0)):
                 f(inputs)
         assert names - called == set()
 
     def test_every_graph_op_is_reached_by_a_run(self, monkeypatch):
-        # the gradient checker's weighted sum is the only reason to keep an op
-        # that training and evaluation never build
+        # no graph op is kept that training and evaluation never build
         names, called = self._spy(monkeypatch)
         rng = np.random.default_rng(0)
         for spec, in_shape in [(MlpSpec(widths=[4, 4], num_classes=3), (2,)),
@@ -516,4 +553,4 @@ class TestGradcheckCoverage:
             local_epoch(model, batch_list, opt, 0.01)
             guided_epoch(model, batch_list, opt, 0.01)
             evaluate(model, batch_list)
-        assert names - called - {"pgl.tensor.mul", "pgl.tensor.reduce_sum"} == set()
+        assert names - called == set()
