@@ -7,16 +7,19 @@ Run:  python3 demos/02_blocks_and_heads.py
 import numpy as np
 
 from pgl.layers import softmax_cross_entropy
-from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy,
-                         build_backbone, partition)
+from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, block_plans,
+                         partition, unit_plan)
 from pgl.tensor import Tensor, backward
 
 print("== a depth-32 residual backbone ==")
-units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+spec = ResNetSpec(depth=32, num_classes=10)
+units = unit_plan(spec)
 print(f"{len(units)} units: stem + {sum(u.partitionable for u in units)} residual + classifier")
 
 part = partition(units, 4)
-print(f"J=4 partition ranges: {part.ranges}  (residual units per block: {part.core_sizes})")
+blocks = block_plans(spec, part, "aux_adapt")
+residual = [sum(u.partitionable for u in b.units) for b in blocks]
+print(f"J=4 partition ranges: {part.ranges}  (residual units per block: {residual})")
 
 print("\n== channel-adaptive auxiliary heads ==")
 for ch in (16, 32, 64):

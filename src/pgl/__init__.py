@@ -8,15 +8,15 @@ loop and its baselines (``training``), an analytic memory estimator
 """
 
 from .tensor import Tensor, backward, create, no_grad
-from .network import (AuxHeadSpec, DecoupledModel, MlpSpec, Partition, ResNetSpec,
-                      aux_adapt_policy, build_backbone, partition, unit_plan)
+from .network import (AuxHeadSpec, BlockPlan, DecoupledModel, MlpSpec, Partition, ResNetSpec,
+                      aux_adapt_policy, block_plans, partition, unit_plan)
 from .training import (GUIDED, LOCAL, MetricsRecord, NesterovSGD, Schedule,
                        evaluate, guided_epoch, guided_epoch_count, local_epoch,
                        lr_at, mode_of_epoch, train)
 from .config import RunConfig, config_from_dict, parse_config
 from .data import Dataset, batches, gen_blobs, gen_spirals, load_idx
-from .memory import (MemEstimate, MemProfile, activation_sizes, estimate,
-                     estimate_bp, estimate_local, estimate_schedule_avg)
+from .memory import (MemEstimate, estimate, estimate_bp, estimate_local,
+                     estimate_schedule_avg)
 from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ class Checkpoint:
 
     @property
     def epoch(self) -> int:
-        return int(self.tensors.get("meta.epoch", np.zeros(1))[0])
+        return int(_stored(self, "meta.epoch", (1,))[0])
 
 
 def save_checkpoint(model, opt, epoch: int, path):
@@ -144,6 +144,7 @@ def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
     """
     params = dict(model.named_params())
     bns = list(model.named_bns())
+    _stored(ckpt, "meta.epoch", (1,))
     known = set(params) | {"meta.epoch"}
     known.update(f"{prefix}.{stat}" for prefix, _ in bns
                  for stat in ("running_mean", "running_var", "batches_tracked"))

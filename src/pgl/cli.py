@@ -74,7 +74,7 @@ def cmd_eval(args) -> int:
     _, test_set = config.build_datasets()
     from . import data as D
 
-    rows = M.eval_rows(config.network, model.partition, config.batch_size, config.aux)
+    rows = M.eval_rows(model.plan, config.batch_size)
     acc = evaluate(model, D.batches(test_set, rows, None, 0))
     print(f"test accuracy: {acc:.4f}")
     return 0
@@ -117,7 +117,10 @@ def _int_list(text: str, what: str):
     items = [s for s in text.split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{what} list must not be empty")
-    return [int(s) for s in items]
+    try:
+        return [int(s) for s in items]
+    except ValueError:
+        raise ConfigError(f"{what} list must hold integers, got {text!r}") from None
 
 
 def cmd_ablate(args) -> int:

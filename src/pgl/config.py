@@ -2,20 +2,23 @@
 builders for the model and datasets.
 
 Unknown keys are rejected outright so a mistyped hyperparameter can never
-silently fall back to a default.  Optimizer and schedule defaults are the
-standard recipe this code ships with (momentum 0.9, weight decay 1e-4,
-lr0 0.8 cosine-annealed, 160 epochs, guidance period 10, duration 2).
+silently fall back to a default, and so is a value of the wrong JSON type (a
+bool or a float where an integer belongs, a string, NaN or Infinity where a
+number does), so it cannot fail mid-run.  Optimizer and schedule defaults are the standard
+recipe this code ships with (momentum 0.9, weight decay 1e-4, lr0 0.8
+cosine-annealed, 160 epochs, guidance period 10, duration 2).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import Dataset, gen_blobs, gen_spirals, load_idx
 from .errors import ConfigError
-from .network import DecoupledModel, MlpSpec, ResNetSpec, aux_head_spec, partition, unit_plan
+from .network import DecoupledModel, MlpSpec, ResNetSpec, block_plans, partition, unit_plan
 from .training import Schedule
 
 
@@ -82,14 +85,12 @@ class RunConfig:
         """Check every invariant a run needs before any compute.
 
         The block count must split the backbone under ``partition``'s one
-        bound, 1 <= blocks <= units (stem and classifier included), which
-        the trainer and the memory estimator share.  Shapes come from the
-        allocation-free ``unit_plan``, so no model is built here."""
+        bound, 1 <= blocks <= units (stem and classifier included), and the
+        aux policy must fit every head the blocks carry; the trainer and the
+        memory estimator walk the same ``block_plans``.  That walk allocates
+        nothing, so no model is built here."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
-        plans = unit_plan(self.network)
-        partition(plans, self.blocks)
-        # any boundary width will do: the head's range check ignores it
-        aux_head_spec(self.aux, plans[0].out_width, self.network.num_classes).validate()
+        block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
@@ -117,72 +118,83 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # JSON parsing
 
-_TOP_KEYS = {"network", "blocks", "aux", "regime", "epochs", "P", "Q", "lr0",
-             "momentum", "weight_decay", "batch_size", "seed", "dataset", "out_dir"}
+_NETWORKS = {"mlp": MlpSpec, "resnet": ResNetSpec}
+_DATASETS = {"spirals": SpiralsSpec, "blobs": BlobsSpec, "idx": IdxSpec}
 
-_NETWORK_KEYS = {
-    "mlp": {"kind", "widths", "num_classes", "in_features"},
-    "resnet": {"kind", "depth", "num_classes", "in_channels", "input_hw"},
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+# JSON type of each field annotation: (what the error says, the check)
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
 }
 
-_DATASET_KEYS = {
-    "spirals": {"kind", "classes", "n_per_class", "test_n_per_class", "noise"},
-    "blobs": {"kind", "classes", "n_per_class", "test_n_per_class", "d", "spread"},
-    "idx": {"kind", "train_images", "train_labels", "test_images", "test_labels", "mean", "std"},
-}
 
-
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _check_fields(d: dict, cls, where: str):
+    """Reject a key of ``d`` that names no field of ``cls``, a field without
+    a default that ``d`` leaves out, and a value whose JSON type is not its
+    field's."""
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where} needs {', '.join(missing)}")
+    prefix = "" if where == "config" else f"{where}."
+    for f in fields(cls):
+        if f.name in d and f.type in _JSON_TYPES:
+            what, ok = _JSON_TYPES[f.type]
+            if not ok(d[f.name]):
+                raise ConfigError(f"{prefix}{f.name} must be {what}, got {d[f.name]!r}")
 
 
-def _parse_network(d: dict):
+def _parse_kind(d, kinds: dict, where: str):
+    """Build the spec that ``d``'s "kind" names from its other keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     kind = d.get("kind")
-    if kind not in _NETWORK_KEYS:
-        raise ConfigError(f"network.kind must be 'mlp' or 'resnet', got {kind!r}")
-    _check_keys(d, _NETWORK_KEYS[kind], "network")
+    if kind not in kinds:
+        raise ConfigError(f"{where}.kind must be one of {sorted(kinds)}, got {kind!r}")
     body = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "mlp":
-        return MlpSpec(**body)
-    return ResNetSpec(**body)
+    _check_fields(body, kinds[kind], where)
+    return kinds[kind](**body)
 
 
-def _parse_dataset(d: dict):
-    kind = d.get("kind")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
-    _check_keys(d, _DATASET_KEYS[kind], "dataset")
-    body = {k: v for k, v in d.items() if k != "kind"}
-    cls = {"spirals": SpiralsSpec, "blobs": BlobsSpec, "idx": IdxSpec}[kind]
-    return cls(**body)
+def _parse_aux(aux):
+    if aux == "aux_adapt":
+        return aux
+    if not isinstance(aux, dict):
+        raise ConfigError(f"aux must be 'aux_adapt' or {{n_conv, n_fc}}, got {aux!r}")
+    if set(aux) != {"n_conv", "n_fc"}:
+        raise ConfigError(f"fixed aux needs exactly n_conv and n_fc, got {sorted(aux)}")
+    for key in ("n_conv", "n_fc"):
+        if not _is_int(aux[key]):
+            raise ConfigError(f"aux.{key} must be an integer, got {aux[key]!r}")
+    return aux["n_conv"], aux["n_fc"]
 
 
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(d).__name__}")
-    _check_keys(d, _TOP_KEYS, "config")
+    _check_fields(d, RunConfig, "config")
     kw = dict(d)
     if "network" in kw:
-        kw["network"] = _parse_network(kw["network"])
+        kw["network"] = _parse_kind(kw["network"], _NETWORKS, "network")
     if "dataset" in kw:
-        kw["dataset"] = _parse_dataset(kw["dataset"])
-    if "aux" in kw and kw["aux"] != "aux_adapt":
-        aux = kw["aux"]
-        if isinstance(aux, dict):
-            _check_keys(aux, {"n_conv", "n_fc"}, "aux")
-            if set(aux) != {"n_conv", "n_fc"}:
-                raise ConfigError("fixed aux needs both n_conv and n_fc")
-            kw["aux"] = (int(aux["n_conv"]), int(aux["n_fc"]))
-        else:
-            raise ConfigError(f"aux must be 'aux_adapt' or {{n_conv, n_fc}}, got {aux!r}")
-    try:
-        cfg = RunConfig(**kw)
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from None
-    cfg.validate()
-    return cfg
+        kw["dataset"] = _parse_kind(kw["dataset"], _DATASETS, "dataset")
+    if "aux" in kw:
+        kw["aux"] = _parse_aux(kw["aux"])
+    return RunConfig(**kw).validate()
 
 
 def parse_config(path) -> RunConfig:

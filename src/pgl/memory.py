@@ -1,10 +1,10 @@
 """Analytic training-memory estimator for backprop, decoupled-local, and
 periodically guided schedules.
 
-Nothing here allocates model tensors: output shapes and parameter counts
-come from ``network.unit_plan`` and ``network.head_plan``, the shape-only
-walks the backbone and the auxiliary heads are built from, so the estimator
-and the model cannot disagree on either.
+Nothing here allocates model tensors: every figure is a sum over
+``network.block_plans``, the walk of blocks the model is built from, so the
+estimator and the model cannot disagree on a block's units, its input or its
+head.
 Backprop must hold every unit's output activation plus optimizer state for
 all parameters at once; decoupled-local training holds one block at a time
 (its activations, its head, the handed-off boundary input, and its optimizer
@@ -18,75 +18,44 @@ ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import Partition, ResNetSpec, aux_head_spec, head_plan, unit_plan
+from .network import Partition, block_plans, unit_plan  # noqa: F401  (unit_plan re-exported)
 from .training import Schedule, guided_epoch_count
-
-
-@dataclass
-class MemProfile:
-    unit_activations: list      # per unit, for the given batch size
-    unit_params: list
-    head_activations: list      # per block 1..J-1
-    head_params: list
-    bytes_per_element: int = 4
-
-
-def activation_sizes(spec, part: Partition, batch: int, aux_policy="aux_adapt") -> MemProfile:
-    """Element counts per unit output and per aux head, plus parameter counts."""
-    if batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {batch}")
-    plans = unit_plan(spec)
-    part.validate(len(plans))
-    head_acts, head_params = [], []
-    for j in range(1, part.J):
-        boundary = plans[part.ranges[j - 1][1] - 1]
-        head = aux_head_spec(aux_policy, boundary.out_width, spec.num_classes)
-        layers = [p for _, p in head_plan(head, boundary)]
-        head_acts.append(sum(p.out_elements(batch) for p in layers))
-        head_params.append(sum(p.params for p in layers))
-    return MemProfile([u.out_elements(batch) for u in plans],
-                      [u.params for u in plans], head_acts, head_params)
-
-
-# ---------------------------------------------------------------------------
-# estimates
 
 # optimizer state factor: parameters + gradients + velocity
 _OPT_FACTOR = 3
+_BYTES_PER_ELEMENT = 4          # float32
 
 
-def estimate_bp(profile: MemProfile) -> int:
+def _sizes(plans, batch: int) -> tuple:
+    """(output activation elements at ``batch``, parameter count) of ``plans``."""
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
+    return sum(p.out_elements(batch) for p in plans), sum(p.params for p in plans)
+
+
+def estimate_bp(blocks, batch: int) -> int:
     """All unit activations resident at once, heads unused, full optimizer state."""
-    total = sum(profile.unit_activations) + _OPT_FACTOR * sum(profile.unit_params)
-    return total * profile.bytes_per_element
+    acts, params = _sizes([u for b in blocks for u in b.units], batch)
+    return (acts + _OPT_FACTOR * params) * _BYTES_PER_ELEMENT
 
 
-def _block_elements(profile: MemProfile, part: Partition) -> list:
+def _block_elements(blocks, batch: int) -> list:
     """(activation elements, parameter count) per block under
     one-block-at-a-time training; see ``block_footprints``."""
-    part.validate(len(profile.unit_activations))
-    # blocks 1..J-1 carry a head; block J's classifier is in-block
-    n_heads = len(profile.head_activations)
-    if n_heads != part.J - 1:
-        raise ConfigError(f"profile has {n_heads} heads for J={part.J}, expected {part.J - 1}")
     out = []
-    for j in range(1, part.J + 1):
-        start, end = part.ranges[j - 1]
-        acts = sum(profile.unit_activations[start:end])
-        params = sum(profile.unit_params[start:end])
-        if j < part.J:
-            acts += profile.head_activations[j - 1]
-            params += profile.head_params[j - 1]
-        if j >= 2:
-            acts += profile.unit_activations[part.ranges[j - 2][1] - 1]
+    for j, b in enumerate(blocks):
+        acts, params = _sizes(b.units + tuple(p for _, p in b.head), batch)
+        if j > 0:               # block 1's input is the data batch itself
+            acts += batch * math.prod(b.in_shape)
         out.append((acts, params))
     return out
 
 
-def block_footprints(profile: MemProfile, part: Partition) -> list:
+def block_footprints(blocks, batch: int) -> list:
     """Per-block byte counts under one-block-at-a-time training.
 
     Block j holds its own unit activations, its aux head's activations, the
@@ -94,30 +63,23 @@ def block_footprints(profile: MemProfile, part: Partition) -> list:
     whose input is the data batch itself), and optimizer state for its
     parameters and its head's.
     """
-    return [(acts + _OPT_FACTOR * params) * profile.bytes_per_element
-            for acts, params in _block_elements(profile, part)]
+    return [(acts + _OPT_FACTOR * params) * _BYTES_PER_ELEMENT
+            for acts, params in _block_elements(blocks, batch)]
 
 
-def estimate_local(profile: MemProfile, part: Partition) -> int:
+def estimate_local(blocks, batch: int) -> int:
     """Peak over blocks: only one decoupled block is loaded at a time."""
-    return max(block_footprints(profile, part))
+    return max(block_footprints(blocks, batch))
 
 
-def estimate_schedule_avg(profile: MemProfile, part: Partition, schedule: Schedule) -> float:
+def estimate_schedule_avg(blocks, batch: int, schedule: Schedule) -> float:
     """Time-average: guided epochs cost like bp, local epochs like decoupled."""
     schedule.validate()
     f_guided = guided_epoch_count(schedule) / schedule.E
-    return f_guided * estimate_bp(profile) + (1.0 - f_guided) * estimate_local(profile, part)
+    return f_guided * estimate_bp(blocks, batch) + (1.0 - f_guided) * estimate_local(blocks, batch)
 
 
-def _input_elements(spec) -> int:
-    """Elements per sample of the backbone's input."""
-    if isinstance(spec, ResNetSpec):
-        return spec.in_channels * spec.input_hw * spec.input_hw
-    return spec.in_features
-
-
-def eval_rows(spec, part: Partition, batch: int, aux_policy="aux_adapt") -> int:
+def eval_rows(blocks, batch: int) -> int:
     """Rows per evaluation batch, never fewer than ``batch``.
 
     The widest no-grad step holds one unit's input and output.  This is the
@@ -125,11 +87,10 @@ def eval_rows(spec, part: Partition, batch: int, aux_policy="aux_adapt") -> int:
     activation elements at ``batch`` (``block_footprints`` without optimizer
     state), so evaluation holds no more activation than a local step does.
     """
-    plans = unit_plan(spec)
-    inputs = [_input_elements(spec)] + [u.out_elements(1) for u in plans[:-1]]
-    widest = max(i + u.out_elements(1) for i, u in zip(inputs, plans))
-    profile = activation_sizes(spec, part, batch, aux_policy)
-    local = max(acts for acts, _ in _block_elements(profile, part))
+    units = [u for b in blocks for u in b.units]
+    inputs = [blocks[0].in_shape] + [u.out_shape for u in units[:-1]]
+    widest = max(math.prod(i) + u.out_elements(1) for i, u in zip(inputs, units))
+    local = max(acts for acts, _ in _block_elements(blocks, batch))
     return max(batch, local // widest)
 
 
@@ -143,10 +104,10 @@ class MemEstimate:
 
 def estimate(spec, part: Partition, batch: int, schedule: Schedule,
              aux_policy="aux_adapt") -> MemEstimate:
-    profile = activation_sizes(spec, part, batch, aux_policy)
+    blocks = block_plans(spec, part, aux_policy)
     return MemEstimate(
-        peak_bp=estimate_bp(profile),
-        peak_local=estimate_local(profile, part),
-        schedule_avg=estimate_schedule_avg(profile, part, schedule),
-        per_block=block_footprints(profile, part),
+        peak_bp=estimate_bp(blocks, batch),
+        peak_local=estimate_local(blocks, batch),
+        schedule_avg=estimate_schedule_avg(blocks, batch, schedule),
+        per_block=block_footprints(blocks, batch),
     )

@@ -2,20 +2,21 @@
 
 A backbone is a flat list of units (stem / residual blocks / dense layers /
 terminal classifier).  ``unit_plan`` walks the spec once, as classes,
-constructor arguments and output shapes; ``build_backbone`` builds that plan
-and the memory estimator reads it.  ``partition`` groups the units into J
-contiguous blocks, merging the stem into block 1 and the classifier into
+constructor arguments and output shapes.  ``partition`` groups the units into
+J contiguous blocks, merging the stem into block 1 and the classifier into
 block J while J leaves room for that.  Every block except the last gets an
 auxiliary head; block J's own classifier plays that role.  ``head_plan`` is
-the one walk of a head's layers, which ``AuxHead`` builds and the memory
-estimator reads.  Gradient isolation between blocks comes from detaching
-boundary activations, never from parameter bookkeeping.
+the one walk of a head's layers.  ``block_plans`` is the one walk of blocks:
+per block, the shape it takes in, its units and its head, all before anything
+is built.  ``DecoupledModel`` builds that list, the memory estimator sums it
+and the run configuration validates it.  Gradient isolation between blocks
+comes from detaching boundary activations, never from parameter bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class MlpSpec:
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
 
+    @property
+    def in_shape(self) -> tuple:
+        return (self.in_features,)
+
 
 STAGE_CHANNELS = (16, 32, 64)    # the CIFAR ResNet widths of the three stages
 
@@ -61,6 +66,10 @@ class ResNetSpec:
     def units_per_stage(self) -> int:
         return (self.depth - 2) // 6
 
+    @property
+    def in_shape(self) -> tuple:
+        return (self.in_channels, self.input_hw, self.input_hw)
+
 
 # ---------------------------------------------------------------------------
 # units
@@ -79,7 +88,6 @@ class StemUnit:
     def __init__(self, in_ch: int, out_ch: int, rng):
         self.conv = L.Conv2d(in_ch, out_ch, 3, rng, stride=1, pad=1)
         self.bn = L.BatchNorm2d(out_ch)
-        self.out_width = out_ch
 
     @staticmethod
     def param_count(in_ch: int, out_ch: int) -> int:
@@ -102,7 +110,6 @@ class ResidualUnit:
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
         self.block = L.ResidualBasic(in_ch, out_ch, stride, rng)
-        self.out_width = out_ch
 
     @staticmethod
     def param_count(in_ch: int, out_ch: int, stride: int) -> int:
@@ -129,7 +136,6 @@ class _FcUnit:
 
     def __init__(self, d_in: int, d_out: int, rng):
         self.fc = L.Linear(d_in, d_out, rng)
-        self.out_width = d_out
 
     @staticmethod
     def param_count(d_in: int, d_out: int) -> int:
@@ -170,8 +176,7 @@ class LinearClassifierUnit(_FcUnit):
 @dataclass(frozen=True)
 class UnitPlan:
     """One backbone unit or head layer before it is built: its class, its
-    constructor arguments (all but the rng) and its output shape.  A unit's
-    plan duck-types the built unit for ``partition`` and head sizing."""
+    constructor arguments (all but the rng) and its output shape."""
     cls: type
     args: tuple
     out_shape: tuple          # (C, H, W) or (width,)
@@ -198,7 +203,7 @@ class UnitPlan:
 
 def unit_plan(spec) -> list:
     """The backbone's units in order, as shapes and constructor arguments
-    only; allocates nothing.  ``build_backbone`` builds exactly this list."""
+    only; allocates nothing.  ``block_plans`` groups exactly this list."""
     spec.validate()
     if isinstance(spec, ResNetSpec):
         hw = spec.input_hw
@@ -225,12 +230,6 @@ def unit_plan(spec) -> list:
     return plans
 
 
-def build_backbone(spec, rng) -> list:
-    """Materialize the unit list for an MLP or CIFAR-style residual network."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return [p.cls(*p.args, rng) for p in unit_plan(spec)]
-
-
 # ---------------------------------------------------------------------------
 # partitioning
 
@@ -239,7 +238,6 @@ class Partition:
     """J contiguous index ranges covering a unit list exactly once."""
     J: int
     ranges: list          # [(start, end)) over the full unit list
-    core_sizes: list = field(default_factory=list)  # units dealt out per block
 
     def validate(self, n_units: int):
         if self.J < 1 or len(self.ranges) != self.J:
@@ -251,10 +249,6 @@ class Partition:
             pos = end
         if pos != n_units:
             raise ConfigError(f"partition covers {pos} of {n_units} units")
-
-    def block_units(self, units, j: int) -> list:
-        start, end = self.ranges[j - 1]
-        return units[start:end]
 
 
 def partition(units, J: int) -> Partition:
@@ -290,7 +284,7 @@ def partition(units, J: int) -> Partition:
             end += suffix
         ranges.append((start, end))
         pos = end
-    p = Partition(J, ranges, sizes)
+    p = Partition(J, ranges)
     p.validate(n)
     return p
 
@@ -326,15 +320,6 @@ def aux_adapt_policy(input_channels: int, num_classes: int = 10) -> AuxHeadSpec:
     return AuxHeadSpec(n_conv, n_fc, int(input_channels), num_classes)
 
 
-def aux_head_spec(policy, in_width: int, num_classes: int) -> AuxHeadSpec:
-    """The head for a boundary of ``in_width`` under ``policy``: "aux_adapt"
-    or a fixed (n_conv, n_fc) pair applied at every boundary."""
-    if policy == "aux_adapt":
-        return aux_adapt_policy(in_width, num_classes)
-    n_conv, n_fc = policy
-    return AuxHeadSpec(n_conv, n_fc, int(in_width), num_classes)
-
-
 class HeadConv(L.Conv2d):
     """A head's channel-preserving 3x3 stride-2 conv."""
 
@@ -365,8 +350,8 @@ class HeadPool:
 
 def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     """The head ``spec`` puts on ``boundary``, as (name, UnitPlan) pairs in
-    build order; allocates nothing.  ``AuxHead`` builds exactly this list
-    and the memory estimator sums it.
+    build order; allocates nothing.  ``block_plans`` places it and
+    ``AuxHead`` builds it.
 
     Conv boundaries: n_conv ``HeadConv`` layers, then global average pooling.
     Dense boundaries replace each conv with a width-preserving linear layer.
@@ -396,12 +381,11 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
 
 
 class AuxHead:
-    """Small classifier on a block boundary, built layer by layer from
+    """Small classifier on a block boundary, built layer by layer from a
     ``head_plan``; relu follows every layer but the pool and the last."""
 
-    def __init__(self, spec: AuxHeadSpec, boundary: UnitPlan, rng):
-        self.spec = spec
-        self.layers = [(name, p.cls(*p.args, rng)) for name, p in head_plan(spec, boundary)]
+    def __init__(self, plan, rng):
+        self.layers = [(name, p.cls(*p.args, rng)) for name, p in plan]
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         h = x
@@ -416,38 +400,60 @@ class AuxHead:
             yield from layer.named_params(f"{prefix}.{name}")
 
 
-def attach_aux(plans, part: Partition, policy, num_classes: int, rng) -> list:
-    """Build heads for blocks 1..J-1 on the backbone's ``unit_plan``, sized
-    by ``aux_head_spec``."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    heads = []
-    for j in range(1, part.J):
-        boundary = plans[part.ranges[j - 1][1] - 1]
-        spec = aux_head_spec(policy, boundary.out_width, num_classes)
-        heads.append(AuxHead(spec, boundary, rng))
-    return heads
+# ---------------------------------------------------------------------------
+# block plans
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """One block before it is built: the shape it takes in, its backbone
+    units and the (name, UnitPlan) pairs of its aux head, empty for block J."""
+    in_shape: tuple
+    units: tuple
+    head: tuple
+
+
+def block_plans(spec, part: Partition, aux_policy) -> list:
+    """The one walk of blocks: a ``BlockPlan`` per block of ``part`` over
+    ``unit_plan(spec)``; allocates nothing.
+
+    Block 1 takes in the spec's input shape and block j > 1 the output of
+    block j-1's last unit.  Blocks 1..J-1 carry the ``head_plan`` that
+    ``aux_policy`` puts on their last unit: "aux_adapt" (``aux_adapt_policy``
+    of its width) or a fixed (n_conv, n_fc) pair at every boundary."""
+    units = unit_plan(spec)
+    part.validate(len(units))
+    blocks, in_shape = [], spec.in_shape
+    for j, (start, end) in enumerate(part.ranges, 1):
+        boundary = units[end - 1]
+        head = ()
+        if j < part.J:
+            width = boundary.out_width
+            head_spec = (aux_adapt_policy(width, spec.num_classes) if aux_policy == "aux_adapt"
+                         else AuxHeadSpec(*aux_policy, width, spec.num_classes))
+            head = tuple(head_plan(head_spec, boundary))
+        blocks.append(BlockPlan(in_shape, tuple(units[start:end]), head))
+        in_shape = boundary.out_shape
+    return blocks
 
 
 # ---------------------------------------------------------------------------
 # the decoupled model
 
 class DecoupledModel:
-    """Backbone blocks plus auxiliary heads with stop-gradient boundaries."""
+    """Backbone blocks plus auxiliary heads with stop-gradient boundaries,
+    built from ``block_plans``."""
 
     def __init__(self, spec, J: int, aux_policy, seed: int):
         rng = np.random.default_rng(seed)
-        self.spec = spec
-        plans = unit_plan(spec)
-        self.units = build_backbone(spec, rng)
-        self.partition = partition(plans, J)
-        self.num_classes = spec.num_classes
-        self.heads = attach_aux(plans, self.partition, aux_policy, self.num_classes, rng)
-        self.aux_policy = aux_policy
-        self.seed = seed
+        self.plan = block_plans(spec, partition(unit_plan(spec), J), aux_policy)
+        # every backbone unit draws from rng before any head does: the draw
+        # order fixes the initial values that the oracle digests pin
+        self.blocks = [[u.cls(*u.args, rng) for u in b.units] for b in self.plan]
+        self.heads = [AuxHead(b.head, rng) for b in self.plan[:-1]]
 
     @property
     def J(self) -> int:
-        return self.partition.J
+        return len(self.blocks)
 
     def forward_global(self, x: Tensor, train: bool = True):
         """One uninterrupted differentiable chain through all blocks.
@@ -457,8 +463,8 @@ class DecoupledModel:
         """
         h = x
         boundary = []
-        for j in range(1, self.J + 1):
-            for unit in self.partition.block_units(self.units, j):
+        for units in self.blocks:
+            for unit in units:
                 h = unit.forward(h, train)
             boundary.append(h.detach())
         return h, boundary
@@ -474,7 +480,7 @@ class DecoupledModel:
         if not 1 <= j <= self.J:
             raise ConfigError(f"block index {j} out of [1, {self.J}]")
         h = x
-        for unit in self.partition.block_units(self.units, j):
+        for unit in self.blocks[j - 1]:
             h = unit.forward(h, train)
         logits = self.heads[j - 1].forward(h, train) if j < self.J else h
         return h, logits
@@ -486,9 +492,8 @@ class DecoupledModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def block_named_params(self, j: int):
-        start, end = self.partition.ranges[j - 1]
-        for i in range(start, end):
-            yield from self.units[i].named_params(f"block{j}.unit{i - start}")
+        for i, unit in enumerate(self.blocks[j - 1]):
+            yield from unit.named_params(f"block{j}.unit{i}")
 
     def head_named_params(self, j: int):
         yield from self.heads[j - 1].named_params(f"aux{j}")
@@ -500,10 +505,9 @@ class DecoupledModel:
             yield from self.head_named_params(j)
 
     def named_bns(self):
-        for j in range(1, self.J + 1):
-            start, end = self.partition.ranges[j - 1]
-            for i in range(start, end):
-                yield from self.units[i].named_bns(f"block{j}.unit{i - start}")
+        for j, units in enumerate(self.blocks, 1):
+            for i, unit in enumerate(units):
+                yield from unit.named_bns(f"block{j}.unit{i}")
 
     def param_count(self) -> int:
         return sum(p.size for _, p in self.named_params())

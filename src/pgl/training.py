@@ -252,7 +252,7 @@ def train(config, force_mode: str | None = None):
     model = config.build_model()
     train_set, test_set = config.build_datasets()
     opt = NesterovSGD(config.momentum, config.weight_decay)
-    rows = eval_rows(config.network, model.partition, config.batch_size, config.aux)
+    rows = eval_rows(model.plan, config.batch_size)
 
     J = model.J
     records = []

@@ -19,8 +19,9 @@ from pgl.config import RunConfig, SpiralsSpec
 from pgl.errors import CheckpointError
 from pgl.gradcheck import run_suite
 from pgl.layers import softmax_cross_entropy
-from pgl.memory import activation_sizes, estimate_bp, estimate_local, estimate_schedule_avg, unit_plan
-from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, partition
+from pgl.memory import estimate_bp, estimate_local, estimate_schedule_avg, unit_plan
+from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, block_plans,
+                         partition)
 from pgl.tensor import Tensor, backward
 from pgl.training import GUIDED, Schedule, guided_epoch_count, mode_of_epoch, train
 
@@ -286,15 +287,13 @@ class TestCriterion8:
     def test_memory_ratios(self):
         t0 = time.time()
         spec = ResNetSpec(depth=32, num_classes=10)
-        plans = unit_plan(spec)
-        part = partition(plans, 16)
-        profile = activation_sizes(spec, part, batch=1024, aux_policy="aux_adapt")
-        bp = estimate_bp(profile)
-        local = estimate_local(profile, part)
+        blocks = block_plans(spec, partition(unit_plan(spec), 16), "aux_adapt")
+        bp = estimate_bp(blocks, 1024)
+        local = estimate_local(blocks, 1024)
         ratio = local / bp
-        avg = estimate_schedule_avg(profile, part, Schedule(E=160, P=10, Q=2, regime="pgl"))
+        avg = estimate_schedule_avg(blocks, 1024, Schedule(E=160, P=10, Q=2, regime="pgl"))
         between = local < avg < bp
-        grid = {(p, q): estimate_schedule_avg(profile, part, Schedule(E=160, P=p, Q=q, regime="pgl"))
+        grid = {(p, q): estimate_schedule_avg(blocks, 1024, Schedule(E=160, P=p, Q=q, regime="pgl"))
                 for p in TREND_P_GRID for q in TREND_Q_GRID}
         mono = all(grid[(pa, q)] > grid[(pb, q)]
                    for q in TREND_Q_GRID for pa, pb in zip(TREND_P_GRID, TREND_P_GRID[1:]))

@@ -194,6 +194,21 @@ class TestModelCheckpoint:
         assert code == 1
         assert err.startswith("error:") and "unknown" in err
 
+    @pytest.mark.parametrize("corrupt", ["missing", "wrong_shape"])
+    def test_bad_epoch_rejected(self, tmp_path, capsys, corrupt):
+        # a resume starts from meta.epoch, so a checkpoint must hold it as one value
+        def edit(tensors):
+            if corrupt == "missing":
+                del tensors["meta.epoch"]
+            else:
+                tensors["meta.epoch"] = np.zeros((1, 2), np.float32)
+
+        code, err = self._eval_with(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error:") and "meta.epoch" in err
+        with pytest.raises(CheckpointError, match="meta.epoch"):
+            load_checkpoint(tmp_path / "final.ckpt").epoch
+
     @pytest.mark.parametrize("with_opt", [False, True], ids=["no_opt", "opt"])
     @pytest.mark.parametrize("name", ["block1.unit0.fc.weights", "opt.velocity.block9.unit0.fc.weight"])
     def test_unread_tensor_rejected_with_or_without_optimizer(self, tmp_path, name, with_opt):

@@ -151,6 +151,27 @@ class TestCmdTrain:
         assert main(["train", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("blocks", {"blocks": "2"}),
+        ("lr0", {"lr0": "0.1"}),
+        ("weight_decay", {"weight_decay": float("nan")}),
+        ("epochs", {"epochs": 2.5}),
+        ("batch_size", {"batch_size": 16.0}),
+        ("seed", {"seed": "x"}),
+        ("seed", {"seed": True}),
+        ("network.widths", {"network": {"kind": "mlp", "widths": 8, "num_classes": 2}}),
+        ("dataset.noise", {"dataset": {"kind": "spirals", "classes": 2, "noise": "x"}}),
+        ("aux.n_conv", {"aux": {"n_conv": "a", "n_fc": 1}}),
+        ("num_classes", {"network": {"kind": "mlp", "widths": [8]}}),
+    ], ids=["blocks-str", "lr0-str", "weight_decay-nan", "epochs-float", "batch_size-float", "seed-str", "seed-bool",
+            "widths-int", "noise-str", "aux-n_conv-str", "num_classes-missing"])
+    def test_mistyped_value_fails_cleanly(self, tmp_path, capsys, key, overrides):
+        path = spiral_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdEval:
     def test_eval_matches_train_report(self, tmp_path, capsys):
@@ -235,6 +256,11 @@ class TestCmdAblate:
     def test_empty_p_list_rejected(self, tmp_path, capsys):
         cfg = spiral_config(tmp_path)
         assert main(["ablate", "--config", str(cfg), "--P", "", "--Q", "1"]) == 1
+
+    def test_non_integer_p_rejected(self, tmp_path, capsys):
+        cfg = spiral_config(tmp_path)
+        assert main(["ablate", "--config", str(cfg), "--P", "5,x", "--Q", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: P list")
 
     def test_invalid_pair_rejected(self, tmp_path):
         cfg = spiral_config(tmp_path)

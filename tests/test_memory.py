@@ -11,108 +11,105 @@ import pytest
 import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ConfigError
-from pgl.memory import (MemProfile, activation_sizes, block_footprints, estimate, eval_rows,
-                        estimate_bp, estimate_local, estimate_schedule_avg, unit_plan)
-from pgl.network import (DecoupledModel, MlpSpec, Partition, ResNetSpec, aux_head_spec,
-                         head_plan, partition)
+from pgl.memory import (block_footprints, estimate, eval_rows, estimate_bp, estimate_local,
+                        estimate_schedule_avg, unit_plan)
+from pgl.network import DecoupledModel, MlpSpec, Partition, ResNetSpec, block_plans, partition
 from pgl.tensor import Tensor, no_grad
 from pgl.training import NesterovSGD, Schedule, guided_epoch, local_epoch
 
 
-def toy_profile():
-    # two blocks of two units each: activations 20 per block, one aux head of
-    # 2 on block 1, boundary into block 2 is 10, no parameters anywhere
-    return MemProfile(unit_activations=[10, 10, 10, 10], unit_params=[0, 0, 0, 0],
-                      head_activations=[2], head_params=[0])
+def toy_blocks(J=2):
+    # 2 -> 4 -> 4 -> 4 -> 2 MLP with one-fc heads (4 -> 2).  Parameters:
+    # dense 2->4: 12, dense 4->4: 20 each, classifier and head 4->2: 10 each.
+    # At J=2 block 1 is the first two dense units plus the head, block 2 the
+    # third dense unit and the classifier, taking in block 1's 4-wide output.
+    spec = MlpSpec(widths=[4, 4, 4], num_classes=2)
+    return block_plans(spec, partition(unit_plan(spec), J), (0, 1))
 
 
-def toy_partition():
-    return Partition(2, [(0, 2), (2, 4)], [2, 2])
+def params(plans):
+    return sum(p.params for p in plans)
 
 
 class TestEstimateBp:
     def test_frozen_toy_value(self):
-        profile = MemProfile([10, 10, 10, 10], [5, 0, 0, 0], [], [])
-        assert estimate_bp(profile) == (40 + 3 * 5) * 4  # == 220
+        # batch 2: unit outputs 2 x (4 + 4 + 4 + 2) = 28, parameters 62
+        assert estimate_bp(toy_blocks(), 2) == (28 + 3 * 62) * 4  # == 856
 
     def test_empty_network(self):
-        assert estimate_bp(MemProfile([], [], [], [])) == 0
+        assert estimate_bp([], 2) == 0
 
     def test_additive_in_blocks(self):
-        a = MemProfile([3, 4], [2, 0], [], [])
-        b = MemProfile([7], [1], [], [])
-        combined = MemProfile([3, 4, 7], [2, 0, 1], [], [])
-        assert estimate_bp(combined) == estimate_bp(a) + estimate_bp(b)
+        a, b = toy_blocks()
+        assert estimate_bp([a, b], 3) == estimate_bp([a], 3) + estimate_bp([b], 3)
 
 
 class TestEstimateLocal:
     def test_frozen_toy_value(self):
-        local = estimate_local(toy_profile(), toy_partition())
-        assert local == 30 * 4  # block 2: 20 acts + 10 boundary (block 1: 20 + 2 aux)
-        bp = estimate_bp(toy_profile())
-        assert bp == 40 * 4
-        assert local / bp == 0.75
+        # batch 2.  block 1: outputs 2 x (4 + 4) + head 2 x 2 = 20, parameters
+        # 12 + 20 + 10 = 42.  block 2: outputs 2 x (4 + 2) + boundary input
+        # 2 x 4 = 20, parameters 20 + 10 = 30.
+        blocks = toy_blocks()
+        assert block_footprints(blocks, 2) == [(20 + 3 * 42) * 4, (20 + 3 * 30) * 4]  # 584, 440
+        local = estimate_local(blocks, 2)
+        assert local == 584
+        assert local / estimate_bp(blocks, 2) == 584 / 856
 
     def test_j1_degenerates_to_bp(self):
-        profile = MemProfile([10, 10, 10, 10], [5, 0, 0, 0], [], [])
-        part = Partition(1, [(0, 4)], [4])
-        assert estimate_local(profile, part) == estimate_bp(profile)
+        blocks = toy_blocks(J=1)
+        assert blocks[0].head == ()
+        assert estimate_local(blocks, 2) == estimate_bp(blocks, 2)
 
     def test_finer_split_of_uniform_net_never_costs_more(self):
         spec = MlpSpec(widths=[32] * 12, num_classes=2, in_features=32)
         plans = unit_plan(spec)
-        costs = []
-        for J in (1, 2, 3, 4, 6, 12):
-            part = partition(plans, J)
-            profile = activation_sizes(spec, part, batch=8, aux_policy=(0, 1))
-            costs.append(estimate_local(profile, part))
+        costs = [estimate_local(block_plans(spec, partition(plans, J), (0, 1)), 8)
+                 for J in (1, 2, 3, 4, 6, 12)]
         assert all(a >= b for a, b in zip(costs, costs[1:])), costs
 
-    def test_head_count_mismatch_rejected(self):
-        part = Partition(2, [(0, 1), (1, 2)], [1, 1])
-        for heads in ([5, 5, 5], [5, 5]):        # J + 1 heads, and a head on every block
+    def test_mismatched_partition_rejected(self):
+        spec = MlpSpec(widths=[4, 4, 4], num_classes=2)          # 4 units
+        for part in (Partition(2, [(0, 1), (1, 2)]), Partition(3, [(0, 2), (2, 4)])):
             with pytest.raises(ConfigError):
-                estimate_local(MemProfile([1, 1], [0, 0], heads, [0] * len(heads)), part)
+                estimate(spec, part, 2, Schedule(E=4, regime="dgl"), (0, 1))
 
     def test_local_never_exceeds_bp_on_shipped_configs(self):
         spec = ResNetSpec(depth=32, num_classes=10)
         plans = unit_plan(spec)
-        for J in (2, 4, 8):
-            part = partition(plans, J)
-            profile = activation_sizes(spec, part, batch=256)
-            assert estimate_local(profile, part) <= estimate_bp(profile)
-        part16 = partition(plans, 16)
-        profile16 = activation_sizes(spec, part16, batch=256)
-        assert estimate_local(profile16, part16) <= estimate_bp(profile16)
+        for J in (2, 4, 8, 16):
+            blocks = block_plans(spec, partition(plans, J), "aux_adapt")
+            assert estimate_local(blocks, 256) <= estimate_bp(blocks, 256)
         mspec = MlpSpec(widths=[64] * 8, num_classes=3)
         mplans = unit_plan(mspec)
         for J in (1, 2, 4):
-            part = partition(mplans, J)
-            profile = activation_sizes(mspec, part, batch=64)
-            assert estimate_local(profile, part) <= estimate_bp(profile)
+            blocks = block_plans(mspec, partition(mplans, J), "aux_adapt")
+            assert estimate_local(blocks, 64) <= estimate_bp(blocks, 64)
 
 
 class TestActivationSizes:
+    """What the estimator sums: each block plan's unit and head outputs, its
+    input, and its parameters, against the model built from the same plan."""
+
     def test_resnet32_stem_activation(self):
         spec = ResNetSpec(depth=32, num_classes=10)
-        part = partition(unit_plan(spec), 4)
-        profile = activation_sizes(spec, part, batch=1)
-        assert profile.unit_activations[0] == 16 * 32 * 32
+        blocks = block_plans(spec, partition(unit_plan(spec), 4), "aux_adapt")
+        assert blocks[0].in_shape == (3, 32, 32)
+        assert blocks[0].units[0].out_elements(1) == 16 * 32 * 32
+        assert [b.in_shape for b in blocks[1:]] == [a.units[-1].out_shape for a in blocks[:-1]]
 
     def test_mlp_activation_prefix(self):
         spec = MlpSpec(widths=[8, 8], num_classes=2, in_features=8)
-        part = partition(unit_plan(spec), 2)
-        profile = activation_sizes(spec, part, batch=4)
-        assert profile.unit_activations[:2] == [32, 32]
+        blocks = block_plans(spec, partition(unit_plan(spec), 2), "aux_adapt")
+        assert [u.out_elements(4) for b in blocks for u in b.units][:2] == [32, 32]
 
     def test_batch_linearity(self):
+        # footprints are affine in the batch: activations scale, parameters stay
         spec = ResNetSpec(depth=20, num_classes=10)
-        part = partition(unit_plan(spec), 3)
-        p1 = activation_sizes(spec, part, batch=2)
-        p2 = activation_sizes(spec, part, batch=4)
-        assert p2.unit_activations == [2 * a for a in p1.unit_activations]
-        assert p2.head_activations == [2 * a for a in p1.head_activations]
-        assert p2.unit_params == p1.unit_params
+        blocks = block_plans(spec, partition(unit_plan(spec), 3), "aux_adapt")
+        f1, f2, f4 = (block_footprints(blocks, b) for b in (1, 2, 4))
+        assert [c - b for b, c in zip(f2, f4)] == [2 * (b - a) for a, b in zip(f1, f2)]
+        assert [2 * a - b for a, b in zip(f1, f2)] == [
+            3 * 4 * params(b.units + tuple(p for _, p in b.head)) for b in blocks]
 
     @pytest.mark.parametrize("policy", ["aux_adapt", (0, 1), (2, 3)],
                              ids=["aux_adapt", "fixed0-1", "fixed2-3"])
@@ -125,16 +122,12 @@ class TestActivationSizes:
         MlpSpec(widths=[7, 12, 5], num_classes=4, in_features=3),
     ], ids=["resnet8", "resnet20", "resnet32", "resnet110", "mlp16x4", "mlp7-12-5"])
     def test_param_counts_match_real_model(self, spec, policy):
-        # one block per unit puts a head on every boundary, stem included
-        plans = unit_plan(spec)
-        model = DecoupledModel(spec, len(plans), policy, seed=0)
-        profile = activation_sizes(spec, model.partition, batch=2, aux_policy=policy)
-        assert sum(u.params for u in plans) + sum(profile.head_params) == model.param_count()
-        # each head's plan against the built head: the output shape of every
+        # one block per unit puts a head on every boundary, stem included;
+        # test_network.py::TestBlockPlans checks each block's backbone part.
+        # Each head's plan against the built head: the output shape of every
         # layer as AuxHead.forward produces it on a batch of 2, and the size
-        for j, head in enumerate(model.heads, 1):
-            boundary = plans[model.partition.ranges[j - 1][1] - 1]
-            plan = head_plan(aux_head_spec(policy, boundary.out_width, spec.num_classes), boundary)
+        model = DecoupledModel(spec, len(unit_plan(spec)), policy, seed=0)
+        for j, (block, head) in enumerate(zip(model.plan, model.heads), 1):
             shapes = []
             for _, layer in head.layers:
                 def spy(x, train=True, forward=layer.forward):
@@ -143,42 +136,40 @@ class TestActivationSizes:
                     return out
                 layer.forward = spy
             with no_grad():
-                head.forward(Tensor(np.zeros((2,) + boundary.out_shape, dtype=np.float32)))
-            assert shapes == [(2,) + p.out_shape for _, p in plan]
-            assert profile.head_activations[j - 1] == sum(math.prod(s) for s in shapes)
+                head.forward(Tensor(np.zeros((2,) + block.units[-1].out_shape, dtype=np.float32)))
+            assert shapes == [(2,) + p.out_shape for _, p in block.head]
             built = sum(p.size for _, p in head.named_params(f"aux{j}"))
-            assert sum(p.params for _, p in plan) == profile.head_params[j - 1] == built
+            assert params(p for _, p in block.head) == built
 
 
 class TestScheduleAvg:
-    def _resnet_setup(self, J=8):
+    BATCH = 64
+
+    def _resnet_blocks(self, J=8):
         spec = ResNetSpec(depth=32, num_classes=10)
-        plans = unit_plan(spec)
-        part = partition(plans, J)
-        profile = activation_sizes(spec, part, batch=64)
-        return profile, part
+        return block_plans(spec, partition(unit_plan(spec), J), "aux_adapt")
 
     def test_guided_fraction_p10_q2(self):
-        profile, part = self._resnet_setup()
+        blocks = self._resnet_blocks()
         s = Schedule(E=160, P=10, Q=2, regime="pgl")
-        avg = estimate_schedule_avg(profile, part, s)
+        avg = estimate_schedule_avg(blocks, self.BATCH, s)
         f = 30 / 160
-        want = f * estimate_bp(profile) + (1 - f) * estimate_local(profile, part)
+        want = f * estimate_bp(blocks, self.BATCH) + (1 - f) * estimate_local(blocks, self.BATCH)
         assert avg == pytest.approx(want, rel=1e-12)
 
     def test_dgl_equals_local(self):
-        profile, part = self._resnet_setup()
+        blocks = self._resnet_blocks()
         s = Schedule(E=160, regime="dgl")
-        assert estimate_schedule_avg(profile, part, s) == estimate_local(profile, part)
+        assert estimate_schedule_avg(blocks, self.BATCH, s) == estimate_local(blocks, self.BATCH)
 
     def test_bp_equals_bp(self):
-        profile, part = self._resnet_setup()
+        blocks = self._resnet_blocks()
         s = Schedule(E=160, regime="bp")
-        assert estimate_schedule_avg(profile, part, s) == estimate_bp(profile)
+        assert estimate_schedule_avg(blocks, self.BATCH, s) == estimate_bp(blocks, self.BATCH)
 
     def test_monotone_in_p_and_q(self):
-        profile, part = self._resnet_setup()
-        grid = {(p, q): estimate_schedule_avg(profile, part, Schedule(E=160, P=p, Q=q, regime="pgl"))
+        blocks = self._resnet_blocks()
+        grid = {(p, q): estimate_schedule_avg(blocks, self.BATCH, Schedule(E=160, P=p, Q=q, regime="pgl"))
                 for p in (5, 10, 15, 20) for q in (1, 2, 3)}
         for q in (1, 2, 3):
             vals = [grid[(p, q)] for p in (5, 10, 15, 20)]
@@ -188,20 +179,18 @@ class TestScheduleAvg:
             assert all(a < b for a, b in zip(vals, vals[1:])), vals
 
     def test_avg_between_extremes(self):
-        profile, part = self._resnet_setup()
+        blocks = self._resnet_blocks()
         s = Schedule(E=160, P=10, Q=2, regime="pgl")
-        avg = estimate_schedule_avg(profile, part, s)
-        assert estimate_local(profile, part) < avg < estimate_bp(profile)
+        avg = estimate_schedule_avg(blocks, self.BATCH, s)
+        assert estimate_local(blocks, self.BATCH) < avg < estimate_bp(blocks, self.BATCH)
 
 
 class TestHeadlineProfile:
     def test_resnet32_j16_ratio(self):
         # the headline footprint configuration: J=16 over the 17-unit backbone
         spec = ResNetSpec(depth=32, num_classes=10)
-        plans = unit_plan(spec)
-        part = partition(plans, 16)
-        profile = activation_sizes(spec, part, batch=1024, aux_policy="aux_adapt")
-        ratio = estimate_local(profile, part) / estimate_bp(profile)
+        blocks = block_plans(spec, partition(unit_plan(spec), 16), "aux_adapt")
+        ratio = estimate_local(blocks, 1024) / estimate_bp(blocks, 1024)
         assert ratio <= 0.60
 
     def test_estimator_is_pure(self):
@@ -215,12 +204,10 @@ class TestHeadlineProfile:
 
     def test_per_block_breakdown_peaks_at_local(self):
         spec = ResNetSpec(depth=32, num_classes=10)
-        plans = unit_plan(spec)
-        part = partition(plans, 8)
-        profile = activation_sizes(spec, part, batch=256)
-        blocks = block_footprints(profile, part)
-        assert max(blocks) == estimate_local(profile, part)
-        assert len(blocks) == 8
+        blocks = block_plans(spec, partition(unit_plan(spec), 8), "aux_adapt")
+        footprints = block_footprints(blocks, 256)
+        assert max(footprints) == estimate_local(blocks, 256)
+        assert len(footprints) == 8
 
 
 class TestEvalRows:
@@ -237,12 +224,10 @@ class TestEvalRows:
         return max(i + math.prod(u.out_shape) for i, u in zip(ins, plans))
 
     @staticmethod
-    def _local_activations(spec, part, batch, policy):
+    def _local_activations(blocks, batch):
         # the local step's figure without optimizer state
-        p = activation_sizes(spec, part, batch, policy)
-        bare = MemProfile(p.unit_activations, [0] * len(p.unit_params),
-                          p.head_activations, [0] * len(p.head_params))
-        return max(block_footprints(bare, part)) // bare.bytes_per_element
+        return max(f // 4 - 3 * params(b.units + tuple(p for _, p in b.head))
+                   for f, b in zip(block_footprints(blocks, batch), blocks))
 
     @pytest.mark.parametrize("spec, J, policy, batch, want", [
         (MlpSpec(widths=[64] * 8, num_classes=3), 4, "aux_adapt", 64, 193),
@@ -257,10 +242,10 @@ class TestEvalRows:
     ], ids=["acceptance-mlp", "mlp32x8-j9", "resnet20-img16", "resnet20-j2", "resnet20-j4",
             "resnet20-j8", "resnet32-j2", "resnet32-j4", "resnet32-j8"])
     def test_fits_the_local_step(self, spec, J, policy, batch, want):
-        part = partition(unit_plan(spec), J)
-        rows = eval_rows(spec, part, batch, policy)
+        blocks = block_plans(spec, partition(unit_plan(spec), J), policy)
+        rows = eval_rows(blocks, batch)
         widest = self._widest(spec)
-        local = self._local_activations(spec, part, batch, policy)
+        local = self._local_activations(blocks, batch)
         assert rows >= batch
         assert rows * widest <= local < (rows + 1) * widest
         if want is not None:
@@ -270,9 +255,9 @@ class TestEvalRows:
         # one dense unit per block with a wide input: the widest step at the
         # training batch already exceeds the local figure
         spec = MlpSpec(widths=[2], num_classes=2, in_features=64)
-        part = partition(unit_plan(spec), 2)
-        assert self._local_activations(spec, part, 8, (0, 1)) < 8 * self._widest(spec)
-        assert eval_rows(spec, part, 8, (0, 1)) == 8
+        blocks = block_plans(spec, partition(unit_plan(spec), 2), (0, 1))
+        assert self._local_activations(blocks, 8) < 8 * self._widest(spec)
+        assert eval_rows(blocks, 8) == 8
 
 
 class TestMeasuredPeak:

@@ -5,9 +5,8 @@ import pytest
 
 from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
-from pgl.network import (AuxHead, AuxHeadSpec, DecoupledModel, MlpSpec, ResNetSpec,
-                         ResidualUnit, aux_adapt_policy, attach_aux, build_backbone,
-                         partition, unit_plan)
+from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
+                         aux_adapt_policy, block_plans, partition, unit_plan)
 from pgl.tensor import Tensor, backward
 
 
@@ -16,88 +15,90 @@ def small_mlp(J=2, widths=None, classes=2, seed=0):
     return DecoupledModel(spec, J, "aux_adapt", seed)
 
 
+def core_sizes(units, part):
+    """Partitionable units dealt out to each block."""
+    return [sum(u.partitionable for u in units[start:end]) for start, end in part.ranges]
+
+
 class TestBuildBackbone:
     def test_resnet32_unit_count(self):
-        units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
         assert len(units) == 17                      # stem + 3*5 residual + classifier
-        assert sum(isinstance(u, ResidualUnit) for u in units) == 15
+        assert sum(u.cls is ResidualUnit for u in units) == 15
 
     def test_resnet110_residual_count(self):
-        units = build_backbone(ResNetSpec(depth=110, num_classes=10), rng=0)
-        assert sum(isinstance(u, ResidualUnit) for u in units) == 54
+        units = unit_plan(ResNetSpec(depth=110, num_classes=10))
+        assert sum(u.cls is ResidualUnit for u in units) == 54
 
     def test_resnet_channel_progression(self):
-        units = build_backbone(ResNetSpec(depth=20, num_classes=10), rng=0)
-        widths = [u.out_width for u in units if isinstance(u, ResidualUnit)]
+        units = unit_plan(ResNetSpec(depth=20, num_classes=10))
+        widths = [u.out_width for u in units if u.cls is ResidualUnit]
         assert widths == [16, 16, 16, 32, 32, 32, 64, 64, 64]
 
     def test_mlp_units(self):
-        units = build_backbone(MlpSpec(widths=[8, 8, 8, 8], num_classes=2), rng=0)
+        units = unit_plan(MlpSpec(widths=[8, 8, 8, 8], num_classes=2))
         assert len(units) == 5                       # 4 hidden + classifier
         assert [u.partitionable for u in units] == [True] * 4 + [False]
 
     def test_bad_depth(self):
         with pytest.raises(ConfigError):
-            build_backbone(ResNetSpec(depth=33, num_classes=10), rng=0)
+            DecoupledModel(ResNetSpec(depth=33, num_classes=10), 1, "aux_adapt", seed=0)
 
     def test_resnet_forward_shapes(self):
-        units = build_backbone(ResNetSpec(depth=8, num_classes=10), rng=0)
+        model = DecoupledModel(ResNetSpec(depth=8, num_classes=10), 1, "aux_adapt", seed=0)
         h = Tensor(np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32))
-        for u in units:
+        for u in model.blocks[0]:
             h = u.forward(h, train=True)
         assert h.shape == (2, 10)
 
 
 class TestPartition:
     def test_too_many_blocks(self):
-        units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
         with pytest.raises(ConfigError):
             partition(units, 18)                     # only 17 units
 
     def test_one_unit_per_block(self):
-        units = build_backbone(MlpSpec(widths=[4] * 16, num_classes=2), rng=0)
+        units = unit_plan(MlpSpec(widths=[4] * 16, num_classes=2))
         p = partition(units, 16)
-        assert p.core_sizes == [1] * 16
+        assert core_sizes(units, p) == [1] * 16
 
     def test_remainder_rule(self):
-        units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
         p = partition(units, 4)
-        assert p.core_sizes == [4, 4, 4, 3]
+        assert core_sizes(units, p) == [4, 4, 4, 3]
         # stem merges into block 1, classifier into block 4
         assert p.ranges[0] == (0, 5)
         assert p.ranges[-1][1] == 17
 
     def test_ranges_reconstruct_units(self):
-        units = build_backbone(MlpSpec(widths=[3] * 7, num_classes=2), rng=0)
+        units = unit_plan(MlpSpec(widths=[3] * 7, num_classes=2))
         p = partition(units, 3)
         covered = [i for start, end in p.ranges for i in range(start, end)]
         assert covered == list(range(len(units)))
 
     def test_spanning_allows_classifier_block(self):
-        units = build_backbone(ResNetSpec(depth=32, num_classes=10), rng=0)
+        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
         p = partition(units, 16)                     # 17 units incl. stem + classifier
-        assert p.core_sizes == [2] + [1] * 15
-        assert max(p.core_sizes) - min(p.core_sizes) <= 1
+        sizes = [end - start for start, end in p.ranges]
+        assert sizes == [2] + [1] * 15
+        assert max(sizes) - min(sizes) <= 1
 
     # up to the partitionable count the stem and the classifier merge into
     # the end blocks; above it every unit counts
-    @pytest.mark.parametrize("spec, J, ranges, sizes", [
-        (ResNetSpec(depth=32, num_classes=10), 4,
-         [(0, 5), (5, 9), (9, 13), (13, 17)], [4, 4, 4, 3]),
+    @pytest.mark.parametrize("spec, J, ranges", [
+        (ResNetSpec(depth=32, num_classes=10), 4, [(0, 5), (5, 9), (9, 13), (13, 17)]),
         (ResNetSpec(depth=32, num_classes=10), 15,
-         [(0, 2)] + [(i, i + 1) for i in range(2, 15)] + [(15, 17)], [1] * 15),
-        (ResNetSpec(depth=32, num_classes=10), 16,
-         [(0, 2)] + [(i, i + 1) for i in range(2, 17)], [2] + [1] * 15),
-        (ResNetSpec(depth=32, num_classes=10), 17,
-         [(i, i + 1) for i in range(17)], [1] * 17),
-        (MlpSpec(widths=[4, 4], num_classes=2), 3, [(0, 1), (1, 2), (2, 3)], [1, 1, 1]),
+         [(0, 2)] + [(i, i + 1) for i in range(2, 15)] + [(15, 17)]),
+        (ResNetSpec(depth=32, num_classes=10), 16, [(0, 2)] + [(i, i + 1) for i in range(2, 17)]),
+        (ResNetSpec(depth=32, num_classes=10), 17, [(i, i + 1) for i in range(17)]),
+        (MlpSpec(widths=[4, 4], num_classes=2), 3, [(0, 1), (1, 2), (2, 3)]),
     ], ids=["resnet32-J4", "resnet32-J15", "resnet32-J16", "resnet32-J17", "mlp4x2-J3"])
-    def test_ranges_pinned(self, spec, J, ranges, sizes):
-        p = partition(unit_plan(spec), J)
-        assert (p.ranges, p.core_sizes) == (ranges, sizes)
+    def test_ranges_pinned(self, spec, J, ranges):
+        assert partition(unit_plan(spec), J).ranges == ranges
 
     def test_spanning_bound(self):
-        units = build_backbone(MlpSpec(widths=[4, 4], num_classes=2), rng=0)
+        units = unit_plan(MlpSpec(widths=[4, 4], num_classes=2))
         with pytest.raises(ConfigError):
             partition(units, 4)
 
@@ -114,36 +115,67 @@ class TestAuxAdapt:
 
 
 class TestAttachAux:
+    """Heads sit on blocks 1..J-1, on each block's last unit."""
+
     def test_two_blocks_one_head(self):
         m = small_mlp(J=2)
         assert len(m.heads) == 1
+        assert [len(b.head) > 0 for b in m.plan] == [True, False]
 
     def test_resnet_j8_head_channels(self):
-        units = unit_plan(ResNetSpec(depth=32, num_classes=10))
+        spec = ResNetSpec(depth=32, num_classes=10)
+        units = unit_plan(spec)
         p = partition(units, 8)
-        heads = attach_aux(units, p, "aux_adapt", 10, rng=0)
-        assert len(heads) == 7
+        blocks = block_plans(spec, p, "aux_adapt")
         # independent enumeration: channel of the last unit in each block
         expected = [units[end - 1].out_width for (start, end) in p.ranges[:-1]]
-        got = [h.spec.in_width for h in heads]
+        got = [b.head[0][1].args[0] for b in blocks[:-1]]      # the first head conv's channels
         assert got == expected
         assert expected == [16, 16, 32, 32, 32, 64, 64]
+        assert [[name for name, _ in b.head] for b in blocks[:-1]] == [
+            [f"conv{i}" for i in range(aux_adapt_policy(c).n_conv)] + ["pool"]
+            + [f"fc{i}" for i in range(aux_adapt_policy(c).n_fc)] for c in expected]
 
     def test_fixed_policy_structure(self):
-        units = unit_plan(ResNetSpec(depth=20, num_classes=10))
-        p = partition(units, 3)
-        heads = attach_aux(units, p, (1, 2), 10, rng=0)
-        for h in heads:
+        spec = ResNetSpec(depth=20, num_classes=10)
+        model = DecoupledModel(spec, 3, (1, 2), seed=0)
+        assert len(model.heads) == 2
+        for h in model.heads:
             assert [name for name, _ in h.layers] == ["conv0", "pool", "fc0", "fc1"]
 
     def test_head_forward_shapes(self):
-        stem = unit_plan(ResNetSpec(depth=8, num_classes=10, input_hw=8))[0]    # [16, 8, 8]
-        head = AuxHead(AuxHeadSpec(2, 2, 16, 10), stem, np.random.default_rng(0))
+        # one block per unit: block 1 is the stem alone, [16, 8, 8]
+        spec = ResNetSpec(depth=8, num_classes=10, input_hw=8)
+        stem = block_plans(spec, partition(unit_plan(spec), 5), (2, 2))[0]
+        head = AuxHead(stem.head, np.random.default_rng(0))
         out = head.forward(Tensor(np.zeros((4, 16, 8, 8), dtype=np.float32)))
         assert out.shape == (4, 10)
-        hidden = unit_plan(MlpSpec(widths=[8], num_classes=5))[0]                 # [8]
-        dense = AuxHead(AuxHeadSpec(1, 3, 8, 5), hidden, np.random.default_rng(0))
+        mlp = MlpSpec(widths=[8], num_classes=5)                              # [8]
+        hidden = block_plans(mlp, partition(unit_plan(mlp), 2), (1, 3))[0]
+        dense = AuxHead(hidden.head, np.random.default_rng(0))
         assert dense.forward(Tensor(np.zeros((4, 8), dtype=np.float32))).shape == (4, 5)
+
+
+class TestBlockPlans:
+    @pytest.mark.parametrize("J", [2, 4, "per-unit"])
+    @pytest.mark.parametrize("spec", [
+        ResNetSpec(depth=8, num_classes=10),
+        ResNetSpec(depth=20, num_classes=10),
+        ResNetSpec(depth=32, num_classes=10),
+        ResNetSpec(depth=110, num_classes=10),
+        MlpSpec(widths=[16, 16, 16, 16], num_classes=3),
+        MlpSpec(widths=[7, 12, 5], num_classes=4, in_features=3),
+    ], ids=["resnet8", "resnet20", "resnet32", "resnet110", "mlp16x4", "mlp7-12-5"])
+    def test_block_params_match_built_model(self, spec, J):
+        J = len(unit_plan(spec)) if J == "per-unit" else J
+        model = DecoupledModel(spec, J, "aux_adapt", seed=0)
+        assert len(model.plan) == J
+        for j, block in enumerate(model.plan, 1):
+            planned = sum(p.params for p in block.units) + sum(p.params for _, p in block.head)
+            built = [p.size for _, p in model.block_named_params(j)]
+            if j < J:
+                built += [p.size for _, p in model.head_named_params(j)]
+            assert planned == sum(built), f"block {j}"
 
 
 def _param_ids(named):

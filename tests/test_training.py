@@ -11,7 +11,7 @@ from pgl.config import RunConfig, SpiralsSpec
 from pgl.errors import ConfigError, DomainError
 from pgl.layers import softmax_cross_entropy
 from pgl.memory import eval_rows
-from pgl.network import DecoupledModel, MlpSpec, ResNetSpec, partition, unit_plan
+from pgl.network import DecoupledModel, MlpSpec, ResNetSpec
 from pgl.tensor import Tensor
 from pgl.training import (GUIDED, LOCAL, NesterovSGD, Schedule, evaluate,
                           guided_epoch, guided_epoch_count, local_epoch, lr_at,
@@ -245,8 +245,7 @@ class TestGuidedEpoch:
 class TestEvaluate:
     def _blob_model_with_oracle_weights(self):
         model = DecoupledModel(MlpSpec(widths=[2], num_classes=2), 1, "aux_adapt", seed=0)
-        hidden = model.units[0].fc
-        clf = model.units[1].fc
+        hidden, clf = (unit.fc for unit in model.blocks[0])
         hidden.w.data = np.eye(2, dtype=np.float32)
         hidden.b.data = np.zeros(2, dtype=np.float32)
         clf.w.data = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32)
@@ -306,9 +305,8 @@ class TestEvalChunks:
                     dataset=ImageSpec(45, 8, 3)), False),
     ], ids=["mlp", "resnet"])
     def test_accuracies_equal_training_batch_evaluation(self, cfg, exact_logits):
-        rows = eval_rows(cfg.network, partition(unit_plan(cfg.network), cfg.blocks),
-                         cfg.batch_size, cfg.aux)
         recs, model, _ = train(cfg)
+        rows = eval_rows(model.plan, cfg.batch_size)
         train_set, test_set = cfg.build_datasets()
         # both cuts end in a short batch
         assert rows > cfg.batch_size
@@ -374,7 +372,7 @@ class TestTrain:
         # 5 units, 4 partitionable: the classifier is block 5 on its own
         cfg = mlp_config(blocks=5, regime="pgl", epochs=2)
         recs, model, _ = train(cfg, force_mode=mode)
-        assert model.partition.ranges[-1] == (4, 5)
+        assert [len(units) for units in model.blocks] == [1] * 5
         losses = [v for r in recs for v in [r.global_loss] + r.local_losses if v is not None]
         assert len(losses) == 2 * 5                  # 5 local, or global + 4 heads
         assert all(math.isfinite(v) for v in losses)
