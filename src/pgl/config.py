@@ -88,7 +88,9 @@ class RunConfig:
         bound, 1 <= blocks <= units (stem and classifier included), and the
         aux policy must fit every head the blocks carry; the trainer and the
         memory estimator walk the same ``block_plans``.  That walk allocates
-        nothing, so no model is built here."""
+        nothing, so no model is built here; it also checks that the network's
+        sizes are >= 1.  A spirals or blobs dataset must match the network's
+        class count and an MLP's in_features."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
         block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
         if self.batch_size < 1:
@@ -103,6 +105,13 @@ class RunConfig:
             if self.dataset.classes != self.network.num_classes:
                 raise ConfigError(f"dataset has {self.dataset.classes} classes but the "
                                   f"network outputs {self.network.num_classes}")
+            # an MLP reads the set's flat samples; a ResNet config may name a
+            # synthetic set as a placeholder for images it is handed later,
+            # as benchmarks/workloads.py does
+            features = 2 if isinstance(self.dataset, SpiralsSpec) else self.dataset.d
+            if isinstance(self.network, MlpSpec) and self.network.in_features != features:
+                raise ConfigError(f"network.in_features is {self.network.in_features} but the "
+                                  f"dataset's samples have {features} features")
         return self
 
     def build_model(self) -> DecoupledModel:

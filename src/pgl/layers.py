@@ -1,7 +1,7 @@
 """Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
-forward and weight gradient, a per-kernel-offset GEMM input gradient),
-batch norm, global average pooling, residual basic blocks, and softmax cross
-entropy.
+forward and weight gradient that keep the input, not the column matrix, and a
+per-kernel-offset GEMM input gradient), batch norm, global average pooling,
+residual basic blocks, and softmax cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
@@ -77,7 +77,11 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     One graph node.  The forward and the weight gradient are one GEMM each
     against the im2col matrix; the output is an NCHW view over the
-    [N,H',W',O] memory the forward GEMM wrote.  The input gradient is one
+    [N,H',W',O] memory the forward GEMM wrote.  The node keeps x, not the
+    column matrix (k*k times larger at stride 1): the forward's matrix is
+    freed when its GEMM returns, and the weight gradient rebuilds the same
+    values in the same layout, so its GEMM gives the same bits and backward
+    holds one column matrix at a time.  The input gradient is one
     GEMM per kernel offset, [N*H'*W', O] @ w[:, :, ky, kx], each added in
     (ky, kx) order into a zeroed padded [N,Hp,Wp,C] buffer that is then
     copied to NCHW memory: every element sums the same terms in the same
@@ -93,9 +97,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         raise ShapeError(f"conv2d: weight {list(w.shape)} does not match input channels {c}")
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
-    col = im2col(x.data, k, stride, pad)                 # [C*k*k, N*oh*ow]
-    wd, wshape = w.data, w.shape
-    out = col.T @ wd.reshape(o, c * k * k).T             # [N*oh*ow, O]
+    xd, wd, wshape = x.data, w.data, w.shape
+    out = im2col(xd, k, stride, pad).T @ wd.reshape(o, c * k * k).T   # [N*oh*ow, O]
     # grad_x and grad_w run back to back on the same output gradient; when
     # both are in the graph, the first leaves its rows for the second, so a
     # gradient in NCHW memory is copied to rows once, not twice
@@ -121,7 +124,7 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [
         (x, grad_x),
-        (w, lambda g: (rows(g).T @ col.T).reshape(wshape)),
+        (w, lambda g: (rows(g).T @ im2col(xd, k, stride, pad).T).reshape(wshape)),
     ])
 
 

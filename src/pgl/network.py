@@ -29,6 +29,12 @@ from .tensor import Tensor
 # ---------------------------------------------------------------------------
 # network specs
 
+def _check_positive(spec, *names):
+    for name in names:
+        if getattr(spec, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(spec, name)}")
+
+
 @dataclass
 class MlpSpec:
     widths: list
@@ -40,6 +46,7 @@ class MlpSpec:
             raise ConfigError("mlp widths must be a non-empty list of positive ints")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        _check_positive(self, "in_features")
 
     @property
     def in_shape(self) -> tuple:
@@ -61,6 +68,7 @@ class ResNetSpec:
             raise ConfigError(f"resnet depth must be 6n+2, got {self.depth}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        _check_positive(self, "in_channels", "input_hw")
 
     @property
     def units_per_stage(self) -> int:

@@ -172,6 +172,30 @@ class TestCmdTrain:
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("in_features", {"network": {"kind": "mlp", "widths": [8], "num_classes": 2, "in_features": 5}}),
+        ("in_features", {"network": {"kind": "mlp", "widths": [8], "num_classes": 2, "in_features": 0}}),
+        ("in_features", {"network": {"kind": "mlp", "widths": [8], "num_classes": 2},
+                         "dataset": {"kind": "blobs", "classes": 2, "d": 3}}),
+        ("widths", {"network": {"kind": "mlp", "widths": [8, 0], "num_classes": 2}}),
+        ("in_channels", {"network": {"kind": "resnet", "depth": 8, "num_classes": 2,
+                                     "in_channels": 0, "input_hw": 8}}),
+        ("input_hw", {"network": {"kind": "resnet", "depth": 8, "num_classes": 2, "input_hw": 0}}),
+    ], ids=["in_features-vs-spirals", "in_features-0", "in_features-vs-blobs", "width-0",
+            "in_channels-0", "input_hw-0"])
+    def test_bad_input_shape_fails_cleanly(self, tmp_path, capsys, key, overrides):
+        path = spiral_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_blobs_width_sets_the_input_shape(self, tmp_path, capsys):
+        path = spiral_config(tmp_path, epochs=1,
+                             network={"kind": "mlp", "widths": [8], "num_classes": 2, "in_features": 3},
+                             dataset={"kind": "blobs", "classes": 2, "d": 3})
+        assert main(["train", "--config", str(path)]) == 0
+
 
 class TestCmdEval:
     def test_eval_matches_train_report(self, tmp_path, capsys):

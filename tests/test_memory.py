@@ -263,27 +263,32 @@ class TestEvalRows:
 class TestMeasuredPeak:
     """The running implementation keeps only what backward reads: the
     ``tracemalloc`` peak of one guided step stays close to the bytes its
-    grad_fns must hold."""
+    grad_fns must hold plus the one column matrix a weight gradient
+    rebuilds."""
 
     @staticmethod
     def _saved_bytes(model, x, monkeypatch) -> int:
-        """Bytes of every im2col column matrix, batchnorm xhat (the size of
-        its output) and 1-byte relu mask one global forward builds."""
-        sizes = []
+        """Bytes of every conv input (once per array: a projection shares its
+        unit's input), batchnorm xhat (the size of its output) and 1-byte
+        relu mask one global forward builds, plus its largest im2col column
+        matrix, the one transient the weight gradient rebuilds."""
+        conv_inputs, sizes, cols = {}, [], []
 
-        def spy(fn, nbytes):
+        def spy(fn, record):
             def wrapped(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                sizes.append(nbytes(out))
+                record(args, out)
                 return out
             return wrapped
 
         with monkeypatch.context() as m:
-            m.setattr(L, "im2col", spy(L.im2col, lambda col: col.nbytes))
-            m.setattr(L, "batchnorm_forward", spy(L.batchnorm_forward, lambda t: t.data.nbytes))
-            m.setattr(T, "relu", spy(T.relu, lambda t: t.data.size))
+            m.setattr(L, "conv2d_forward", spy(
+                L.conv2d_forward, lambda args, _: conv_inputs.setdefault(id(args[0].data), args[0].data.nbytes)))
+            m.setattr(L, "im2col", spy(L.im2col, lambda _, col: cols.append(col.nbytes)))
+            m.setattr(L, "batchnorm_forward", spy(L.batchnorm_forward, lambda _, t: sizes.append(t.data.nbytes)))
+            m.setattr(T, "relu", spy(T.relu, lambda _, t: sizes.append(t.data.size)))
             model.forward_global(Tensor(x), train=True)
-        return sum(sizes)
+        return sum(conv_inputs.values()) + sum(sizes) + max(cols)
 
     def test_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
         model = DecoupledModel(ResNetSpec(depth=8, num_classes=10, input_hw=8), 2, "aux_adapt", seed=0)

@@ -287,14 +287,16 @@ class TestGraphLifetime:
         x = Tensor(rng.normal(size=(8, 3, 6, 6)).astype(np.float32))
         w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
         conv = L.conv2d_forward(x, w, stride=1, pad=1)
-        _, r, loss = self._mlp(rng, L.global_avg_pool(conv))    # conv -> pool -> the MLP
-        lin_in = weakref.ref(r.data)
-        del conv, r
         gc.collect()
-        assert lin_in() is not None and cols[0]() is not None
+        assert len(cols) == 1 and cols[0]() is None        # the forward's columns die with it
+        _, r, loss = self._mlp(rng, L.global_avg_pool(conv))    # conv -> pool -> the MLP
+        conv_in, lin_in = weakref.ref(x.data), weakref.ref(r.data)
+        del x, conv, r
+        gc.collect()
+        assert conv_in() is not None and lin_in() is not None
         grads = backward(loss)
         gc.collect()
-        assert lin_in() is None and cols[0]() is None      # dW's inputs go with the graph
+        assert conv_in() is None and lin_in() is None      # dW's inputs go with the graph
         assert w.node_id in grads and np.isfinite(loss.item())  # the loss value stays readable
 
     def test_second_backward_is_refused(self):
