@@ -46,11 +46,11 @@ print(f"d(relu(x) + x)/dx = {backward(y, np.ones(2))[x.node_id].data}   (expecte
 
 print("\n== the graph keeps only what backward reads ==")
 x = Tensor(np.ones((4, 3)), requires_grad=True)
-hidden = T.relu(T.add(x, x))                  # relu's backward reads a 1-byte mask, not its output
+hidden = T.add(x, x)                          # relu's backward reads its output, not its input
 probe = weakref.ref(hidden.data)
 y = T.relu(hidden)
 del hidden
-print(f"first relu output freed while the graph lives: {probe() is None}")
+print(f"relu input freed while the graph lives: {probe() is None}")
 backward(y, np.ones((4, 3)))                  # releases the graph as it walks it
 try:
     backward(y, np.ones((4, 3)))

@@ -81,11 +81,12 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     column matrix (k*k times larger at stride 1): the forward's matrix is
     freed when its GEMM returns, and the weight gradient rebuilds the same
     values in the same layout, so its GEMM gives the same bits and backward
-    holds one column matrix at a time.  The input gradient is one
-    GEMM per kernel offset, [N*H'*W', O] @ w[:, :, ky, kx], each added in
-    (ky, kx) order into a zeroed padded [N,Hp,Wp,C] buffer that is then
-    copied to NCHW memory: every element sums the same terms in the same
-    order as a column-gradient GEMM and col2im would, without the
+    holds one column matrix at a time.  The weight gradient runs first, so
+    that matrix is freed before the input gradient exists.  The input
+    gradient is one GEMM per kernel offset, [N*H'*W', O] @ w[:, :, ky, kx],
+    each added in (ky, kx) order into a zeroed padded [N,Hp,Wp,C] buffer
+    that is then copied to NCHW memory: every element sums the same terms in
+    the same order as a column-gradient GEMM and col2im would, without the
     column-sized buffer.  Batchnorm's reductions follow these layouts, so
     they are part of the arithmetic.
     """
@@ -99,7 +100,7 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     ow = conv_out_size(width, k, stride, pad)
     xd, wd, wshape = x.data, w.data, w.shape
     out = im2col(xd, k, stride, pad).T @ wd.reshape(o, c * k * k).T   # [N*oh*ow, O]
-    # grad_x and grad_w run back to back on the same output gradient; when
+    # grad_w and grad_x run back to back on the same output gradient; when
     # both are in the graph, the first leaves its rows for the second, so a
     # gradient in NCHW memory is copied to rows once, not twice
     shared = x.requires_grad and w.requires_grad
@@ -123,8 +124,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         return np.ascontiguousarray(gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2))
 
     return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [
-        (x, grad_x),
         (w, lambda g: (rows(g).T @ im2col(xd, k, stride, pad).T).reshape(wshape)),
+        (x, grad_x),
     ])
 
 

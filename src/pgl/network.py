@@ -466,15 +466,17 @@ class DecoupledModel:
     def forward_global(self, x: Tensor, train: bool = True):
         """One uninterrupted differentiable chain through all blocks.
 
-        Returns (logits, [X_1 .. X_J]) where the boundary activations are
-        detached copies for auxiliary-head training.
+        Returns (logits, [X_1 .. X_J]) where the boundary activations, for
+        auxiliary-head training, are untracked tensors over the graph's own
+        arrays, not copies: no grad_fn writes an activation, so they keep
+        their values through the global backward.
         """
         h = x
         boundary = []
         for units in self.blocks:
             for unit in units:
                 h = unit.forward(h, train)
-            boundary.append(h.detach())
+            boundary.append(Tensor(h.data))
         return h, boundary
 
     def forward_local(self, x: Tensor, j: int, train: bool = True):

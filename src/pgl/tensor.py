@@ -13,9 +13,10 @@ from leaf node ids to gradient tensors; walking a released graph again raises
 else has to be cleared between steps.
 
 The primitives are the two that training builds outside the layers: the
-same-shape residual ``add`` and ``relu``.  The layers build their fused ops
-(linear, conv, batchnorm, pooling, cross-entropy) on ``apply_op``, one graph
-node each.
+same-shape residual ``add``, which keeps nothing, and ``relu``, which keeps
+its output (the array the next layer reads anyway), not a mask beside it.
+The layers build their fused ops (linear, conv, batchnorm, pooling,
+cross-entropy) on ``apply_op``, one graph node each.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -107,7 +108,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        """Value-equal copy with no parents and requires_grad=False."""
+        """Value-equal C-order copy with no parents and requires_grad=False.
+
+        A copy, not an alias: a local step hands the next block this C
+        order, not a conv's NHWC memory, and batchnorm's sums follow it.
+        """
         return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
@@ -245,15 +250,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient at exactly 0 (and at NaN) is 0; NaN passes through
+    """max(a, 0); NaN passes through, and the subgradient at 0 and NaN is 0.
+
+    The node keeps the output, which the next layer holds anyway, not a
+    mask: ``out > 0`` has the values of ``a > 0``, NaN included.
+    """
+    out = np.maximum(a.data, 0, dtype=a.dtype)
 
     def grad(g):
+        nonlocal out
+        mask = out > 0
+        out = None                    # freed before g * mask allocates
         # After a conv the mask is NHWC memory while g, a conv's input
         # gradient, is NCHW; a product over mixed orders walks short inner
         # runs.  Copying the 1-byte mask to g's order first is faster and
         # gives the same values and strides as g * mask, which are C order.
         if g.flags.c_contiguous and not mask.flags.c_contiguous:
-            return g * np.ascontiguousarray(mask)
+            mask = np.ascontiguousarray(mask)
         return g * mask
 
-    return apply_op(np.maximum(a.data, 0, dtype=a.dtype), [(a, grad)])
+    return apply_op(out, [(a, grad)])

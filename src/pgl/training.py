@@ -171,7 +171,7 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
 
     A single forward pass serves both losses: the global cross-entropy steps
     every block, and (when ``update_aux``) each head is refreshed from its
-    detached boundary copy so the heads stay out of the global graph.
+    untracked boundary tensor so the heads stay out of the global graph.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J

@@ -190,6 +190,29 @@ class TestConv2d:
         assert grads[x.node_id].shape == x.shape
         assert peak < column_bytes
 
+    def test_backward_frees_the_column_matrix_before_dx_exists(self):
+        # the weight gradient rebuilds its column matrix (from a padded
+        # image) and frees it before the input gradient allocates dx; the
+        # bound adds the [N*H'*W', O] rows both gradients read, a copy of
+        # the NCHW seed
+        rng = np.random.default_rng(7)
+        n, c, hw, o = 16, 16, 16, 16
+        x = Tensor(rng.normal(size=(n, c, hw, hw)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(o, c, 3, 3)).astype(np.float32), requires_grad=True)
+        out = L.conv2d_forward(x, w, 1, 1)
+        seed = np.ones(out.shape, dtype=np.float32)
+        dx_bytes = x.data.nbytes
+        column_bytes = c * 9 * n * hw * hw * 4
+        padded_bytes = n * c * (hw + 2) ** 2 * 4
+        tracemalloc.start()
+        try:
+            grads = backward(out, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(grads) == {x.node_id, w.node_id}
+        assert peak < dx_bytes + column_bytes + padded_bytes + seed.nbytes
+
 
 def reference_conv2d(x, w, stride=1, pad=0):
     """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul.

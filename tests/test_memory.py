@@ -262,16 +262,19 @@ class TestEvalRows:
 
 class TestMeasuredPeak:
     """The running implementation keeps only what backward reads: the
-    ``tracemalloc`` peak of one guided step stays close to the bytes its
-    grad_fns must hold plus the one column matrix a weight gradient
-    rebuilds."""
+    ``tracemalloc`` peak of one guided or local step stays close to the
+    bytes its grad_fns must hold plus the one column matrix a weight
+    gradient rebuilds."""
 
     @staticmethod
-    def _saved_bytes(model, x, monkeypatch) -> int:
-        """Bytes of every conv input (once per array: a projection shares its
-        unit's input), batchnorm xhat (the size of its output) and 1-byte
-        relu mask one global forward builds, plus its largest im2col column
-        matrix, the one transient the weight gradient rebuilds."""
+    def _saved_bytes(monkeypatch, forward, *args):
+        """(saved bytes, result) of ``forward(*args)``.  The bytes are every
+        conv input (once per array: a projection shares its unit's input)
+        and batchnorm xhat (the size of its output) the forward builds, plus
+        its largest im2col column matrix, the one transient the weight
+        gradient rebuilds.  Relu keeps its output, which is the next conv's
+        input (all but the last, small one before the pool), so it adds
+        nothing."""
         conv_inputs, sizes, cols = {}, [], []
 
         def spy(fn, record):
@@ -286,11 +289,11 @@ class TestMeasuredPeak:
                 L.conv2d_forward, lambda args, _: conv_inputs.setdefault(id(args[0].data), args[0].data.nbytes)))
             m.setattr(L, "im2col", spy(L.im2col, lambda _, col: cols.append(col.nbytes)))
             m.setattr(L, "batchnorm_forward", spy(L.batchnorm_forward, lambda _, t: sizes.append(t.data.nbytes)))
-            m.setattr(T, "relu", spy(T.relu, lambda _, t: sizes.append(t.data.size)))
-            model.forward_global(Tensor(x), train=True)
-        return sum(conv_inputs.values()) + sum(sizes) + max(cols)
+            result = forward(*args)
+        return sum(conv_inputs.values()) + sum(sizes) + max(cols), result
 
-    def test_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
+    @staticmethod
+    def _model_and_batch():
         model = DecoupledModel(ResNetSpec(depth=8, num_classes=10, input_hw=8), 2, "aux_adapt", seed=0)
         opt = NesterovSGD()
         rng = np.random.default_rng(0)
@@ -298,16 +301,37 @@ class TestMeasuredPeak:
         # one step of each mode first, so every velocity exists, as in the benchmark's memory pass
         local_epoch(model, batch, opt, 0.1)
         guided_epoch(model, batch, opt, 0.1)
-        saved = self._saved_bytes(model, batch[0][0], monkeypatch)
+        return model, opt, batch
+
+    @staticmethod
+    def _peak(step) -> int:
         gc.collect()
         gc.disable()                  # as in the benchmark: the peak repeats exactly
         try:
             tracemalloc.start()
             try:
-                guided_epoch(model, batch, opt, 0.1)
-                peak = tracemalloc.get_traced_memory()[1]
+                step()
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         finally:
             gc.enable()
+
+    def test_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
+        model, opt, batch = self._model_and_batch()
+        saved, _ = self._saved_bytes(monkeypatch, model.forward_global, Tensor(batch[0][0]), True)
+        peak = self._peak(lambda: guided_epoch(model, batch, opt, 0.1))
+        assert peak <= 1.25 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"
+
+    def test_local_step_peak_is_near_its_blocks_saved_set(self, monkeypatch):
+        # a local step holds one block's graph at a time: the gate is the
+        # largest block's set
+        model, opt, batch = self._model_and_batch()
+        h, sets = Tensor(batch[0][0]), []
+        for j in range(1, model.J + 1):
+            saved, (x_j, _) = self._saved_bytes(monkeypatch, model.forward_local, h, j, True)
+            sets.append(saved)
+            h = x_j.detach()
+        saved = max(sets)
+        peak = self._peak(lambda: local_epoch(model, batch, opt, 0.1))
         assert peak <= 1.25 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"

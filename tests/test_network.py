@@ -8,6 +8,7 @@ from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
                          aux_adapt_policy, block_plans, partition, unit_plan)
 from pgl.tensor import Tensor, backward
+from pgl.training import NesterovSGD
 
 
 def small_mlp(J=2, widths=None, classes=2, seed=0):
@@ -252,6 +253,39 @@ class TestForwardGlobal:
         _, xs = m.forward_global(Tensor(np.zeros((2, 2), dtype=np.float32)), train=True)
         assert all(not b.requires_grad for b in xs)
         assert len(xs) == 3
+
+    @pytest.mark.parametrize("spec, shape", [
+        (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8)),
+        (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2)),
+    ])
+    def test_boundaries_alias_the_graph_and_keep_their_bits(self, spec, shape, monkeypatch):
+        # the heads read the graph's own arrays, so nothing the global step
+        # or a head step runs may write an activation in place
+        m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
+        outputs = []
+
+        def record(forward):
+            def wrapped(x, train=True):
+                outputs.append(forward(x, train))
+                return outputs[-1]
+            return wrapped
+
+        for units in m.blocks:
+            monkeypatch.setattr(units[-1], "forward", record(units[-1].forward))
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=shape).astype(np.float32)
+        y = np.array([0, 1, 2, 3, 0, 1])
+        logits, xs = m.forward_global(Tensor(x), train=True)
+        assert [b.node for b in xs] == [None] * m.J
+        assert all(b.data is h.data for b, h in zip(xs, outputs))
+        before = [b.data.copy() for b in xs]
+        opt = NesterovSGD()
+        theta = [p for j in range(1, m.J + 1) for p in m.block_named_params(j)]
+        opt.step(theta, backward(softmax_cross_entropy(logits, y)), 0.1)
+        for j in range(1, m.J):
+            loss = softmax_cross_entropy(m.aux_logits(xs[j - 1], j), y)
+            opt.step(list(m.head_named_params(j)), backward(loss), 0.1)
+        assert all(b.data.tobytes() == a.tobytes() for b, a in zip(xs, before))
 
 
 class TestModelBookkeeping:

@@ -1,6 +1,7 @@
 """Tensor core: creation rules, primitive forward values, graph backward."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestElementwise:
         assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0, 2]
         g = backward(out, ones(out))
         assert g[x.node_id].data.tolist() == [0, 0, 1]
+
+    def test_relu_under_no_grad_allocates_only_its_output(self):
+        x = Tensor(np.random.default_rng(4).normal(size=(256, 1024)).astype(np.float32))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.relu(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < out.data.nbytes + x.size // 2      # a 1-byte mask is x.size bytes
 
     @pytest.mark.parametrize("case", ["nchw_g_nhwc_mask", "nhwc_g_nhwc_mask", "2d"])
     def test_relu_backward_is_g_times_mask(self, case):
@@ -256,7 +268,7 @@ class TestGraphLifetime:
         lin_out, lin_in = weakref.ref(h.data), weakref.ref(r.data)
         del h, r
         gc.collect()
-        assert lin_out() is None          # relu keeps only its mask
+        assert lin_out() is None          # relu keeps its output, not its input
         assert lin_in() is not None       # the second linear's dW reads its input
         assert loss.requires_grad
 
@@ -273,6 +285,32 @@ class TestGraphLifetime:
         gc.collect()
         assert bn_out() is None and sum_out() is None
         assert set(backward(out, ones(out))) == {x.node_id, gamma.node_id, beta.node_id}
+
+    def test_relu_output_lives_until_backward(self):
+        # cross entropy keeps its softmax, not its logits: only relu's own
+        # grad_fn reads the output
+        x = Tensor(np.random.default_rng(3).normal(size=(6, 4)).astype(np.float32), requires_grad=True)
+        r = T.relu(x)
+        loss = L.softmax_cross_entropy(r, [0, 1, 2, 3, 0, 1])
+        out = weakref.ref(r.data)
+        del r
+        gc.collect()
+        assert out() is not None          # the grad_fn keeps the output, not a mask
+        backward(loss)
+        gc.collect()
+        assert out() is None
+
+    def test_relu_grad_fn_drops_the_output_it_read(self):
+        x = Tensor(np.array([-1.0, 0.5, 2.0], dtype=np.float32), requires_grad=True)
+        r = T.relu(x)
+        (_, grad_fn), = r.parents
+        out = weakref.ref(r.data)
+        del r
+        gc.collect()
+        assert out() is not None
+        assert grad_fn(np.ones(3, dtype=np.float32)).tolist() == [0, 1, 1]
+        gc.collect()
+        assert out() is None              # freed by the call, though grad_fn lives on
 
     def test_backward_frees_the_saved_arrays(self, monkeypatch):
         cols, plain_im2col = [], L.im2col
