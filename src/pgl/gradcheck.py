@@ -105,10 +105,12 @@ def _case_linear(rng):
         yield [x, wgt, b], lambda ts: L.linear_forward(*ts), _proj(rng, (n, do))
 
 
-# (k, stride, pad): random kernels at stride 1 and 2, the C != O convs of a
-# downsampling residual block (3x3 stride 2 and the 1x1 stride-2 pad-0
-# projection), and a 3x3 stride-2 pad-0 conv on H=8 that drops the last row
-_CONV_CASES = [(None, 1, 0, None), (None, 2, 1, None), (None, 1, 1, None),
+# (k, stride, pad, H): random kernels at stride 1 and 2, a 3x3 stride-1
+# pad-1 conv (im2col's contiguous-run lowering, which a random k reaches
+# only at k=3), the C != O convs of a downsampling residual block (3x3
+# stride 2 and the 1x1 stride-2 pad-0 projection), and a 3x3 stride-2 pad-0
+# conv on H=8 that drops the last row
+_CONV_CASES = [(None, 1, 0, None), (None, 2, 1, None), (None, 1, 1, None), (3, 1, 1, None),
                (3, 2, 1, None), (1, 2, 0, None), (3, 2, 0, 8)]
 
 

@@ -8,7 +8,11 @@ thin stateful class used to assemble networks.  All gradients flow through
 the tensor graph.  ``linear_forward``, ``conv2d_forward``,
 ``batchnorm_forward``, ``softmax_cross_entropy`` and ``global_avg_pool`` are
 custom-backward primitives, one graph node each; ``im2col`` is a plain array
-function they do not expose to the graph.
+function they do not expose to the graph.  It has two lowerings: stride-1
+"same" convs copy each kernel offset's window as contiguous runs of whole
+images and zero the columns that wrap a row edge, the others copy one
+strided view per offset.  Both write the same bytes in the same layout, so
+the GEMMs that read them give the same bits.
 """
 
 from __future__ import annotations
@@ -59,8 +63,20 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     Rows run over (c, ky, kx) and columns over (n, y, x), the order the
     forward and weight-gradient GEMMs read without a copy.  A plain array
     function, not a graph op.
+
+    A stride-1 "same" conv (2*pad == k-1, so H'=H and W'=W) pads the image
+    vertically only, as one flat run of (H+2p)*W + 2p floats per (c, n),
+    and copies each (c, ky, kx) window of all N images as one slice of H*W
+    contiguous floats starting at ky*W + kx.  A window's columns within p
+    of a row edge read the neighbouring row there, so they are written
+    over with +0.0.  Other convs pad both ways and copy one strided view
+    per offset.  A column matrix holds copies of input elements and +0.0
+    pads, in the same place either way, so both lowerings give the same
+    bytes, and the GEMMs that read them the same bits.
     """
     n, c, h, w = x.shape
+    if stride == 1 and 2 * pad == k - 1:
+        return _im2col_same(x, k, pad)
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
     img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
@@ -70,6 +86,25 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
         for kx in range(k):
             col[:, ky, kx] = img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
     return col.reshape(c * k * k, n * oh * ow)
+
+
+def _im2col_same(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    # im2col's contiguous-run lowering for stride 1 and 2*pad == k-1
+    n, c, h, w = x.shape
+    hw = h * w
+    img = np.zeros((c, n, (h + 2 * pad) * w + 2 * pad), dtype=x.dtype)
+    start = pad * w + pad
+    img[:, :, start:start + hw].reshape(c, n, h, w, copy=False)[...] = x.transpose(1, 0, 2, 3)
+    col = np.empty((c, k, k, n, h, w), dtype=x.dtype)
+    runs = col.reshape(c, k, k, n, hw)
+    for ky in range(k):
+        for kx in range(k):
+            runs[:, ky, kx] = img[:, :, ky * w + kx:ky * w + kx + hw]
+            if kx < pad:
+                col[:, ky, kx, :, :, :pad - kx] = 0.0
+            elif kx > pad:
+                col[:, ky, kx, :, :, w - (kx - pad):] = 0.0
+    return col.reshape(c * k * k, n * hw)
 
 
 def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:

@@ -214,6 +214,106 @@ class TestConv2d:
         assert peak < dx_bytes + column_bytes + padded_bytes + seed.nbytes
 
 
+def reference_im2col(x, k, stride, pad):
+    """The plain lowering: np.pad, then one strided copy per kernel offset
+    into [C*k*k, N*H'*W'], rows over (c, ky, kx) and columns over (n, y, x)."""
+    n, c, h, wd = x.shape
+    oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
+    img = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+    col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            col[:, ky, kx] = img[:, :, ky:ky + stride * oh:stride,
+                                 kx:kx + stride * ow:stride].transpose(1, 0, 2, 3)
+    return col.reshape(c * k * k, n * oh * ow)
+
+
+class TestIm2col:
+    """``im2col`` writes the reference's bytes for every conv the networks
+    build and the edge shapes, whichever lowering it takes."""
+
+    @staticmethod
+    def _inputs(shape, dtype=np.float32):
+        # random values with NaN, +-inf and -0.0 scattered in, in C order and
+        # in NHWC memory; a column that wraps a row edge must read +0.0
+        x = np.random.default_rng(shape).normal(size=shape).astype(dtype)
+        flat = x.reshape(-1)
+        flat[::7], flat[1::11], flat[2::13], flat[3::5] = np.nan, np.inf, -np.inf, -0.0
+        return x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+    def _check(self, shape, k, stride, pad, dtype=np.float32):
+        for x in self._inputs(shape, dtype):
+            got, want = L.im2col(x, k, stride, pad), reference_im2col(x, k, stride, pad)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _network_convs(spec, J, shape, monkeypatch):
+        """(input shape, k, stride, pad) of every im2col call of one local
+        and one guided step, heads included."""
+        seen = set()
+        real = L.im2col
+
+        def spy(x, k, stride, pad):
+            seen.add((x.shape, k, stride, pad))
+            return real(x, k, stride, pad)
+
+        model = DecoupledModel(spec, J, "aux_adapt", seed=0)
+        x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        batch_list = [(x, np.arange(shape[0]) % spec.num_classes)]
+        opt = NesterovSGD()
+        with monkeypatch.context() as m:
+            m.setattr(L, "im2col", spy)
+            local_epoch(model, batch_list, opt, 0.01)
+            guided_epoch(model, batch_list, opt, 0.01, update_aux=True)
+        return sorted(seen)
+
+    # ResNet-8 as the ResNet oracle trains it, and the benchmark's resnet20-img16
+    @pytest.mark.parametrize("spec, J, shape", [
+        (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2, (16, 3, 8, 8)),
+        (ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, (64, 3, 16, 16)),
+    ], ids=["resnet8", "resnet20-img16"])
+    def test_every_network_conv(self, spec, J, shape, monkeypatch):
+        convs = self._network_convs(spec, J, shape, monkeypatch)
+        kinds = {(k, stride, pad) for _, k, stride, pad in convs}
+        # stem and stage convs, stride-2 convs and head convs, 1x1 projections
+        assert kinds == {(3, 1, 1), (3, 2, 1), (1, 2, 0)}
+        for in_shape, k, stride, pad in convs:
+            self._check(in_shape, k, stride, pad)
+
+    @pytest.mark.parametrize("shape, k, stride, pad", [
+        ((2, 3, 4, 4), 1, 1, 0),          # 1x1 stride 1: no pad, no wrap
+        ((2, 2, 6, 6), 5, 1, 2),          # two wrapped columns on each side
+        ((3, 2, 5, 7), 3, 1, 1),          # H != W
+        ((2, 2, 7, 5), 3, 2, 1),
+        ((1, 3, 6, 6), 3, 1, 1),          # N = 1
+        ((4, 1, 6, 6), 3, 1, 1),          # C = 1
+        ((2, 2, 1, 1), 3, 1, 1),          # H = W = 1: every window but the centre is pad
+        ((2, 2, 1, 1), 5, 1, 2),
+        ((2, 2, 1, 1), 3, 2, 1),
+        ((2, 2, 4, 4), 3, 1, 0),          # stride 1, not "same"
+        ((2, 2, 8, 8), 3, 2, 0),          # the trailing row fits no full stride
+    ], ids=["k1", "k5", "h5w7", "h7w5-s2", "n1", "c1", "hw1", "hw1-k5", "hw1-s2", "pad0",
+            "s2-floor"])
+    def test_edge_shapes(self, shape, k, stride, pad):
+        self._check(shape, k, stride, pad)
+
+    def test_float64(self):
+        self._check((2, 3, 5, 4), 3, 1, 1, np.float64)
+
+    def test_wrapped_columns_are_positive_zero(self):
+        # all -0.0 input: interior entries keep their sign bit, every pad or
+        # wrapped entry is +0.0
+        x = np.full((2, 3, 4, 5), -0.0, dtype=np.float32)
+        col = L.im2col(x, 3, 1, 1).reshape(3, 3, 3, 2, 4, 5)
+        pad = np.ones((3, 3, 4, 5), dtype=bool)
+        for ky in range(3):
+            for kx in range(3):
+                pad[ky, kx, max(0, 1 - ky):4 + min(0, 1 - ky), max(0, 1 - kx):5 + min(0, 1 - kx)] = False
+        assert np.array_equal(np.signbit(col), np.broadcast_to(~pad[None, :, :, None], col.shape))
+
+
 def reference_conv2d(x, w, stride=1, pad=0):
     """The unfused conv: a graph im2col to [N*H'*W', C*k*k], then matmul.
     The weight's reshape-transpose and the output's reshape-transpose are

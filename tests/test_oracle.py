@@ -6,7 +6,12 @@ to alter the arithmetic re-records ``benchmarks/reference.json``.  A short
 ResNet-8 run of every regime must reproduce the digest of its losses,
 accuracies and final checkpoint recorded in ``resnet_oracle.json`` beside
 this file, which covers the conv, batchnorm and residual paths the MLP never
-runs.  Both run in a fresh interpreter with BLAS pinned to one thread.
+runs.  The benchmark's ``resnet20-img16`` workload, trained at seed 0 in every
+regime plus one mode round, must reproduce the digest of its losses and
+checkpoints recorded there too: it runs the benchmark's own GEMM shapes and
+batch of 64, where a change of memory layout that ResNet-8 hides moves the
+last bits of a loss.  All run in a fresh interpreter with BLAS pinned to one
+thread.
 """
 
 import hashlib
@@ -61,6 +66,34 @@ print(digest.hexdigest())
 """
 
 
+# Sets up the benchmark's ``Resnet20Img16`` workload (loaded read only from
+# the file in argv[1]) at seed 0 under argv[2], trains it once per regime and
+# runs one mode round, then prints the sha256 of each run's float64 losses
+# and final checkpoint bytes, followed by the mode round's float64 losses.
+IMG16_RUN = """
+import hashlib, importlib.util, sys
+from pathlib import Path
+from types import SimpleNamespace
+import numpy as np
+import pgl.cli
+
+spec = importlib.util.spec_from_file_location("pgl_bench_workloads", sys.argv[1])
+wl = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = wl            # dataclasses look their module up by name
+spec.loader.exec_module(wl)
+P = SimpleNamespace(**{name[4:]: mod for name, mod in sys.modules.items() if name.startswith("pgl.")})
+work = wl.Resnet20Img16(Path(sys.argv[2]), smoke=False)
+st = work.setup(P, 0)
+digest = hashlib.sha256()
+for regime in wl.REGIMES:
+    run = work.train(st, regime)
+    digest.update(np.asarray(run.losses, dtype=np.float64).tobytes())
+    digest.update(run.ckpt.read_bytes())
+digest.update(np.asarray(work.mode_round(st).losses, dtype=np.float64).tobytes())
+print(digest.hexdigest())
+"""
+
+
 def _pinned_env(src):
     # a fresh interpreter, so BLAS is pinned to one thread before numpy loads,
     # as in the benchmark
@@ -109,3 +142,12 @@ def resnet_digest(regime, tmp_path, src=ROOT / "src"):
 def test_resnet_run_matches_recorded_digest(regime, tmp_path):
     want = json.loads(RESNET_ORACLE.read_text())["sha256"][regime]
     assert resnet_digest(regime, tmp_path) == want
+
+
+def test_resnet20_img16_matches_recorded_digest(tmp_path):
+    want = json.loads(RESNET_ORACLE.read_text())["sha256"]["resnet20-img16"]
+    proc = subprocess.run([sys.executable, "-c", IMG16_RUN, str(BENCH / "workloads.py"), str(tmp_path)],
+                          cwd=tmp_path, env=_pinned_env(ROOT / "src"), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
