@@ -1,7 +1,8 @@
-"""Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
-forward and weight gradient that keep the input, not the column matrix, and a
-per-kernel-offset GEMM input gradient), batch norm, global average pooling,
-residual basic blocks, and softmax cross entropy.
+"""Neural layers built on the tensor autodiff: linear, conv2d (im2col GEMMs
+for the forward and weight gradient, lowered in slabs and kept as the
+input, not the column matrix, and a per-kernel-offset GEMM input gradient),
+batch norm, global average pooling, residual basic blocks, and softmax
+cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
@@ -13,6 +14,15 @@ function they do not expose to the graph.  It has two lowerings: stride-1
 images and zero the columns that wrap a row edge, the others copy one
 strided view per offset.  Both write the same bytes in the same layout, so
 the GEMMs that read them give the same bits.
+
+A conv never lowers more than SLAB_BYTES of column matrix at once: its
+forward and input gradient run per slab of images, its weight gradient per
+slab of input channels.  Each slab is a block of the output's rows or
+columns, never of a GEMM's reduction axis, so every element is the same dot
+product in the same order.  OpenBLAS runs a GEMM of M*N*K <= 1e6 through
+its small-matrix kernels, whose last bits differ from the large kernel's;
+near-equal slabs of about SLAB_BYTES stay above that size, so the bits do
+not depend on the slab count.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DataError, ShapeError
 from .tensor import Tensor, apply_op
+
+# the most bytes of column matrix a conv lowers at once (see conv2d_forward)
+SLAB_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +120,50 @@ def _im2col_same(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     return col.reshape(c * k * k, n * hw)
 
 
+def _slabs(length: int, unit_bytes: int) -> list:
+    """(start, stop) of the fewest near-equal slabs of ``length`` units whose
+    column matrix fits SLAB_BYTES, ``unit_bytes`` each; a unit larger than
+    that is a slab of its own."""
+    count = -(-length // max(1, SLAB_BYTES // unit_bytes))
+    bounds = [length * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W'], no bias.
 
-    One graph node.  The forward and the weight gradient are one GEMM each
-    against the im2col matrix; the output is an NCHW view over the
-    [N,H',W',O] memory the forward GEMM wrote.  The node keeps x, not the
-    column matrix (k*k times larger at stride 1): the forward's matrix is
-    freed when its GEMM returns, and the weight gradient rebuilds the same
-    values in the same layout, so its GEMM gives the same bits and backward
-    holds one column matrix at a time.  The weight gradient runs first, so
-    that matrix is freed before the input gradient exists.  The input
-    gradient is one GEMM per kernel offset, [N*H'*W', O] @ w[:, :, ky, kx],
-    each added in (ky, kx) order into a zeroed padded [N,Hp,Wp,C] buffer
-    that is then copied to NCHW memory: every element sums the same terms in
-    the same order as a column-gradient GEMM and col2im would, without the
-    column-sized buffer.  Batchnorm's reductions follow these layouts, so
-    they are part of the arithmetic.
+    One graph node.  The forward and the weight gradient are im2col GEMMs
+    and the input gradient one GEMM per kernel offset; none of them builds
+    the whole [C*k*k, N*H'*W'] column matrix.  Each runs over slabs, the
+    fewest near-equal ones whose column matrix fits SLAB_BYTES:
+
+    - the forward per slab of images: ``im2col(x[i:j]).T @ wmat.T`` writes
+      rows i*H'*W' ... j*H'*W' of the [N*H'*W', O] output, whose NCHW view
+      the node returns;
+    - the weight gradient per slab of input channels: ``im2col(x[:, c0:c1])``
+      is rows c0*k*k ... c1*k*k of the column matrix, and its GEMM writes
+      those columns of dW;
+    - the input gradient per slab of images: each offset's product
+      [n*H'*W', O] @ w[:, :, ky, kx] is added, in (ky, kx) order, into a
+      zeroed padded [n,Hp,Wp,C] slab, whose interior is copied into the
+      NCHW dx.  Every element sums the same terms in the same order as a
+      column-gradient GEMM and col2im would.
+
+    No slab splits a GEMM's reduction axis (C*k*k, N*H'*W' and O in turn),
+    so every element is the same dot product over the same operands.  A
+    conv whose column matrix fits SLAB_BYTES runs as one slab, the whole
+    GEMM.  Slabs are near-equal, so when there are several, each holds
+    about SLAB_BYTES / 2 or more of column matrix.  A forward or weight-
+    gradient slab GEMM has M*N*K = O times its slab's column elements, so
+    with O >= 8 outputs it stays above 1e6, where OpenBLAS stops using its
+    small-matrix kernels (with 256 KiB slabs some fall below it, and the
+    ``resnet20-img16`` losses move).
+
+    The node keeps x, not column matrices: the weight gradient lowers x
+    again, runs first and drops each slab before the input gradient
+    allocates dx.  When both x and w track gradients they share one copy of
+    the output gradient's [N*H'*W', O] rows.  Batchnorm's reductions follow
+    these layouts, so they are part of the arithmetic.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and weight, got {list(x.shape)}, {list(w.shape)}")
@@ -133,8 +173,14 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         raise ShapeError(f"conv2d: weight {list(w.shape)} does not match input channels {c}")
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
+    ohw, kk = oh * ow, k * k
     xd, wd, wshape = x.data, w.data, w.shape
-    out = im2col(xd, k, stride, pad).T @ wd.reshape(o, c * k * k).T   # [N*oh*ow, O]
+    wmat = wd.reshape(o, c * kk)
+    column_bytes = kk * ohw * xd.itemsize                # column matrix per image and input channel
+    images = _slabs(n, c * column_bytes)
+    out = np.empty((n * ohw, o), dtype=np.result_type(xd, wd))
+    for i, j in images:
+        np.matmul(im2col(xd[i:j], k, stride, pad).T, wmat.T, out=out[i * ohw:j * ohw])
     # grad_w and grad_x run back to back on the same output gradient; when
     # both are in the graph, the first leaves its rows for the second, so a
     # gradient in NCHW memory is copied to rows once, not twice
@@ -149,19 +195,27 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
             pending.append(r)
         return r
 
+    def grad_w(g):
+        gr = rows(g)
+        dw = np.empty((o, c * kk), dtype=np.result_type(gr, xd))
+        for c0, c1 in _slabs(c, n * column_bytes):
+            np.matmul(gr.T, im2col(xd[:, c0:c1], k, stride, pad).T, out=dw[:, c0 * kk:c1 * kk])
+        return dw.reshape(wshape)
+
     def grad_x(g):
         gr = rows(g)
-        gimg = np.zeros((n, h + 2 * pad, width + 2 * pad, c), dtype=gr.dtype)
-        for ky in range(k):
-            for kx in range(k):
-                gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
-                    (gr @ wd[:, :, ky, kx]).reshape(n, oh, ow, c)
-        return np.ascontiguousarray(gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2))
+        dx = np.empty((n, c, h, width), dtype=gr.dtype)
+        for i, j in images:
+            part = gr[i * ohw:j * ohw]
+            gimg = np.zeros((j - i, h + 2 * pad, width + 2 * pad, c), dtype=gr.dtype)
+            for ky in range(k):
+                for kx in range(k):
+                    gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
+                        (part @ wd[:, :, ky, kx]).reshape(j - i, oh, ow, c)
+            dx[i:j] = gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2)
+        return dx
 
-    return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [
-        (w, lambda g: (rows(g).T @ im2col(xd, k, stride, pad).T).reshape(wshape)),
-        (x, grad_x),
-    ])
+    return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [(w, grad_w), (x, grad_x)])
 
 
 @dataclass

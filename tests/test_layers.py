@@ -1,6 +1,7 @@
 """Layer library: forward values against hand/sliding-window oracles,
 finite-difference gradient checks, the fused conv and batchnorm against
-their unfused graph compositions, and the reach of every graph op."""
+their unfused graph compositions, the conv lowered in slabs against the
+whole-matrix conv, and the reach of every graph op."""
 
 import inspect
 import tracemalloc
@@ -174,7 +175,7 @@ class TestConv2d:
     def test_backward_allocates_less_than_a_column_matrix(self):
         # the input gradient is built one kernel offset at a time, never as
         # the [C*k*k, N*H'*W'] column gradient; w is frozen, so only dx runs
-        # (the weight gradient rebuilds one column matrix by design)
+        # (the weight gradient lowers x again, one slab at a time)
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(64, 16, 16, 16)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32))
@@ -191,19 +192,19 @@ class TestConv2d:
         assert peak < column_bytes
 
     def test_backward_frees_the_column_matrix_before_dx_exists(self):
-        # the weight gradient rebuilds its column matrix (from a padded
-        # image) and frees it before the input gradient allocates dx; the
-        # bound adds the [N*H'*W', O] rows both gradients read, a copy of
-        # the NCHW seed
+        # the benchmark's stage-1 conv, whose 9 MiB column matrix is lowered
+        # in slabs: the weight gradient rebuilds one slab at a time and frees
+        # it before the input gradient allocates dx, which then adds one
+        # image slab's padded gradient and product at a time; the bound adds
+        # one slab to dx and the [N*H'*W', O] rows both gradients read, a
+        # copy of the NCHW seed
         rng = np.random.default_rng(7)
-        n, c, hw, o = 16, 16, 16, 16
+        n, c, hw, o = 64, 16, 16, 16
         x = Tensor(rng.normal(size=(n, c, hw, hw)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(o, c, 3, 3)).astype(np.float32), requires_grad=True)
         out = L.conv2d_forward(x, w, 1, 1)
         seed = np.ones(out.shape, dtype=np.float32)
-        dx_bytes = x.data.nbytes
-        column_bytes = c * 9 * n * hw * hw * 4
-        padded_bytes = n * c * (hw + 2) ** 2 * 4
+        assert c * 9 * n * hw * hw * 4 > 8 * L.SLAB_BYTES
         tracemalloc.start()
         try:
             grads = backward(out, seed)
@@ -211,7 +212,44 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert set(grads) == {x.node_id, w.node_id}
-        assert peak < dx_bytes + column_bytes + padded_bytes + seed.nbytes
+        assert peak < x.data.nbytes + L.SLAB_BYTES + seed.nbytes
+
+    def test_gradcheck_in_slabs(self, monkeypatch):
+        # one image and one input channel per slab: the forward and the
+        # input gradient run per image, the weight gradient per channel,
+        # so every axis longer than one is split
+        lowered, real = [], L.im2col
+        monkeypatch.setattr(L, "SLAB_BYTES", 1)
+        monkeypatch.setattr(L, "im2col", lambda x, *args: lowered.append(x.shape[:2]) or real(x, *args))
+        assert run_case("conv2d", seed=0) < 1e-4
+        assert all(1 in nc for nc in lowered)
+        assert any(n == 1 and c > 1 for n, c in lowered) and any(n > 1 and c == 1 for n, c in lowered)
+
+
+def network_calls(name, key, spec, J, shape, monkeypatch):
+    """Sorted ``key(*args)`` of every ``L.<name>`` call one local and one
+    guided step make, heads included."""
+    seen = set()
+    real = getattr(L, name)
+
+    def spy(*args):
+        seen.add(key(*args))
+        return real(*args)
+
+    model = DecoupledModel(spec, J, "aux_adapt", seed=0)
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    batch_list = [(x, np.arange(shape[0]) % spec.num_classes)]
+    opt = NesterovSGD()
+    with monkeypatch.context() as m:
+        m.setattr(L, name, spy)
+        local_epoch(model, batch_list, opt, 0.01)
+        guided_epoch(model, batch_list, opt, 0.01, update_aux=True)
+    return sorted(seen)
+
+
+# ResNet-8 as the ResNet oracle trains it, and the benchmark's resnet20-img16
+RESNET8 = (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2, (16, 3, 8, 8))
+RESNET20_IMG16 = (ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, (64, 3, 16, 16))
 
 
 def reference_im2col(x, k, stride, pad):
@@ -248,34 +286,10 @@ class TestIm2col:
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
 
-    @staticmethod
-    def _network_convs(spec, J, shape, monkeypatch):
-        """(input shape, k, stride, pad) of every im2col call of one local
-        and one guided step, heads included."""
-        seen = set()
-        real = L.im2col
-
-        def spy(x, k, stride, pad):
-            seen.add((x.shape, k, stride, pad))
-            return real(x, k, stride, pad)
-
-        model = DecoupledModel(spec, J, "aux_adapt", seed=0)
-        x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-        batch_list = [(x, np.arange(shape[0]) % spec.num_classes)]
-        opt = NesterovSGD()
-        with monkeypatch.context() as m:
-            m.setattr(L, "im2col", spy)
-            local_epoch(model, batch_list, opt, 0.01)
-            guided_epoch(model, batch_list, opt, 0.01, update_aux=True)
-        return sorted(seen)
-
-    # ResNet-8 as the ResNet oracle trains it, and the benchmark's resnet20-img16
-    @pytest.mark.parametrize("spec, J, shape", [
-        (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2, (16, 3, 8, 8)),
-        (ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, (64, 3, 16, 16)),
-    ], ids=["resnet8", "resnet20-img16"])
+    @pytest.mark.parametrize("spec, J, shape", [RESNET8, RESNET20_IMG16], ids=["resnet8", "resnet20-img16"])
     def test_every_network_conv(self, spec, J, shape, monkeypatch):
-        convs = self._network_convs(spec, J, shape, monkeypatch)
+        convs = network_calls("im2col", lambda x, k, stride, pad: (x.shape, k, stride, pad),
+                              spec, J, shape, monkeypatch)
         kinds = {(k, stride, pad) for _, k, stride, pad in convs}
         # stem and stage convs, stride-2 convs and head convs, 1x1 projections
         assert kinds == {(3, 1, 1), (3, 2, 1), (1, 2, 0)}
@@ -312,6 +326,91 @@ class TestIm2col:
             for kx in range(3):
                 pad[ky, kx, max(0, 1 - ky):4 + min(0, 1 - ky), max(0, 1 - kx):5 + min(0, 1 - kx)] = False
         assert np.array_equal(np.signbit(col), np.broadcast_to(~pad[None, :, :, None], col.shape))
+
+
+# OpenBLAS runs a GEMM of M*N*K up to this through its small-matrix kernels,
+# whose last bits differ from the large kernel's (see pgl.layers)
+SMALL_GEMM_MNK = 100 ** 3
+
+
+def whole_matrix_conv(x, w, stride, pad, g):
+    """The conv on the whole column matrix, one GEMM per product: output,
+    dW and dx for the output gradient g.  The input gradient adds one
+    product per kernel offset, in (ky, kx) order, into a padded NHWC
+    buffer."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
+    col = reference_im2col(x, k, stride, pad)
+    out = (col.T @ w.reshape(o, -1).T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    rows = g.transpose(0, 2, 3, 1).reshape(-1, o)
+    dw = (rows.T @ col.T).reshape(w.shape)
+    gimg = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=g.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
+                (rows @ w[:, :, ky, kx]).reshape(n, oh, ow, c)
+    return out, dw, gimg[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+
+
+class TestConvSlabs:
+    """Lowered in slabs, every conv of a local and a guided step gives the
+    whole-matrix conv's bytes, and each slab GEMM on the column matrix stays
+    above OpenBLAS's small-kernel size."""
+
+    @staticmethod
+    def _nhwc(a):
+        return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def _check(self, x_shape, nhwc, w_shape, stride, pad, monkeypatch):
+        """Whether the conv ran in slabs; asserts its bytes and slab GEMM sizes."""
+        rng = np.random.default_rng([*x_shape, *w_shape, stride])
+        x = rng.normal(size=x_shape).astype(np.float32)
+        if nhwc:                      # the conv's input in the memory the network gave it
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        n, c, h, wd = x_shape
+        o, _, k, _ = w_shape
+        oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
+        # the output gradient in [N,H',W',O] memory, as batchnorm gives it
+        g = rng.normal(size=(n, oh, ow, o)).astype(np.float32).transpose(0, 3, 1, 2)
+        cols, real = [], L.im2col
+
+        def spy(*args):
+            col = real(*args)
+            cols.append(col.size)
+            return col
+
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        with monkeypatch.context() as m:
+            m.setattr(L, "im2col", spy)
+            out = L.conv2d_forward(xt, wt, stride, pad)
+            grads = backward(out, g)
+        got = (out.data, grads[wt.node_id].data, grads[xt.node_id].data)
+        for a, want in zip(got, whole_matrix_conv(x, w, stride, pad, g)):
+            assert a.shape == want.shape and a.dtype == want.dtype
+            assert a.tobytes() == want.tobytes()
+        if cols == [c * k * k * n * oh * ow] * 2:
+            return False              # one slab each way: the whole GEMMs
+        # a forward slab GEMM is [slab columns, C*k*k] @ [C*k*k, O], a weight-
+        # gradient one [O, N*H'*W'] @ [N*H'*W', slab rows]: either way M*N*K
+        # is O times the slab's elements
+        for size in cols:
+            assert size * x.itemsize <= L.SLAB_BYTES
+            assert size * o > SMALL_GEMM_MNK, (x_shape, w_shape, stride, size)
+        return True
+
+    @pytest.mark.parametrize("spec, J, shape, slabbed", [
+        RESNET8 + (False,),           # every column matrix fits one slab
+        RESNET20_IMG16 + (True,),
+        RESNET20_IMG16[:2] + ((33, 3, 16, 16), True),    # a short final batch
+    ], ids=["resnet8", "resnet20-img16", "resnet20-img16-n33"])
+    def test_every_network_conv(self, spec, J, shape, slabbed, monkeypatch):
+        convs = network_calls("conv2d_forward",
+                              lambda x, w, stride, pad: (x.shape, self._nhwc(x.data), w.shape, stride, pad),
+                              spec, J, shape, monkeypatch)
+        ran = [self._check(*conv, monkeypatch) for conv in convs]
+        assert any(ran) == slabbed
 
 
 def reference_conv2d(x, w, stride=1, pad=0):
