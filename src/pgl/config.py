@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .data import Dataset, gen_blobs, gen_spirals, load_idx
 from .errors import ConfigError
-from .network import DecoupledModel, MlpSpec, ResNetSpec, block_plans, partition, unit_plan
+from .network import AuxHeadSpec, DecoupledModel, MlpSpec, ResNetSpec, block_plans, partition, unit_plan
 from .training import Schedule
 
 
@@ -51,10 +51,10 @@ class BlobsSpec:
 
 @dataclass
 class IdxSpec:
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
     mean: float = 0.0
     std: float = 1.0
 
@@ -89,10 +89,15 @@ class RunConfig:
         aux policy must fit every head the blocks carry; the trainer and the
         memory estimator walk the same ``block_plans``.  That walk allocates
         nothing, so no model is built here; it also checks that the network's
-        sizes are >= 1.  A spirals or blobs dataset must match the network's
+        sizes are >= 1.  A fixed aux pair is range-checked even when no block
+        carries a head.  A spirals or blobs dataset must match the network's
         class count and an MLP's in_features."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
         block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
+        if self.aux != "aux_adapt":
+            AuxHeadSpec(*self.aux, 1, self.network.num_classes).validate()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:

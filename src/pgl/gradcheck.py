@@ -17,6 +17,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
+from .network import ResidualUnit
 from .tensor import Tensor
 
 FD_STEP = 1e-3
@@ -155,7 +156,7 @@ def _case_residual(rng):
         c = int(rng.integers(2, 4))
         stride = 1 + (i % 2)
         out_c = c if stride == 1 else c + 1
-        block = L.ResidualBasic(c, out_c, stride, rng)
+        block = ResidualUnit(c, out_c, stride, rng=rng)
         params = [p for _, p in block.named_params("b")]
         for p in params:
             p.data = rng.uniform(-0.5, 0.5, size=p.shape)  # float64 for the oracle

@@ -1,8 +1,7 @@
 """Neural layers built on the tensor autodiff: linear, conv2d (im2col GEMMs
 for the forward and weight gradient, lowered in slabs and kept as the
 input, not the column matrix, and a per-kernel-offset GEMM input gradient),
-batch norm, global average pooling, residual basic blocks, and softmax
-cross entropy.
+batch norm, global average pooling, and softmax cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
@@ -161,9 +160,10 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     The node keeps x, not column matrices: the weight gradient lowers x
     again, runs first and drops each slab before the input gradient
-    allocates dx.  When both x and w track gradients they share one copy of
-    the output gradient's [N*H'*W', O] rows.  Batchnorm's reductions follow
-    these layouts, so they are part of the arithmetic.
+    allocates dx.  Each gradient reads the output gradient as [N*H'*W', O]
+    rows: a view of what batchnorm hands back in [N,H,W,C] memory, a copy of
+    a gradient in NCHW memory (an aux head's).  Batchnorm's reductions
+    follow these layouts, so they are part of the arithmetic.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and weight, got {list(x.shape)}, {list(w.shape)}")
@@ -181,19 +181,9 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     out = np.empty((n * ohw, o), dtype=np.result_type(xd, wd))
     for i, j in images:
         np.matmul(im2col(xd[i:j], k, stride, pad).T, wmat.T, out=out[i * ohw:j * ohw])
-    # grad_w and grad_x run back to back on the same output gradient; when
-    # both are in the graph, the first leaves its rows for the second, so a
-    # gradient in NCHW memory is copied to rows once, not twice
-    shared = x.requires_grad and w.requires_grad
-    pending = []
 
     def rows(g):                                         # [N*oh*ow, O], as the forward GEMM wrote it
-        if pending:
-            return pending.pop()
-        r = g.transpose(0, 2, 3, 1).reshape(-1, o)
-        if shared:
-            pending.append(r)
-        return r
+        return g.transpose(0, 2, 3, 1).reshape(-1, o)
 
     def grad_w(g):
         gr = rows(g)
@@ -329,7 +319,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # stateful layers
 
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng):
+    def __init__(self, d_in: int, d_out: int, *, rng):
         self.w = T.create((d_in, d_out), ("kaiming_normal", d_in), rng, requires_grad=True)
         self.b = T.create((d_out,), "zeros", requires_grad=True)
 
@@ -349,11 +339,14 @@ class Conv2d:
     """A bias-free conv; every conv in the networks feeds a batchnorm or an
     aux head's relu."""
 
-    def __init__(self, in_ch: int, out_ch: int, k: int, rng,
-                 stride: int = 1, pad: int = 0):
+    def __init__(self, in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0, *, rng):
         self.stride, self.pad = stride, pad
         fan_in = in_ch * k * k
         self.w = T.create((out_ch, in_ch, k, k), ("kaiming_normal", fan_in), rng, requires_grad=True)
+
+    @staticmethod
+    def param_count(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0) -> int:
+        return out_ch * in_ch * k * k
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         return conv2d_forward(x, self.w, self.stride, self.pad)
@@ -363,10 +356,14 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, *, rng=None):
         self.gamma = T.create((channels,), "ones", requires_grad=True)
         self.beta = T.create((channels,), "zeros", requires_grad=True)
         self.state = BatchNormState.init(channels)
+
+    @staticmethod
+    def param_count(channels: int) -> int:
+        return 2 * channels
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         return batchnorm_forward(x, self.gamma, self.beta, self.state, train)
@@ -375,47 +372,3 @@ class BatchNorm2d:
         yield f"{prefix}.gamma", self.gamma
         yield f"{prefix}.beta", self.beta
 
-    def named_bns(self, prefix: str):
-        yield prefix, self
-
-
-class ResidualBasic:
-    """conv3x3(stride s) -> bn -> relu -> conv3x3 -> bn, plus skip, then relu.
-
-    When channels or stride change, the skip path gets a 1x1 stride-matched
-    projection followed by batch norm.
-    """
-
-    def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
-        self.conv1 = Conv2d(in_ch, out_ch, 3, rng, stride=stride, pad=1)
-        self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, rng, stride=1, pad=1)
-        self.bn2 = BatchNorm2d(out_ch)
-        if in_ch != out_ch or stride != 1:
-            self.proj = Conv2d(in_ch, out_ch, 1, rng, stride=stride, pad=0)
-            self.proj_bn = BatchNorm2d(out_ch)
-        else:
-            self.proj = None
-            self.proj_bn = None
-        self.in_ch, self.out_ch, self.stride = in_ch, out_ch, stride
-
-    def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        out = T.relu(self.bn1.forward(self.conv1.forward(x, train), train))
-        out = self.bn2.forward(self.conv2.forward(out, train), train)
-        skip = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x, train), train)
-        return T.relu(T.add(out, skip))
-
-    def named_params(self, prefix: str):
-        yield from self.conv1.named_params(f"{prefix}.conv1")
-        yield from self.bn1.named_params(f"{prefix}.bn1")
-        yield from self.conv2.named_params(f"{prefix}.conv2")
-        yield from self.bn2.named_params(f"{prefix}.bn2")
-        if self.proj is not None:
-            yield from self.proj.named_params(f"{prefix}.proj")
-            yield from self.proj_bn.named_params(f"{prefix}.proj_bn")
-
-    def named_bns(self, prefix: str):
-        yield f"{prefix}.bn1", self.bn1
-        yield f"{prefix}.bn2", self.bn2
-        if self.proj_bn is not None:
-            yield f"{prefix}.proj_bn", self.proj_bn

@@ -1,7 +1,9 @@
 """Backbone construction, block partitioning, and auxiliary classifier heads.
 
 A backbone is a flat list of units (stem / residual blocks / dense layers /
-terminal classifier).  ``unit_plan`` walks the spec once, as classes,
+terminal classifier).  Each unit, like each aux head, is a ``LayerList``: one
+list of named leaf layers builds it, counts its parameters and walks its
+parameters and batchnorms.  ``unit_plan`` walks the spec once, as classes,
 constructor arguments and output shapes.  ``partition`` groups the units into
 J contiguous blocks, merging the stem into block 1 and the classifier into
 block J while J leaves room for that.  Every block except the last gets an
@@ -81,79 +83,90 @@ class ResNetSpec:
 
 # ---------------------------------------------------------------------------
 # units
-#
-# Each unit class states its kind, whether ``partition`` may split at it, and
-# its parameter count as a function of its constructor arguments, so a
-# ``UnitPlan`` can answer shape and size questions without building it.
 
-class StemUnit:
+class LayerList:
+    """A piece made of named layers: a backbone unit or an aux head.
+
+    ``layout(*args)`` states its layers once, as (name, class, args) triples
+    in build order.  The constructor builds each as ``cls(*args, rng=rng)``
+    and sets it as an attribute under its name, ``param_count`` sums the
+    leaves' counts, and the parameter and batchnorm walks follow the list, so
+    rng draws and parameter names keep its order.  Only leaf layers
+    (``Linear``, ``Conv2d``, ``BatchNorm2d``, ``HeadPool``) count their own
+    parameters.  A unit class also states its kind and whether ``partition``
+    may split at it, so a ``UnitPlan`` answers shape and size questions
+    without building it.
+    """
+
+    def __init__(self, *args, rng):
+        self.layers = [(name, cls(*a, rng=rng)) for name, cls, a in self.layout(*args)]
+        vars(self).update(self.layers)
+
+    @classmethod
+    def param_count(cls, *args) -> int:
+        return sum(leaf.param_count(*a) for _, leaf, a in cls.layout(*args))
+
+    def named_params(self, prefix):
+        for name, layer in self.layers:
+            yield from layer.named_params(f"{prefix}.{name}")
+
+    def named_bns(self, prefix):
+        for name, layer in self.layers:
+            if isinstance(layer, L.BatchNorm2d):
+                yield f"{prefix}.{name}", layer
+
+
+class StemUnit(LayerList):
     """3x3 conv (in->16) + bn + relu; not partitionable (merges into block 1
     unless J exceeds the partitionable units)."""
 
     kind = "conv"
     partitionable = False
 
-    def __init__(self, in_ch: int, out_ch: int, rng):
-        self.conv = L.Conv2d(in_ch, out_ch, 3, rng, stride=1, pad=1)
-        self.bn = L.BatchNorm2d(out_ch)
-
     @staticmethod
-    def param_count(in_ch: int, out_ch: int) -> int:
-        return in_ch * out_ch * 9 + 2 * out_ch
+    def layout(in_ch: int, out_ch: int) -> list:
+        return [("conv", L.Conv2d, (in_ch, out_ch, 3, 1, 1)), ("bn", L.BatchNorm2d, (out_ch,))]
 
     def forward(self, x, train=True):
         return T.relu(self.bn.forward(self.conv.forward(x, train), train))
 
-    def named_params(self, prefix):
-        yield from self.conv.named_params(f"{prefix}.conv")
-        yield from self.bn.named_params(f"{prefix}.bn")
 
-    def named_bns(self, prefix):
-        yield from self.bn.named_bns(f"{prefix}.bn")
+class ResidualUnit(LayerList):
+    """conv3x3(stride s) -> bn -> relu -> conv3x3 -> bn, plus skip, then relu.
 
+    When channels or stride change, the skip path gets a 1x1 stride-matched
+    projection ``proj`` followed by batch norm ``proj_bn``; otherwise both
+    are None and the skip is the input itself.
+    """
 
-class ResidualUnit:
     kind = "conv"
     partitionable = True
-
-    def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
-        self.block = L.ResidualBasic(in_ch, out_ch, stride, rng)
+    proj = proj_bn = None
 
     @staticmethod
-    def param_count(in_ch: int, out_ch: int, stride: int) -> int:
-        p = in_ch * out_ch * 9 + 2 * out_ch      # conv1 + bn1
-        p += out_ch * out_ch * 9 + 2 * out_ch    # conv2 + bn2
+    def layout(in_ch: int, out_ch: int, stride: int) -> list:
+        layers = [("conv1", L.Conv2d, (in_ch, out_ch, 3, stride, 1)), ("bn1", L.BatchNorm2d, (out_ch,)),
+                  ("conv2", L.Conv2d, (out_ch, out_ch, 3, 1, 1)), ("bn2", L.BatchNorm2d, (out_ch,))]
         if in_ch != out_ch or stride != 1:
-            p += in_ch * out_ch + 2 * out_ch     # 1x1 projection + bn
-        return p
+            layers += [("proj", L.Conv2d, (in_ch, out_ch, 1, stride, 0)),
+                       ("proj_bn", L.BatchNorm2d, (out_ch,))]
+        return layers
 
     def forward(self, x, train=True):
-        return self.block.forward(x, train)
-
-    def named_params(self, prefix):
-        yield from self.block.named_params(prefix)
-
-    def named_bns(self, prefix):
-        yield from self.block.named_bns(prefix)
+        out = T.relu(self.bn1.forward(self.conv1.forward(x, train), train))
+        out = self.bn2.forward(self.conv2.forward(out, train), train)
+        skip = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x, train), train)
+        return T.relu(T.add(out, skip))
 
 
-class _FcUnit:
+class _FcUnit(LayerList):
     """A unit around one linear layer ``fc``; subclasses choose the forward."""
 
     kind = "dense"
 
-    def __init__(self, d_in: int, d_out: int, rng):
-        self.fc = L.Linear(d_in, d_out, rng)
-
     @staticmethod
-    def param_count(d_in: int, d_out: int) -> int:
-        return L.Linear.param_count(d_in, d_out)
-
-    def named_params(self, prefix):
-        yield from self.fc.named_params(f"{prefix}.fc")
-
-    def named_bns(self, prefix):
-        return iter(())
+    def layout(d_in: int, d_out: int) -> list:
+        return [("fc", L.Linear, (d_in, d_out))]
 
 
 class PoolClassifierUnit(_FcUnit):
@@ -328,21 +341,10 @@ def aux_adapt_policy(input_channels: int, num_classes: int = 10) -> AuxHeadSpec:
     return AuxHeadSpec(n_conv, n_fc, int(input_channels), num_classes)
 
 
-class HeadConv(L.Conv2d):
-    """A head's channel-preserving 3x3 stride-2 conv."""
-
-    def __init__(self, ch: int, rng):
-        super().__init__(ch, ch, 3, rng, stride=2, pad=1)
-
-    @staticmethod
-    def param_count(ch: int) -> int:
-        return ch * ch * 9
-
-
 class HeadPool:
     """Global average pooling, between a conv head's convs and its fc stack."""
 
-    def __init__(self, rng):
+    def __init__(self, *, rng=None):
         pass
 
     @staticmethod
@@ -361,7 +363,8 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     build order; allocates nothing.  ``block_plans`` places it and
     ``AuxHead`` builds it.
 
-    Conv boundaries: n_conv ``HeadConv`` layers, then global average pooling.
+    Conv boundaries: n_conv channel-preserving 3x3 stride-2 convs, then
+    global average pooling.
     Dense boundaries replace each conv with a width-preserving linear layer.
     The fc stack follows: n_fc - 1 linear layers of width ``AUX_HIDDEN``, then
     one to num_classes.  The names ("conv{i}", "pool", "fc{i}") prefix the
@@ -375,7 +378,7 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     for i in range(spec.n_conv):
         if conv:
             shape = (c,) + tuple(L.conv_out_size(s, 3, 2, 1) for s in shape[1:])
-            plan.append((f"conv{i}", UnitPlan(HeadConv, (c,), shape)))
+            plan.append((f"conv{i}", UnitPlan(L.Conv2d, (c, c, 3, 2, 1), shape)))
         else:
             plan.append((f"conv{i}", UnitPlan(L.Linear, (c, c), shape)))
     if conv:
@@ -388,12 +391,13 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     return plan
 
 
-class AuxHead:
+class AuxHead(LayerList):
     """Small classifier on a block boundary, built layer by layer from a
     ``head_plan``; relu follows every layer but the pool and the last."""
 
-    def __init__(self, plan, rng):
-        self.layers = [(name, p.cls(*p.args, rng)) for name, p in plan]
+    @staticmethod
+    def layout(plan) -> list:
+        return [(name, p.cls, p.args) for name, p in plan]
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
         h = x
@@ -402,10 +406,6 @@ class AuxHead:
             if name != "pool":
                 h = T.relu(h)
         return self.layers[-1][1].forward(h, train)
-
-    def named_params(self, prefix):
-        for name, layer in self.layers:
-            yield from layer.named_params(f"{prefix}.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +456,8 @@ class DecoupledModel:
         self.plan = block_plans(spec, partition(unit_plan(spec), J), aux_policy)
         # every backbone unit draws from rng before any head does: the draw
         # order fixes the initial values that the oracle digests pin
-        self.blocks = [[u.cls(*u.args, rng) for u in b.units] for b in self.plan]
-        self.heads = [AuxHead(b.head, rng) for b in self.plan[:-1]]
+        self.blocks = [[u.cls(*u.args, rng=rng) for u in b.units] for b in self.plan]
+        self.heads = [AuxHead(b.head, rng=rng) for b in self.plan[:-1]]
 
     @property
     def J(self) -> int:
@@ -518,6 +518,3 @@ class DecoupledModel:
         for j, units in enumerate(self.blocks, 1):
             for i, unit in enumerate(units):
                 yield from unit.named_bns(f"block{j}.unit{i}")
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.named_params())

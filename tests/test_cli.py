@@ -163,8 +163,12 @@ class TestCmdTrain:
         ("dataset.noise", {"dataset": {"kind": "spirals", "classes": 2, "noise": "x"}}),
         ("aux.n_conv", {"aux": {"n_conv": "a", "n_fc": 1}}),
         ("num_classes", {"network": {"kind": "mlp", "widths": [8]}}),
+        ("seed", {"seed": -1}),
+        ("train_images", {"dataset": {"kind": "idx"}}),
+        ("n_conv", {"blocks": 1, "aux": {"n_conv": 9, "n_fc": 0}}),     # one block plans no head
     ], ids=["blocks-str", "lr0-str", "weight_decay-nan", "epochs-float", "batch_size-float", "seed-str", "seed-bool",
-            "widths-int", "noise-str", "aux-n_conv-str", "num_classes-missing"])
+            "widths-int", "noise-str", "aux-n_conv-str", "num_classes-missing", "seed-negative", "idx-paths-missing",
+            "aux-range-without-heads"])
     def test_mistyped_value_fails_cleanly(self, tmp_path, capsys, key, overrides):
         path = spiral_config(tmp_path, **overrides)
         assert main(["train", "--config", str(path)]) == 1

@@ -14,7 +14,7 @@ import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ContractError, DataError, ShapeError
 from pgl.gradcheck import run_case
-from pgl.network import DecoupledModel, HeadConv, MlpSpec, ResNetSpec, StemUnit
+from pgl.network import DecoupledModel, MlpSpec, ResidualUnit, ResNetSpec, StemUnit
 from pgl.tensor import Tensor, backward
 from pgl.training import NesterovSGD, evaluate, guided_epoch, local_epoch
 
@@ -452,11 +452,11 @@ class TestFusedConvBitExact:
         monkeypatch.setattr(L, "conv2d_forward", conv)
         rng = np.random.default_rng(21)
         # stem 3x3, 3x3 stride 1, 3x3 stride 2 with its 1x1 stride-2 projection
-        units = [StemUnit(3, 8, rng), L.ResidualBasic(8, 8, 1, rng), L.ResidualBasic(8, 16, 2, rng)]
+        units = [StemUnit(3, 8, rng=rng), ResidualUnit(8, 8, 1, rng=rng), ResidualUnit(8, 16, 2, rng=rng)]
         x = Tensor(rng.normal(size=(16, 3, 8, 8)).astype(np.float32), requires_grad=True)
         # an aux head's 3x3 stride-2 conv -> relu on the relu'd boundary after
         # unit 1, whose gradient then sums the head's and the backbone's
-        head = HeadConv(8, rng)
+        head = L.Conv2d(8, 8, 3, 2, 1, rng=rng)
         h = x
         for i, u in enumerate(units):
             h = u.forward(h, train=True)
@@ -662,7 +662,7 @@ class TestResidualBlock:
 
     def test_zero_weights_act_as_relu_skip(self):
         rng = np.random.default_rng(0)
-        block = L.ResidualBasic(3, 3, 1, rng)
+        block = ResidualUnit(3, 3, 1, rng=rng)
         self._zero_convs(block)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         out = block.forward(Tensor(x), train=True)
@@ -670,7 +670,7 @@ class TestResidualBlock:
 
     def test_identity_on_nonnegative_input(self):
         rng = np.random.default_rng(1)
-        block = L.ResidualBasic(2, 2, 1, rng)
+        block = ResidualUnit(2, 2, 1, rng=rng)
         assert block.proj is None
         self._zero_convs(block)
         x = np.abs(rng.normal(size=(1, 2, 3, 3))).astype(np.float32)
@@ -679,13 +679,13 @@ class TestResidualBlock:
 
     def test_stride_halves_spatial(self):
         rng = np.random.default_rng(2)
-        block = L.ResidualBasic(4, 8, 2, rng)
+        block = ResidualUnit(4, 8, 2, rng=rng)
         assert block.proj is not None
         out = block.forward(Tensor(rng.normal(size=(1, 4, 8, 8)).astype(np.float32)), train=True)
         assert out.shape == (1, 8, 4, 4)
 
     def test_channel_mismatch(self):
-        block = L.ResidualBasic(3, 3, 1, np.random.default_rng(0))
+        block = ResidualUnit(3, 3, 1, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             block.forward(Tensor(np.zeros((1, 5, 4, 4), dtype=np.float32)))
 
@@ -695,7 +695,7 @@ class TestResidualBlock:
 
 class TestInit:
     def test_linear_shapes(self):
-        lin = L.Linear(2, 3, np.random.default_rng(0))
+        lin = L.Linear(2, 3, rng=np.random.default_rng(0))
         assert lin.w.shape == (2, 3)
         assert lin.b.shape == (3,) and np.all(lin.b.data == 0)
 
@@ -704,8 +704,8 @@ class TestInit:
         assert np.all(bn.gamma.data == 1) and np.all(bn.beta.data == 0)
 
     def test_same_seed_bit_identical(self):
-        a = L.Conv2d(3, 8, 3, np.random.default_rng(12))
-        b = L.Conv2d(3, 8, 3, np.random.default_rng(12))
+        a = L.Conv2d(3, 8, 3, rng=np.random.default_rng(12))
+        b = L.Conv2d(3, 8, 3, rng=np.random.default_rng(12))
         assert np.array_equal(a.w.data, b.w.data)
 
 

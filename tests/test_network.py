@@ -148,12 +148,12 @@ class TestAttachAux:
         # one block per unit: block 1 is the stem alone, [16, 8, 8]
         spec = ResNetSpec(depth=8, num_classes=10, input_hw=8)
         stem = block_plans(spec, partition(unit_plan(spec), 5), (2, 2))[0]
-        head = AuxHead(stem.head, np.random.default_rng(0))
+        head = AuxHead(stem.head, rng=np.random.default_rng(0))
         out = head.forward(Tensor(np.zeros((4, 16, 8, 8), dtype=np.float32)))
         assert out.shape == (4, 10)
         mlp = MlpSpec(widths=[8], num_classes=5)                              # [8]
         hidden = block_plans(mlp, partition(unit_plan(mlp), 2), (1, 3))[0]
-        dense = AuxHead(hidden.head, np.random.default_rng(0))
+        dense = AuxHead(hidden.head, rng=np.random.default_rng(0))
         assert dense.forward(Tensor(np.zeros((4, 8), dtype=np.float32))).shape == (4, 5)
 
 
