@@ -58,6 +58,13 @@ class IdxSpec:
     mean: float = 0.0
     std: float = 1.0
 
+    def validate(self):
+        """Every path names a file, so a run fails before it makes anything."""
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            path = getattr(self, key)
+            if not Path(path).is_file():
+                raise ConfigError(f"dataset.{key}: no such file: {path}")
+
     def build(self, seed):
         train = load_idx(self.train_images, self.train_labels, self.mean, self.std)
         test = load_idx(self.test_images, self.test_labels, self.mean, self.std)
@@ -91,7 +98,8 @@ class RunConfig:
         nothing, so no model is built here; it also checks that the network's
         sizes are >= 1.  A fixed aux pair is range-checked even when no block
         carries a head.  A spirals or blobs dataset must match the network's
-        class count and an MLP's in_features."""
+        class count and an MLP's in_features, and an idx dataset's four paths
+        must name files."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
         block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
         if self.aux != "aux_adapt":
@@ -117,6 +125,8 @@ class RunConfig:
             if isinstance(self.network, MlpSpec) and self.network.in_features != features:
                 raise ConfigError(f"network.in_features is {self.network.in_features} but the "
                                   f"dataset's samples have {features} features")
+        if isinstance(self.dataset, IdxSpec):
+            self.dataset.validate()
         return self
 
     def build_model(self) -> DecoupledModel:

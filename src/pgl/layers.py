@@ -1,22 +1,25 @@
-"""Neural layers built on the tensor autodiff: linear, conv2d (im2col GEMMs
-for the forward and weight gradient, lowered in slabs and kept as the
-input, not the column matrix, and a per-kernel-offset GEMM input gradient),
+"""Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
+forward, a kn2row GEMM weight gradient, both lowered in slabs from the kept
+input, not a column matrix, and a per-kernel-offset GEMM input gradient),
 batch norm, global average pooling, and softmax cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
 the tensor graph.  ``linear_forward``, ``conv2d_forward``,
 ``batchnorm_forward``, ``softmax_cross_entropy`` and ``global_avg_pool`` are
-custom-backward primitives, one graph node each; ``im2col`` is a plain array
-function they do not expose to the graph.  It has two lowerings: stride-1
-"same" convs copy each kernel offset's window as contiguous runs of whole
-images and zero the columns that wrap a row edge, the others copy one
-strided view per offset.  Both write the same bytes in the same layout, so
-the GEMMs that read them give the same bits.
+custom-backward primitives, one graph node each; ``im2col`` and ``kn2row``
+are plain array functions they do not expose to the graph.  ``im2col`` has
+two lowerings: stride-1 "same" convs copy each kernel offset's window as
+contiguous runs of whole images and zero the columns that wrap a row edge,
+the others copy one strided view per offset.  Both write the same bytes in
+the same layout, so the GEMMs that read them give the same bits.  ``kn2row``
+lowers pixel-major, one kernel offset at a time: each offset's window of
+all images is one copy out of the NHWC memory relu and batchnorm hand on,
+with +0.0 outside the input.
 
-A conv never lowers more than SLAB_BYTES of column matrix at once: its
-forward and input gradient run per slab of images, its weight gradient per
-slab of input channels.  Each slab is a block of the output's rows or
+A conv never lowers more than SLAB_BYTES of its input at once: its forward
+and input gradient run per slab of images, its weight gradient per slab of
+kernel offsets.  Each slab is a block of the output's rows or
 columns, never of a GEMM's reduction axis, so every element is the same dot
 product in the same order.  OpenBLAS runs a GEMM of M*N*K <= 1e6 through
 its small-matrix kernels, whose last bits differ from the large kernel's;
@@ -73,8 +76,8 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Lower NCHW patches to a channel-major [C*k*k, N*H'*W'] column matrix.
 
     Rows run over (c, ky, kx) and columns over (n, y, x), the order the
-    forward and weight-gradient GEMMs read without a copy.  A plain array
-    function, not a graph op.
+    forward GEMM reads without a copy.  A plain array function, not a graph
+    op.
 
     A stride-1 "same" conv (2*pad == k-1, so H'=H and W'=W) pads the image
     vertically only, as one flat run of (H+2p)*W + 2p floats per (c, n),
@@ -121,27 +124,67 @@ def _im2col_same(x: np.ndarray, k: int, pad: int) -> np.ndarray:
 
 def _slabs(length: int, unit_bytes: int) -> list:
     """(start, stop) of the fewest near-equal slabs of ``length`` units whose
-    column matrix fits SLAB_BYTES, ``unit_bytes`` each; a unit larger than
+    lowered input fits SLAB_BYTES, ``unit_bytes`` each; a unit larger than
     that is a slab of its own."""
     count = -(-length // max(1, SLAB_BYTES // unit_bytes))
     bounds = [length * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _inside(size: int, out: int, kd: int, stride: int, pad: int):
+    """Along one axis of kernel offset kd: the outputs [lo, hi) whose input
+    i*stride + kd - pad lies in [0, size), and the slice of those inputs."""
+    lo = min(out, max(0, -(-(pad - kd) // stride)))
+    hi = max(lo, min(out, (size - 1 + pad - kd) // stride + 1))
+    start = lo * stride + kd - pad
+    return lo, hi, slice(start, start + (hi - lo) * stride, stride)
+
+
+def kn2row(x: np.ndarray, k: int, stride: int, pad: int, first: int, stop: int) -> np.ndarray:
+    """Lower kernel offsets first ... stop-1 (ky*k + kx) of NCHW x to a
+    pixel-major [N, H', W', stop-first, C] buffer, whose [N*H'*W', offsets*C]
+    view the weight-gradient GEMM reads.
+
+    buf[n, y, x, s, c] = x[n, c, y*stride + ky - pad, x*stride + kx - pad],
+    +0.0 where that falls outside the input: the entries of column matrix
+    row (c, ky, kx), in the same (n, y, x) order.  Each offset's window is
+    copied from ``x.transpose(0, 2, 3, 1)``, a view of the NHWC memory that
+    relu and batchnorm hand on, so no padded copy of the input is made.  A
+    plain array function, not a graph op.
+    """
+    n, c, h, w = x.shape
+    oh, ow = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    xt = x.transpose(0, 2, 3, 1)
+    buf = np.empty((n, oh, ow, stop - first, c), dtype=x.dtype)
+    for s in range(first, stop):
+        ky, kx = divmod(s, k)
+        y0, y1, ys = _inside(h, oh, ky, stride, pad)
+        x0, x1, xs = _inside(w, ow, kx, stride, pad)
+        dst = buf[:, :, :, s - first]
+        dst[:, :y0] = 0.0
+        dst[:, y1:] = 0.0
+        dst[:, y0:y1, :x0] = 0.0
+        dst[:, y0:y1, x1:] = 0.0
+        dst[:, y0:y1, x0:x1] = xt[:, ys, xs]
+    return buf
+
+
 def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of x[N,C,H,W] with w[O,C,k,k] -> [N,O,H',W'], no bias.
 
-    One graph node.  The forward and the weight gradient are im2col GEMMs
-    and the input gradient one GEMM per kernel offset; none of them builds
-    the whole [C*k*k, N*H'*W'] column matrix.  Each runs over slabs, the
-    fewest near-equal ones whose column matrix fits SLAB_BYTES:
+    One graph node.  The forward is an im2col GEMM, the weight gradient a
+    kn2row GEMM and the input gradient one GEMM per kernel offset; none of
+    them builds the whole [C*k*k, N*H'*W'] column matrix.  Each runs over
+    slabs, the fewest near-equal ones whose lowered input fits SLAB_BYTES:
 
     - the forward per slab of images: ``im2col(x[i:j]).T @ wmat.T`` writes
       rows i*H'*W' ... j*H'*W' of the [N*H'*W', O] output, whose NCHW view
       the node returns;
-    - the weight gradient per slab of input channels: ``im2col(x[:, c0:c1])``
-      is rows c0*k*k ... c1*k*k of the column matrix, and its GEMM writes
-      those columns of dW;
+    - the weight gradient per slab of kernel offsets: ``kn2row`` of offsets
+      s0 ... s1-1 is an [N*H'*W', (s1-s0)*C] matrix whose columns are the
+      column matrix's rows (c, ky, kx) for those offsets, and
+      ``rows(g).T @`` it writes those columns of dW, held in (o, ky, kx, c)
+      order and returned as its [O,C,k,k] view;
     - the input gradient per slab of images: each offset's product
       [n*H'*W', O] @ w[:, :, ky, kx] is added, in (ky, kx) order, into a
       zeroed padded [n,Hp,Wp,C] slab, whose interior is copied into the
@@ -152,18 +195,19 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     so every element is the same dot product over the same operands.  A
     conv whose column matrix fits SLAB_BYTES runs as one slab, the whole
     GEMM.  Slabs are near-equal, so when there are several, each holds
-    about SLAB_BYTES / 2 or more of column matrix.  A forward or weight-
-    gradient slab GEMM has M*N*K = O times its slab's column elements, so
+    about SLAB_BYTES / 2 or more of lowered input.  A forward or weight-
+    gradient slab GEMM has M*N*K = O times its slab's elements, so
     with O >= 8 outputs it stays above 1e6, where OpenBLAS stops using its
     small-matrix kernels (with 256 KiB slabs some fall below it, and the
     ``resnet20-img16`` losses move).
 
     The node keeps x, not column matrices: the weight gradient lowers x
-    again, runs first and drops each slab before the input gradient
-    allocates dx.  Each gradient reads the output gradient as [N*H'*W', O]
-    rows: a view of what batchnorm hands back in [N,H,W,C] memory, a copy of
-    a gradient in NCHW memory (an aux head's).  Batchnorm's reductions
-    follow these layouts, so they are part of the arithmetic.
+    again, runs first and drops each slab before it lowers the next and
+    before the input gradient allocates dx.  Each gradient reads the output
+    gradient as [N*H'*W', O] rows: a view of what batchnorm hands back in
+    [N,H,W,C] memory, a copy of a gradient in NCHW memory (an aux head's).
+    Batchnorm's reductions follow these layouts, so they are part of the
+    arithmetic.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and weight, got {list(x.shape)}, {list(w.shape)}")
@@ -174,7 +218,7 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
     ohw, kk = oh * ow, k * k
-    xd, wd, wshape = x.data, w.data, w.shape
+    xd, wd = x.data, w.data
     wmat = wd.reshape(o, c * kk)
     column_bytes = kk * ohw * xd.itemsize                # column matrix per image and input channel
     images = _slabs(n, c * column_bytes)
@@ -187,10 +231,11 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     def grad_w(g):
         gr = rows(g)
-        dw = np.empty((o, c * kk), dtype=np.result_type(gr, xd))
-        for c0, c1 in _slabs(c, n * column_bytes):
-            np.matmul(gr.T, im2col(xd[:, c0:c1], k, stride, pad).T, out=dw[:, c0 * kk:c1 * kk])
-        return dw.reshape(wshape)
+        dw = np.empty((o, kk * c), dtype=np.result_type(gr, xd))
+        for s0, s1 in _slabs(kk, n * ohw * c * xd.itemsize):
+            np.matmul(gr.T, kn2row(xd, k, stride, pad, s0, s1).reshape(n * ohw, -1),
+                      out=dw[:, s0 * c:s1 * c])
+        return dw.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
     def grad_x(g):
         gr = rows(g)

@@ -225,6 +225,7 @@ class TestCriterion5:
 
 
 class TestCriterion6:
+    @pytest.mark.slow
     def test_desk_scale_trend(self, trend_panel):
         bp = mean_pct(trend_panel["bp"])
         pgl = mean_pct(trend_panel[(5, 1)])
@@ -250,6 +251,7 @@ class TestCriterion7:
     # least-guided ends (Q=3 - Q=1, P=5 - P=20) is not below -t*SE, and no
     # adjacent step of the means falls by more than 0.5 pt against the
     # paper's direction.  See "Measured desk-scale results" in the README.
+    @pytest.mark.slow
     def test_ablation_trends(self, trend_panel):
         p_means = [mean_pct(trend_panel[(P, 1)]) for P in TREND_P_GRID]
         q_means = [mean_pct(trend_panel[(5, Q)]) for Q in TREND_Q_GRID]

@@ -317,9 +317,8 @@ class TestConvTrainingViaIdx:
             f.write(labels.tobytes())
         return img_path, lbl_path
 
-    def test_resnet_trains_on_idx_images(self, tmp_path, capsys):
-        tr_img, tr_lbl = self._write_idx_pair(tmp_path, 32, "train")
-        te_img, te_lbl = self._write_idx_pair(tmp_path, 16, "test")
+    @staticmethod
+    def _config(tmp_path, tr_img, tr_lbl, te_img, te_lbl):
         cfg = {
             "network": {"kind": "resnet", "depth": 8, "num_classes": 2,
                         "in_channels": 1, "input_hw": 8},
@@ -336,6 +335,12 @@ class TestConvTrainingViaIdx:
         }
         path = tmp_path / "cnn.json"
         path.write_text(json.dumps(cfg))
+        return path
+
+    def test_resnet_trains_on_idx_images(self, tmp_path, capsys):
+        tr_img, tr_lbl = self._write_idx_pair(tmp_path, 32, "train")
+        te_img, te_lbl = self._write_idx_pair(tmp_path, 16, "test")
+        path = self._config(tmp_path, tr_img, tr_lbl, te_img, te_lbl)
         assert main(["train", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         acc = float(out.split("final test accuracy:")[1].split()[0])
@@ -348,6 +353,16 @@ class TestConvTrainingViaIdx:
                      "--config", str(path)]) == 0
         eval_acc = float(capsys.readouterr().out.split("test accuracy:")[1].split()[0])
         assert eval_acc == acc
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--P", "2", "--Q", "1", "--seeds", "1"]])
+    def test_missing_files_fail_before_any_output(self, tmp_path, capsys, command):
+        tr_img, tr_lbl = self._write_idx_pair(tmp_path, 32, "train")
+        te_img = tmp_path / "missing_images.idx"
+        path = self._config(tmp_path, tr_img, tr_lbl, te_img, tmp_path / "missing_labels.idx")
+        assert main([*command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dataset.test_images" in err and str(te_img) in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWriteMetrics:

@@ -214,16 +214,53 @@ class TestConv2d:
         assert set(grads) == {x.node_id, w.node_id}
         assert peak < x.data.nbytes + L.SLAB_BYTES + seed.nbytes
 
+    @pytest.mark.parametrize("seed_layout", ["nhwc", "nchw"])
+    def test_weight_gradient_holds_one_slab(self, seed_layout):
+        # the stage-1 conv, whose weight gradient lowers one 1 MiB kernel
+        # offset per slab: with x frozen it holds the [N*H'*W', O] rows (a
+        # view of batchnorm's [N,H,W,C] gradient, a copy of an NCHW one),
+        # one slab and dW, never a slab beside the next; the slack is for
+        # Python objects, far below a slab
+        rng = np.random.default_rng(8)
+        n, c, hw, o = 64, 16, 16, 16
+        x = Tensor(rng.normal(size=(n, c, hw, hw)).astype(np.float32))
+        w = Tensor(rng.normal(size=(o, c, 3, 3)).astype(np.float32), requires_grad=True)
+        out = L.conv2d_forward(x, w, 1, 1)
+        seed = rng.normal(size=(n, hw, hw, o)).astype(np.float32).transpose(0, 3, 1, 2)
+        if seed_layout == "nchw":
+            seed = np.ascontiguousarray(seed)
+        slab = n * hw * hw * c * 4
+        assert slab == L.SLAB_BYTES
+        rows = 0 if seed_layout == "nhwc" else seed.nbytes
+        tracemalloc.start()
+        try:
+            grads = backward(out, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(grads) == {w.node_id}
+        assert peak < rows + slab + w.data.nbytes + (64 << 10)
+
     def test_gradcheck_in_slabs(self, monkeypatch):
-        # one image and one input channel per slab: the forward and the
-        # input gradient run per image, the weight gradient per channel,
-        # so every axis longer than one is split
-        lowered, real = [], L.im2col
+        # one image per forward slab and one kernel offset per weight-gradient
+        # slab, so every axis a slab may split is split: the forward and the
+        # input gradient run per image, the weight gradient per offset over
+        # all images and channels
+        images, offsets = [], []
+        real_im2col, real_kn2row = L.im2col, L.kn2row
+
+        def kn2row(x, *args):
+            buf = real_kn2row(x, *args)
+            offsets.append((x.shape[:2], buf.shape))
+            return buf
+
         monkeypatch.setattr(L, "SLAB_BYTES", 1)
-        monkeypatch.setattr(L, "im2col", lambda x, *args: lowered.append(x.shape[:2]) or real(x, *args))
+        monkeypatch.setattr(L, "im2col", lambda x, *args: images.append(x.shape[:2]) or real_im2col(x, *args))
+        monkeypatch.setattr(L, "kn2row", kn2row)
         assert run_case("conv2d", seed=0) < 1e-4
-        assert all(1 in nc for nc in lowered)
-        assert any(n == 1 and c > 1 for n, c in lowered) and any(n > 1 and c == 1 for n, c in lowered)
+        assert all(n == 1 for n, _ in images) and any(c > 1 for _, c in images)
+        assert all(buf[3] == 1 and buf[0] == n and buf[4] == c for (n, c), buf in offsets)
+        assert any(n > 1 and c > 1 for (n, c), _ in offsets)
 
 
 def network_calls(name, key, spec, J, shape, monkeypatch):
@@ -266,9 +303,18 @@ def reference_im2col(x, k, stride, pad):
     return col.reshape(c * k * k, n * oh * ow)
 
 
+def reference_kn2row(x, k, stride, pad):
+    """The reference column matrix rearranged pixel-major: [N, H', W', k*k, C]."""
+    n, c, h, wd = x.shape
+    oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
+    col = reference_im2col(x, k, stride, pad).reshape(c, k * k, n, oh, ow)
+    return np.ascontiguousarray(col.transpose(2, 3, 4, 1, 0))
+
+
 class TestIm2col:
-    """``im2col`` writes the reference's bytes for every conv the networks
-    build and the edge shapes, whichever lowering it takes."""
+    """``im2col``, whichever lowering it takes, and ``kn2row``, over every
+    run of kernel offsets, write the reference's bytes for every conv the
+    networks build and the edge shapes."""
 
     @staticmethod
     def _inputs(shape, dtype=np.float32):
@@ -285,6 +331,11 @@ class TestIm2col:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+            want = reference_kn2row(x, k, stride, pad)
+            for first, stop in [(0, k * k), (0, 1), (k * k - 1, k * k), (k * k // 3, k * k // 2 + 1)]:
+                got = L.kn2row(x, k, stride, pad, first, stop)
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                assert got.tobytes() == want[:, :, :, first:stop].tobytes()
 
     @pytest.mark.parametrize("spec, J, shape", [RESNET8, RESNET20_IMG16], ids=["resnet8", "resnet20-img16"])
     def test_every_network_conv(self, spec, J, shape, monkeypatch):
@@ -326,6 +377,9 @@ class TestIm2col:
             for kx in range(3):
                 pad[ky, kx, max(0, 1 - ky):4 + min(0, 1 - ky), max(0, 1 - kx):5 + min(0, 1 - kx)] = False
         assert np.array_equal(np.signbit(col), np.broadcast_to(~pad[None, :, :, None], col.shape))
+        rows = L.kn2row(x, 3, 1, 1, 0, 9).reshape(2, 4, 5, 3, 3, 3)
+        assert np.array_equal(np.signbit(rows), np.broadcast_to(~pad.transpose(2, 3, 0, 1)[None, ..., None],
+                                                                rows.shape))
 
 
 # OpenBLAS runs a GEMM of M*N*K up to this through its small-matrix kernels,
@@ -355,7 +409,7 @@ def whole_matrix_conv(x, w, stride, pad, g):
 
 class TestConvSlabs:
     """Lowered in slabs, every conv of a local and a guided step gives the
-    whole-matrix conv's bytes, and each slab GEMM on the column matrix stays
+    whole-matrix conv's bytes, and each slab GEMM on a lowered input stays
     above OpenBLAS's small-kernel size."""
 
     @staticmethod
@@ -374,28 +428,31 @@ class TestConvSlabs:
         oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(wd, k, stride, pad)
         # the output gradient in [N,H',W',O] memory, as batchnorm gives it
         g = rng.normal(size=(n, oh, ow, o)).astype(np.float32).transpose(0, 3, 1, 2)
-        cols, real = [], L.im2col
+        sizes = []
 
-        def spy(*args):
-            col = real(*args)
-            cols.append(col.size)
-            return col
+        def spy(real):
+            def lower(*args):
+                buf = real(*args)
+                sizes.append(buf.size)
+                return buf
+            return lower
 
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         with monkeypatch.context() as m:
-            m.setattr(L, "im2col", spy)
+            m.setattr(L, "im2col", spy(L.im2col))
+            m.setattr(L, "kn2row", spy(L.kn2row))
             out = L.conv2d_forward(xt, wt, stride, pad)
             grads = backward(out, g)
         got = (out.data, grads[wt.node_id].data, grads[xt.node_id].data)
         for a, want in zip(got, whole_matrix_conv(x, w, stride, pad, g)):
             assert a.shape == want.shape and a.dtype == want.dtype
             assert a.tobytes() == want.tobytes()
-        if cols == [c * k * k * n * oh * ow] * 2:
+        if sizes == [c * k * k * n * oh * ow] * 2:
             return False              # one slab each way: the whole GEMMs
         # a forward slab GEMM is [slab columns, C*k*k] @ [C*k*k, O], a weight-
-        # gradient one [O, N*H'*W'] @ [N*H'*W', slab rows]: either way M*N*K
-        # is O times the slab's elements
-        for size in cols:
+        # gradient one [O, N*H'*W'] @ [N*H'*W', slab offsets * C]: either way
+        # M*N*K is O times the slab's elements
+        for size in sizes:
             assert size * x.itemsize <= L.SLAB_BYTES
             assert size * o > SMALL_GEMM_MNK, (x_shape, w_shape, stride, size)
         return True
