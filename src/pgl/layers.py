@@ -1,7 +1,8 @@
 """Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
 forward, a kn2row GEMM weight gradient, both lowered in slabs from the kept
 input, not a column matrix, and a per-kernel-offset GEMM input gradient),
-batch norm, global average pooling, and softmax cross entropy.
+batch norm (in its input's memory order), global average pooling, and
+softmax cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
@@ -15,7 +16,13 @@ the others copy one strided view per offset.  Both write the same bytes in
 the same layout, so the GEMMs that read them give the same bits.  ``kn2row``
 lowers pixel-major, one kernel offset at a time: each offset's window of
 all images is one copy out of the NHWC memory relu and batchnorm hand on,
-with +0.0 outside the input.
+with +0.0 outside the input.  A stride-1 "same" conv's input gradient
+mirrors its lowering, adding each offset's product as contiguous runs.
+
+Batchnorm keeps its input's memory order, NHWC after a conv.  Its channel
+sums add that memory's [N*H*W, C] rows in order, as numpy's reduction
+does, so they have its bits; its elementwise work runs on whole-image rows
+against per-channel vectors tiled along a row.
 
 A conv never lowers more than SLAB_BYTES of its input at once: its forward
 and input gradient run per slab of images, its weight gradient per slab of
@@ -115,11 +122,17 @@ def _im2col_same(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     for ky in range(k):
         for kx in range(k):
             runs[:, ky, kx] = img[:, :, ky * w + kx:ky * w + kx + hw]
-            if kx < pad:
-                col[:, ky, kx, :, :, :pad - kx] = 0.0
-            elif kx > pad:
-                col[:, ky, kx, :, :, w - (kx - pad):] = 0.0
+            col[:, ky, kx, :, :, _wrapped(w, kx, pad)] = 0.0
     return col.reshape(c * k * k, n * hw)
+
+
+def _wrapped(w: int, kx: int, pad: int) -> slice:
+    """The output columns x of a stride-1 "same" conv whose input column
+    x + kx - pad lies outside [0, w): as a flat run over rows they would
+    read, or add into, the neighbouring row."""
+    if kx < pad:
+        return slice(0, min(w, pad - kx))
+    return slice(max(0, w - (kx - pad)), w)
 
 
 def _slabs(length: int, unit_bytes: int) -> list:
@@ -189,7 +202,11 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
       [n*H'*W', O] @ w[:, :, ky, kx] is added, in (ky, kx) order, into a
       zeroed padded [n,Hp,Wp,C] slab, whose interior is copied into the
       NCHW dx.  Every element sums the same terms in the same order as a
-      column-gradient GEMM and col2im would.
+      column-gradient GEMM and col2im would.  A stride-1 "same" conv pads
+      the slab vertically only, as im2col does, to a flat [n, Hp*W + 2p, C]
+      buffer: each product gets +0.0 over its row-wrapping columns and is
+      added as one run of H*W*C floats per image.  The sums start at +0.0,
+      so they never hold -0.0 and adding +0.0 changes no bit.
 
     No slab splits a GEMM's reduction axis (C*k*k, N*H'*W' and O in turn),
     so every element is the same dot product over the same operands.  A
@@ -218,6 +235,7 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(width, k, stride, pad)
     ohw, kk = oh * ow, k * k
+    same = stride == 1 and 2 * pad == k - 1              # im2col's contiguous-run case
     xd, wd = x.data, w.data
     wmat = wd.reshape(o, c * kk)
     column_bytes = kk * ohw * xd.itemsize                # column matrix per image and input channel
@@ -241,13 +259,24 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         gr = rows(g)
         dx = np.empty((n, c, h, width), dtype=gr.dtype)
         for i, j in images:
-            part = gr[i * ohw:j * ohw]
-            gimg = np.zeros((j - i, h + 2 * pad, width + 2 * pad, c), dtype=gr.dtype)
-            for ky in range(k):
-                for kx in range(k):
-                    gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
-                        (part @ wd[:, :, ky, kx]).reshape(j - i, oh, ow, c)
-            dx[i:j] = gimg[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2)
+            part, m = gr[i * ohw:j * ohw], j - i
+            if same:
+                flat = np.zeros((m, (h + 2 * pad) * width + 2 * pad, c), dtype=gr.dtype)
+                for ky in range(k):
+                    for kx in range(k):
+                        prod = (part @ wd[:, :, ky, kx]).reshape(m, h, width, c)
+                        prod[:, :, _wrapped(width, kx, pad)] = 0.0
+                        flat[:, ky * width + kx:ky * width + kx + ohw] += prod.reshape(m, ohw, c)
+                start = pad * width + pad
+                inner = flat[:, start:start + ohw].reshape(m, h, width, c)
+            else:
+                gimg = np.zeros((m, h + 2 * pad, width + 2 * pad, c), dtype=gr.dtype)
+                for ky in range(k):
+                    for kx in range(k):
+                        gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
+                            (part @ wd[:, :, ky, kx]).reshape(m, oh, ow, c)
+                inner = gimg[:, pad:pad + h, pad:pad + width]
+            dx[i:j] = inner.transpose(0, 3, 1, 2)
         return dx
 
     return apply_op(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), [(w, grad_w), (x, grad_x)])
@@ -266,6 +295,29 @@ class BatchNormState:
                    np.ones(channels, dtype=np.float32))
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=(0, 2, 3))`` of a 4-D a, with its bits.
+
+    On NHWC memory numpy adds the [N*H*W, C] rows into the C sums one row
+    after another, in an inner loop C floats long.  ``einsum`` makes the
+    same adds in the same order over long runs of those rows.  With C = 1
+    numpy sums the one column pairwise and einsum's bits differ, so C = 1
+    and other layouts keep numpy's reduction.
+    """
+    c = a.shape[1]
+    pixels = a.transpose(0, 2, 3, 1)
+    if c > 1 and pixels.flags.c_contiguous:
+        return np.einsum("mc->c", pixels.reshape(-1, c))
+    return a.sum(axis=(0, 2, 3))
+
+
+def _channel_mean(a: np.ndarray) -> np.ndarray:
+    # a.mean(axis=(0, 2, 3)), divided as numpy's mean divides its sum
+    n, _, h, w = a.shape
+    total = _channel_sum(a)
+    return np.true_divide(total, np.intp(n * h * w), out=total, casting="unsafe")
+
+
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                       state: BatchNormState, train: bool = True) -> Tensor:
     """Per-channel normalization over (N,H,W) with biased batch variance.
@@ -274,49 +326,72 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     place with momentum 0.1; evaluation uses the running stats and requires
     them populated.  eps is 1e-5.  One graph node; the training input
     gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma * g.
+
+    xhat, the output and dx take x's memory order if it is NHWC, as after
+    a conv, and C order otherwise.  The channel sums (``_channel_sum``) of
+    NHWC memory add its [N*H*W, C] rows in row order, as numpy's reduction
+    does.  The elementwise work runs on one row per image, [N, H*W*C] (or
+    [N, C*H*W]), against per-channel vectors tiled along a row, so each
+    loop is a whole image long, not C floats.  The mixed-layout backward
+    products ``g * gamma`` and ``gx * xhat`` keep numpy's memory order,
+    which fixes the order of their sums and so their bits.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expects NCHW input, got {list(x.shape)}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: affine params must have shape [{c}]")
-    axes, bshape = (0, 2, 3), (1, c, 1, 1)
+    bshape = (1, c, 1, 1)
     eps = x.dtype.type(1e-5)
     gam = gamma.data.reshape(bshape)
+    nhwc = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def rows(a):                                         # one row per image, in memory order
+        return (a.transpose(0, 2, 3, 1) if nhwc else a).reshape(n, -1)
+
+    def tile(v):                                         # a per-channel vector along one row
+        return np.tile(v, h * w) if nhwc else np.repeat(v, h * w)
+
+    def image(r):                                        # the [N,C,H,W] view of rows
+        return r.reshape(n, h, w, c).transpose(0, 3, 1, 2) if nhwc else r.reshape(n, c, h, w)
+
     if train:
-        mu = x.data.mean(axis=axes, keepdims=True)
-        xhat = x.data - mu
-        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        mu = _channel_mean(x.data)
+        xr = rows(x.data) - tile(mu)
+        var = _channel_mean(image(xr * xr))
         std = np.sqrt(var + eps)
-        xhat /= std
+        xr /= tile(std)
+        xhat = image(xr)
         m = np.float32(0.1)
-        state.running_mean = (1 - m) * state.running_mean + m * mu.reshape(c)
-        state.running_var = (1 - m) * state.running_var + m * var.reshape(c)
+        state.running_mean = (1 - m) * state.running_mean + m * mu
+        state.running_var = (1 - m) * state.running_var + m * var
         state.batches_tracked += 1
 
         def grad_x(g):
             # dx takes xhat's memory order, [N,H,W,C] after a conv, so the
             # conv's backward reads its GEMM rows without a copy
             gx = g * gam
-            dx = np.subtract(gx, gx.mean(axis=axes, keepdims=True), out=np.empty_like(xhat))
-            dx -= xhat * (gx * xhat).mean(axis=axes, keepdims=True)
-            dx /= std
+            dx = np.subtract(gx, _channel_mean(gx).reshape(bshape), out=np.empty_like(xhat))
+            dr = rows(dx)
+            dr -= xr * tile(_channel_mean(gx * xhat))
+            dr /= tile(std)
             return dx
     else:
         if state.batches_tracked == 0:
             raise ContractError("batchnorm: eval mode before any train-mode batch")
-        std = np.sqrt(state.running_var.reshape(bshape).astype(x.dtype) + eps)
-        xhat = x.data - state.running_mean.reshape(bshape).astype(x.dtype)
-        xhat /= std
+        std = np.sqrt(state.running_var.astype(x.dtype) + eps)
+        xr = rows(x.data) - tile(state.running_mean.astype(x.dtype))
+        xr /= tile(std)
+        xhat = image(xr)
 
         def grad_x(g):
-            return g * gam / std
-    out = gam * xhat
-    out += beta.data.reshape(bshape)
-    return apply_op(out, [
+            return g * gam / std.reshape(bshape)
+    out = tile(gamma.data) * xr
+    out += tile(beta.data)
+    return apply_op(image(out), [
         (x, grad_x),
-        (gamma, lambda g: (g * xhat).sum(axis=axes)),
-        (beta, lambda g: g.sum(axis=axes)),
+        (gamma, lambda g: _channel_sum(g * xhat)),
+        (beta, lambda g: _channel_sum(g)),
     ])
 
 
@@ -336,9 +411,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     dtype = logits.dtype
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    total = ez.sum(axis=1, keepdims=True)
+    probs = ez / total
     rows = np.arange(n)
-    loss = -(z[rows, labels] - np.log(ez.sum(axis=1))).mean()
+    loss = -(z[rows, labels] - np.log(total[:, 0])).mean()
 
     def grad(g):
         gl = probs.copy()

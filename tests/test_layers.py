@@ -1,10 +1,12 @@
 """Layer library: forward values against hand/sliding-window oracles,
 finite-difference gradient checks, the fused conv and batchnorm against
 their unfused graph compositions, the conv lowered in slabs against the
-whole-matrix conv, and the reach of every graph op."""
+whole-matrix conv, batchnorm's channel sums against numpy's reductions, and
+the reach of every graph op."""
 
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -359,8 +361,10 @@ class TestIm2col:
         ((2, 2, 1, 1), 3, 2, 1),
         ((2, 2, 4, 4), 3, 1, 0),          # stride 1, not "same"
         ((2, 2, 8, 8), 3, 2, 0),          # the trailing row fits no full stride
+        ((1, 1, 2, 2), 7, 1, 3),          # W < pad: a window wraps past a whole row
+        ((2, 2, 3, 2), 9, 1, 4),
     ], ids=["k1", "k5", "h5w7", "h7w5-s2", "n1", "c1", "hw1", "hw1-k5", "hw1-s2", "pad0",
-            "s2-floor"])
+            "s2-floor", "w-lt-pad", "w-lt-pad-k9"])
     def test_edge_shapes(self, shape, k, stride, pad):
         self._check(shape, k, stride, pad)
 
@@ -405,6 +409,45 @@ def whole_matrix_conv(x, w, stride, pad, g):
             gimg[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += \
                 (rows @ w[:, :, ky, kx]).reshape(n, oh, ow, c)
     return out, dw, gimg[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+
+
+def padded_image_dx(g, w, pad, images):
+    """A stride-1 "same" conv's input gradient as the padded-image
+    accumulation: per slab of images, each kernel offset's product is added,
+    in (ky, kx) order, into a zeroed [n, H+2p, W+2p, C] image whose interior
+    is dx."""
+    n, o, h, wd = g.shape
+    _, c, k, _ = w.shape
+    rows = g.transpose(0, 2, 3, 1).reshape(-1, o)
+    dx = np.empty((n, c, h, wd), dtype=g.dtype)
+    for i, j in images:
+        part = rows[i * h * wd:j * h * wd]
+        gimg = np.zeros((j - i, h + 2 * pad, wd + 2 * pad, c), dtype=g.dtype)
+        for ky in range(k):
+            for kx in range(k):
+                gimg[:, ky:ky + h, kx:kx + wd] += (part @ w[:, :, ky, kx]).reshape(j - i, h, wd, c)
+        dx[i:j] = gimg[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+    return dx
+
+
+def output_gradient(rng, shape, nonfinite=True):
+    """An [N,O,H,W] output gradient in [N,H,W,O] memory, as batchnorm gives
+    it: normal values with -0.0 scattered in and, if ``nonfinite``, in each
+    image one special pixel, on a row edge or inside: NaN, +inf or -inf in
+    one channel, or -0.0 in every channel.  One special pixel per image
+    keeps every GEMM row and every dx sum to one non-finite source, whose
+    result no summation order changes."""
+    n, o, h, w = shape
+    g = rng.normal(size=(n, h, w, o)).astype(np.float32)
+    g.reshape(-1)[5::7] = -0.0
+    for i in range(n if nonfinite else 0):
+        y, x = i * 5 % h, [0, w - 1, w // 2][i % 3]
+        kind = i % 4
+        if kind == 3:
+            g[i, y, x] = -0.0
+        else:
+            g[i, y, x, i % o] = [np.nan, np.inf, -np.inf][kind]
+    return g.transpose(0, 3, 1, 2)
 
 
 class TestConvSlabs:
@@ -468,6 +511,49 @@ class TestConvSlabs:
                               spec, J, shape, monkeypatch)
         ran = [self._check(*conv, monkeypatch) for conv in convs]
         assert any(ran) == slabbed
+
+    @staticmethod
+    def _check_same_dx(x_shape, w_shape, pad):
+        # the contiguous-run input gradient against the padded-image one over
+        # the same image slabs, whose GEMMs are the same calls; non-finite
+        # entries may fill a small image, so a finite gradient runs too
+        rng = np.random.default_rng([*x_shape, *w_shape])
+        n, c, h, wd = x_shape
+        o, _, k, _ = w_shape
+        w = rng.normal(size=w_shape).astype(np.float32)
+        for nonfinite in (False, True):
+            x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+            g = output_gradient(rng, (n, o, h, wd), nonfinite)
+            with np.errstate(invalid="ignore"):
+                dx = backward(L.conv2d_forward(x, Tensor(w), 1, pad), g)[x.node_id].data
+                want = padded_image_dx(g, w, pad, L._slabs(n, c * k * k * h * wd * 4))
+            assert dx.shape == want.shape and dx.dtype == want.dtype and dx.flags.c_contiguous
+            assert dx.tobytes() == want.tobytes()
+            assert np.isnan(dx).any() == np.isinf(dx).any() == nonfinite
+
+    @pytest.mark.parametrize("spec, J, shape", [RESNET8, RESNET20_IMG16], ids=["resnet8", "resnet20-img16"])
+    @pytest.mark.parametrize("slab_bytes", [L.SLAB_BYTES, 1], ids=["default", "slab1"])
+    def test_same_conv_input_gradient(self, spec, J, shape, slab_bytes, monkeypatch):
+        convs = network_calls("conv2d_forward", lambda x, w, stride, pad: (x.shape, w.shape, stride, pad),
+                              spec, J, shape, monkeypatch)
+        same = [(x_shape, w_shape, pad) for x_shape, w_shape, stride, pad in convs
+                if stride == 1 and 2 * pad == w_shape[2] - 1]
+        assert len(same) >= 3                      # the stem and a conv per stage at least
+        monkeypatch.setattr(L, "SLAB_BYTES", slab_bytes)
+        for conv in same:
+            self._check_same_dx(*conv)
+
+    @pytest.mark.parametrize("x_shape, w_shape, pad", [
+        ((2, 2, 6, 6), (3, 2, 5, 5), 2),         # two wrapped columns on each side
+        ((3, 2, 5, 7), (4, 2, 3, 3), 1),         # H != W
+        ((2, 2, 7, 5), (4, 2, 3, 3), 1),
+        ((4, 1, 6, 6), (2, 1, 3, 3), 1),         # C = 1
+        ((2, 2, 1, 1), (3, 2, 3, 3), 1),         # H = W = 1: every window but the centre is pad
+        ((2, 2, 3, 2), (3, 2, 7, 7), 3),         # W < pad: a window wraps past a whole row
+        ((2, 3, 4, 4), (2, 3, 1, 1), 0),         # 1x1: nothing wraps
+    ], ids=["k5", "h5w7", "h7w5", "c1", "hw1", "w-lt-pad", "k1"])
+    def test_same_conv_input_gradient_edge_shapes(self, x_shape, w_shape, pad):
+        self._check_same_dx(x_shape, w_shape, pad)
 
 
 def reference_conv2d(x, w, stride=1, pad=0):
@@ -559,12 +645,39 @@ class TestFusedConvBitExact:
             assert np.array_equal(g, ref)
         assert grads[0].flags.c_contiguous
 
+    @pytest.mark.parametrize("slab_bytes", [L.SLAB_BYTES, 1], ids=["default", "slab1"])
+    def test_same_conv_nonfinite_gradient_matches_unfused(self, slab_bytes, monkeypatch):
+        # a stride-1 "same" conv on NHWC memory, as in a unit, whose output
+        # gradient holds NaN, +-inf and -0.0 on row edges: the contiguous-run
+        # input gradient gives the col2im bytes, and nothing leaks across a
+        # row edge; dW's sums meet several non-finite terms, whose NaN payload
+        # depends on the order, so only which entries are NaN must agree
+        monkeypatch.setattr(L, "SLAB_BYTES", slab_bytes)
+        rng = np.random.default_rng(23)
+        data = np.ascontiguousarray(rng.normal(size=(12, 8, 8, 6)).astype(np.float32)).transpose(0, 3, 1, 2)
+        x = Tensor(data, requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 6, 3, 3)).astype(np.float32), requires_grad=True)
+        g = output_gradient(rng, (12, 5, 8, 8))
+        runs = []
+        with np.errstate(invalid="ignore"):
+            for conv in (L.conv2d_forward, reference_conv2d):
+                out = conv(x, w, 1, 1)
+                grads = backward(out, g)
+                runs.append((out.data, grads[x.node_id].data, grads[w.node_id].data))
+        (out, dx, dw), (ref_out, ref_dx, ref_dw) = runs
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert np.isnan(dx).any() and np.isinf(dx).any() and np.isfinite(dx).any()
+        assert np.array_equal(dw, ref_dw, equal_nan=True)
 
-def reference_batchnorm(x, gamma, beta, eps=1e-5):
-    """The unfused train-mode batchnorm: eleven test-local graph nodes (two
-    per-channel means, the centring, the square, the eps add, the square
-    root, the division, two reshapes, the scale and the shift).  A
-    per-channel operand's gradient sums over the broadcast axes."""
+
+def reference_batchnorm(x, gamma, beta, state=None, eps=1e-5):
+    """The unfused batchnorm.  Train mode (no ``state``): eleven test-local
+    graph nodes (two per-channel means, the centring, the square, the eps
+    add, the square root, the division, two reshapes, the scale and the
+    shift).  Eval mode: ``state``'s running statistics are constants, so the
+    means, the square and the eps add are not nodes.  A per-channel
+    operand's gradient sums over the broadcast axes."""
     c, axes = x.shape[1], (0, 2, 3)
 
     def mean(t):                                 # over (N, H, W), keepdims
@@ -572,14 +685,20 @@ def reference_batchnorm(x, gamma, beta, eps=1e-5):
         return T.apply_op(t.data.mean(axis=axes, keepdims=True),
                           [(t, lambda g: np.broadcast_to(g, shape) / count)])
 
-    mu = mean(x)
+    if state is None:
+        mu = mean(x)
+    else:
+        mu = Tensor(state.running_mean.reshape(1, c, 1, 1).astype(x.dtype))
     xc = T.apply_op(x.data - mu.data, [
         (x, lambda g: g),
         (mu, lambda g: (-g).sum(axis=axes, keepdims=True)),
     ])
     xcd = xc.data
-    var = mean(T.apply_op(xcd * xcd, [(xc, lambda g: g * xcd), (xc, lambda g: g * xcd)]))
-    var_eps = T.apply_op(var.data + np.float32(eps), [(var, lambda g: g)])
+    if state is None:
+        var = mean(T.apply_op(xcd * xcd, [(xc, lambda g: g * xcd), (xc, lambda g: g * xcd)]))
+        var_eps = T.apply_op(var.data + np.float32(eps), [(var, lambda g: g)])
+    else:
+        var_eps = Tensor(state.running_var.reshape(1, c, 1, 1).astype(x.dtype) + x.dtype.type(eps))
     sd = np.sqrt(var_eps.data)
     std = T.apply_op(sd, [(var_eps, lambda g: g * 0.5 / sd)])
     xhat = T.apply_op(xc.data / sd, [
@@ -603,10 +722,12 @@ def reference_batchnorm(x, gamma, beta, eps=1e-5):
 
 
 class TestBatchNorm:
-    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
-    def test_matches_unfused_composition(self, layout):
-        # same forward arithmetic, bit for bit; the closed-form input gradient
-        # reorders float32 sums, so it agrees to a few ulps of the largest entry
+    @pytest.mark.parametrize("layout, train", [("nchw", True), ("nhwc", True), ("nchw", False), ("nhwc", False)],
+                             ids=["nchw", "nhwc", "nchw-eval", "nhwc-eval"])
+    def test_matches_unfused_composition(self, layout, train):
+        # same forward arithmetic, bit for bit; the closed-form training input
+        # gradient reorders float32 sums, so it agrees to a few ulps of the
+        # largest entry, while eval's g * gamma / std is the composition's own
         rng = np.random.default_rng(3)
         data = rng.normal(2.0, 3.0, size=(32, 8, 6, 6)).astype(np.float32)
         if layout == "nhwc":                     # a conv output's memory order
@@ -615,15 +736,39 @@ class TestBatchNorm:
         gamma = Tensor(rng.uniform(0.5, 1.5, 8).astype(np.float32), requires_grad=True)
         beta = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
         proj = rng.normal(size=data.shape).astype(np.float32)
+        state = L.BatchNormState.init(8)
+        if not train:
+            state = L.BatchNormState(rng.normal(2.0, 1.0, 8).astype(np.float32),
+                                     rng.uniform(4.0, 12.0, 8).astype(np.float32), batches_tracked=1)
         runs = []
-        for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8)),
-                    reference_batchnorm(x, gamma, beta)):
+        for out in (L.batchnorm_forward(x, gamma, beta, state, train),
+                    reference_batchnorm(x, gamma, beta, None if train else state)):
             grads = backward(out, proj)
             runs.append([out.data] + [grads[t.node_id].data for t in (x, gamma, beta)])
         (out, gx, gg, gb), (ref_out, ref_gx, ref_gg, ref_gb) = runs
         assert np.array_equal(out, ref_out)
         assert np.array_equal(gg, ref_gg) and np.array_equal(gb, ref_gb)
-        assert np.max(np.abs(gx - ref_gx)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(ref_gx))
+        if train:
+            assert np.max(np.abs(gx - ref_gx)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(ref_gx))
+        else:
+            assert np.array_equal(gx, ref_gx)
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_train_node_keeps_no_input(self, layout):
+        # the node holds xhat, std and gamma, never x: a conv output dropped
+        # by its caller is freed before the backward runs (a closure that
+        # captured x kept every conv output of a step alive)
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(8, 4, 5, 5)).astype(np.float32)
+        if layout == "nhwc":
+            data = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x = Tensor(data, requires_grad=True)
+        refs = [weakref.ref(a) for a in (x.data, x.data.base) if a is not None]
+        gamma, beta = Tensor(np.ones(4, np.float32), requires_grad=True), Tensor(np.zeros(4, np.float32))
+        out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(4))
+        del x, data
+        assert all(r() is None for r in refs)
+        assert np.isfinite(backward(out, np.ones(out.shape, np.float32))[gamma.node_id].data).all()
 
     def test_standardizes_batch(self):
         rng = np.random.default_rng(2)
@@ -670,6 +815,59 @@ class TestBatchNorm:
 
     def test_gradcheck(self):
         assert run_case("batchnorm", seed=0) < 1e-3
+
+
+class TestChannelSums:
+    """Batchnorm's channel sums return np.add.reduce's and np.mean's bits
+    over (N, H, W).  Every batchnorm input the ResNets build is NHWC memory
+    with C >= 2, which ``einsum`` sums; C = 1 keeps numpy's reduction, since
+    einsum's sum of a single column has other bits."""
+
+    @staticmethod
+    def _input(shape, dtype):
+        # NHWC memory: normal values with -0.0 scattered in; with C >= 2,
+        # NaN, +inf and -inf (NaN with the +inf when C = 2); with C > 3, a
+        # channel of -0.0 only
+        n, c, h, w = shape
+        a = np.random.default_rng(shape).normal(size=(n, h, w, c)).astype(dtype)
+        a.reshape(-1)[3::5] = -0.0
+        if c >= 2:
+            a[0, 0, 0, 0] = np.nan
+            a[-1, -1, -1, 1] = np.inf
+            a[0, -1, 0, c - 1] = -np.inf
+        if c > 3:
+            a[..., 3] = -0.0
+        return a.transpose(0, 3, 1, 2)
+
+    @staticmethod
+    def _check(a, monkeypatch):
+        # the einsum calls the two sums made
+        calls = []
+        real = np.einsum
+        with np.errstate(invalid="ignore"), monkeypatch.context() as m:
+            m.setattr(np, "einsum", lambda *args: calls.append(args[0]) or real(*args))
+            assert L._channel_sum(a).tobytes() == np.add.reduce(a, axis=(0, 2, 3)).tobytes()
+            assert L._channel_mean(a).tobytes() == np.mean(a, axis=(0, 2, 3)).tobytes()
+        return len(calls)
+
+    @pytest.mark.parametrize("spec, J, shape", [RESNET8, RESNET8[:2] + ((8, 3, 8, 8),), RESNET20_IMG16],
+                             ids=["resnet8", "resnet8-last-batch", "resnet20-img16"])
+    def test_every_network_batchnorm(self, spec, J, shape, monkeypatch):
+        inputs = network_calls("batchnorm_forward",
+                               lambda x, *rest: (x.shape, x.data.transpose(0, 2, 3, 1).flags.c_contiguous),
+                               spec, J, shape, monkeypatch)
+        assert all(nhwc and s[1] >= 2 for s, nhwc in inputs)
+        for s, _ in inputs:
+            for dtype in (np.float32, np.float64):
+                assert self._check(self._input(s, dtype), monkeypatch) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_other_layouts_keep_numpys_reduction(self, dtype, monkeypatch):
+        a = self._input((4, 1, 6, 6), dtype)              # C = 1: NHWC and NCHW at once
+        assert self._check(a, monkeypatch) == 0
+        b = np.ascontiguousarray(self._input((4, 5, 6, 6), dtype))
+        assert self._check(b, monkeypatch) == 0
+        assert self._check(b[:, :, ::2], monkeypatch) == 0
 
 
 class TestSoftmaxCrossEntropy:
