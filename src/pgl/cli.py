@@ -86,7 +86,7 @@ def cmd_gradcheck(args) -> int:
     failed = 0
     for name, err, tol, ok in results:
         status = "ok" if ok else "FAIL"
-        print(f"{name:16s} max rel err {err:.3e}  (tol {tol:.0e})  {status}")
+        print(f"{name:20s} max rel err {err:.3e}  (tol {tol:.0e})  {status}")
         failed += not ok
     print(f"{len(results)} ops checked in {time.time() - start:.1f}s, {failed} failed")
     return 1 if failed else 0

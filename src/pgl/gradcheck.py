@@ -128,9 +128,15 @@ def _case_conv2d(rng):
             _proj(rng, (n, o, oh, oh))
 
 
-def _batchnorm_case(train):
+def _batchnorm_case(train, relu=False, conv=False):
+    """Batchnorm; with ``relu``, the relu after it in the same node; with
+    ``conv`` as well, feeding a 3x3 "same" conv, which rebuilds that node's
+    output for its weight gradient.  A draw with a pre-activation within
+    0.05 of relu's kink is redrawn, as ``_case_relu`` moves its inputs off
+    the kink."""
     def gen(rng):
-        for _ in range(5):
+        made = 0
+        while made < 5:
             n, c, h = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
             x = _leaf(rng, (n, c, h, h))
             gamma = _leaf(rng, (c,), 0.5, 1.5)
@@ -139,7 +145,20 @@ def _batchnorm_case(train):
             state = L.BatchNormState.init(c)
             if not train:
                 state = L.BatchNormState(rng.uniform(-0.5, 0.5, c), rng.uniform(0.5, 1.5, c), 1)
-            yield [x, gamma, beta], lambda ts, st=state: L.batchnorm_forward(*ts, st, train), w
+            inputs = [x, gamma, beta]
+            if relu:
+                with T.no_grad():
+                    if np.min(np.abs(L.batchnorm_forward(x, gamma, beta, state, train).data)) < 0.05:
+                        continue
+            if conv:
+                inputs.append(_leaf(rng, (c + 1, c, 3, 3)))
+                w = _proj(rng, (n, c + 1, h, h))
+
+            def f(ts, st=state):
+                out = L.batchnorm_forward(*ts[:3], st, train, relu)
+                return L.conv2d_forward(out, ts[3], stride=1, pad=1) if conv else out
+            made += 1
+            yield inputs, f, w
     return gen
 
 
@@ -175,6 +194,9 @@ CASES = [
     ("conv2d", _case_conv2d, DEFAULT_TOL),
     ("batchnorm", _batchnorm_case(True), BN_TOL),
     ("batchnorm_eval", _batchnorm_case(False), DEFAULT_TOL),
+    ("batchnorm_relu", _batchnorm_case(True, relu=True), BN_TOL),
+    ("batchnorm_relu_eval", _batchnorm_case(False, relu=True), DEFAULT_TOL),
+    ("conv2d_remade_input", _batchnorm_case(True, relu=True, conv=True), BN_TOL),
     ("cross_entropy", _case_cross_entropy, DEFAULT_TOL),
     ("residual_block", _case_residual, BN_TOL),
 ]

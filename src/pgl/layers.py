@@ -1,8 +1,8 @@
 """Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
 forward, a kn2row GEMM weight gradient, both lowered in slabs from the kept
 input, not a column matrix, and a per-kernel-offset GEMM input gradient),
-batch norm (in its input's memory order), global average pooling, and
-softmax cross entropy.
+batch norm (in its input's memory order, optionally with the relu after it
+in the same node), global average pooling, and softmax cross entropy.
 
 Each layer exists twice: a pure functional form (the testable contract) and a
 thin stateful class used to assemble networks.  All gradients flow through
@@ -22,7 +22,8 @@ mirrors its lowering, adding each offset's product as contiguous runs.
 Batchnorm keeps its input's memory order, NHWC after a conv.  Its channel
 sums add that memory's [N*H*W, C] rows in order, as numpy's reduction
 does, so they have its bits; its elementwise work runs on whole-image rows
-against per-channel vectors tiled along a row.
+against per-channel vectors tiled along a row.  With the relu after it,
+the node keeps no output: it and the conv reading it rebuild it from xhat.
 
 A conv never lowers more than SLAB_BYTES of its input at once: its forward
 and input gradient run per slab of images, its weight gradient per slab of
@@ -220,9 +221,11 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     The node keeps x, not column matrices: the weight gradient lowers x
     again, runs first and drops each slab before it lowers the next and
-    before the input gradient allocates dx.  Each gradient reads the output
-    gradient as [N*H'*W', O] rows: a view of what batchnorm hands back in
-    [N,H,W,C] memory, a copy of a gradient in NCHW memory (an aux head's).
+    before the input gradient allocates dx.  An x that is a
+    ``tensor.Remade`` it does not keep: the weight gradient rebuilds it.
+    Each gradient reads the output gradient as [N*H'*W', O] rows: a view
+    of what batchnorm hands back in [N,H,W,C] memory, a copy of a gradient
+    in NCHW memory (an aux head's).
     Batchnorm's reductions follow these layouts, so they are part of the
     arithmetic.
     """
@@ -237,6 +240,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     ohw, kk = oh * ow, k * k
     same = stride == 1 and 2 * pad == k - 1              # im2col's contiguous-run case
     xd, wd = x.data, w.data
+    # the input the weight gradient lowers: a Remade input is rebuilt, not kept
+    dw_input = x.remake if isinstance(x, T.Remade) else lambda: xd
     wmat = wd.reshape(o, c * kk)
     column_bytes = kk * ohw * xd.itemsize                # column matrix per image and input channel
     images = _slabs(n, c * column_bytes)
@@ -249,9 +254,10 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
 
     def grad_w(g):
         gr = rows(g)
-        dw = np.empty((o, kk * c), dtype=np.result_type(gr, xd))
-        for s0, s1 in _slabs(kk, n * ohw * c * xd.itemsize):
-            np.matmul(gr.T, kn2row(xd, k, stride, pad, s0, s1).reshape(n * ohw, -1),
+        xs = dw_input()
+        dw = np.empty((o, kk * c), dtype=np.result_type(gr, xs))
+        for s0, s1 in _slabs(kk, n * ohw * c * xs.itemsize):
+            np.matmul(gr.T, kn2row(xs, k, stride, pad, s0, s1).reshape(n * ohw, -1),
                       out=dw[:, s0 * c:s1 * c])
         return dw.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
@@ -319,13 +325,24 @@ def _channel_mean(a: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                      state: BatchNormState, train: bool = True) -> Tensor:
-    """Per-channel normalization over (N,H,W) with biased batch variance.
+                      state: BatchNormState, train: bool = True, relu: bool = False) -> Tensor:
+    """Per-channel normalization over (N,H,W) with biased batch variance,
+    followed by ``tensor.relu``'s max(., 0) if ``relu``.
 
     Training normalizes by batch statistics and updates the running stats in
     place with momentum 0.1; evaluation uses the running stats and requires
     them populated.  eps is 1e-5.  One graph node; the training input
     gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma * g.
+
+    With ``relu`` the node keeps what it keeps without it, never its
+    output.  It rebuilds the output with the forward's own ops on the same
+    operands, ``tile(gamma) * xr``, ``+= tile(beta)`` and ``np.maximum``,
+    so with the same bytes and strides: its tracked output is a
+    ``tensor.Remade`` whose ``remake`` the next conv keeps in place of the
+    array.  Its first edge to run makes relu's ``g * mask`` as
+    ``tensor.relu`` does, the mask from the rebuilt pre-activation, whose
+    ``> 0`` has the values of the output's, NaN included.  x's edge runs
+    last and scales that product in place into gx = gamma * g.
 
     xhat, the output and dx take x's memory order if it is NHWC, as after
     a conv, and C order otherwise.  The channel sums (``_channel_sum``) of
@@ -367,13 +384,15 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         state.running_var = (1 - m) * state.running_var + m * var
         state.batches_tracked += 1
 
-        def grad_x(g):
-            # dx takes xhat's memory order, [N,H,W,C] after a conv, so the
-            # conv's backward reads its GEMM rows without a copy
-            gx = g * gam
+        def grad_x(gx):
+            # gx = gamma * g, an array of the node's own: once its sums are
+            # taken, the last product overwrites it.  dx takes xhat's memory
+            # order, [N,H,W,C] after a conv, so the conv's backward reads its
+            # GEMM rows without a copy
+            scale = tile(_channel_mean(gx * xhat))
             dx = np.subtract(gx, _channel_mean(gx).reshape(bshape), out=np.empty_like(xhat))
             dr = rows(dx)
-            dr -= xr * tile(_channel_mean(gx * xhat))
+            dr -= np.multiply(xr, scale, out=gx.reshape(xr.shape) if gx.flags.c_contiguous else None)
             dr /= tile(std)
             return dx
     else:
@@ -384,15 +403,46 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         xr /= tile(std)
         xhat = image(xr)
 
-        def grad_x(g):
-            return g * gam / std.reshape(bshape)
-    out = tile(gamma.data) * xr
-    out += tile(beta.data)
-    return apply_op(image(out), [
-        (x, grad_x),
-        (gamma, lambda g: _channel_sum(g * xhat)),
-        (beta, lambda g: _channel_sum(g)),
-    ])
+        def grad_x(gx):
+            return gx / std.reshape(bshape)
+    gd, bd = gamma.data, beta.data
+
+    def affine():                                        # gamma * xhat + beta, in xhat's memory order
+        out = tile(gd) * xr
+        out += tile(bd)
+        return image(out)
+
+    def grad_gamma(g):
+        return _channel_sum(g * xhat)
+
+    # x's edge runs last: gamma's and beta's temporaries are gone before dx
+    # exists, and with relu, gx reuses the g * mask they read
+    if not relu:
+        return apply_op(affine(), [(gamma, grad_gamma), (beta, _channel_sum),
+                                   (x, lambda g: grad_x(g * gam))])
+
+    def remake():                                        # the output, as tensor.relu makes it
+        out = affine()
+        return np.maximum(out, 0, dtype=out.dtype)
+
+    gm = None                                            # relu's g * mask, made by the first edge to run
+
+    def relu_grad(g):
+        # backward runs each edge of a node once, with the same g
+        nonlocal gm
+        if gm is None:
+            gm = T._masked(g, affine() > 0)
+        return gm
+
+    def relu_grad_x(g):                                  # the last edge: gx is gm scaled in place
+        nonlocal gm
+        gx, gm = relu_grad(g), None
+        gx *= gam
+        return grad_x(gx)
+
+    return apply_op(remake(), [(gamma, lambda g: grad_gamma(relu_grad(g))),
+                               (beta, lambda g: _channel_sum(relu_grad(g))),
+                               (x, relu_grad_x)], remake)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -486,8 +536,8 @@ class BatchNorm2d:
     def param_count(channels: int) -> int:
         return 2 * channels
 
-    def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        return batchnorm_forward(x, self.gamma, self.beta, self.state, train)
+    def forward(self, x: Tensor, train: bool = True, relu: bool = False) -> Tensor:
+        return batchnorm_forward(x, self.gamma, self.beta, self.state, train, relu)
 
     def named_params(self, prefix: str):
         yield f"{prefix}.gamma", self.gamma

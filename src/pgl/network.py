@@ -128,7 +128,7 @@ class StemUnit(LayerList):
         return [("conv", L.Conv2d, (in_ch, out_ch, 3, 1, 1)), ("bn", L.BatchNorm2d, (out_ch,))]
 
     def forward(self, x, train=True):
-        return T.relu(self.bn.forward(self.conv.forward(x, train), train))
+        return self.bn.forward(self.conv.forward(x, train), train, relu=True)
 
 
 class ResidualUnit(LayerList):
@@ -153,7 +153,7 @@ class ResidualUnit(LayerList):
         return layers
 
     def forward(self, x, train=True):
-        out = T.relu(self.bn1.forward(self.conv1.forward(x, train), train))
+        out = self.bn1.forward(self.conv1.forward(x, train), train, relu=True)
         out = self.bn2.forward(self.conv2.forward(out, train), train)
         skip = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x, train), train)
         return T.relu(T.add(out, skip))

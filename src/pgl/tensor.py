@@ -16,7 +16,11 @@ The primitives are the two that training builds outside the layers: the
 same-shape residual ``add``, which keeps nothing, and ``relu``, which keeps
 its output (the array the next layer reads anyway), not a mask beside it.
 The layers build their fused ops (linear, conv, batchnorm, pooling,
-cross-entropy) on ``apply_op``, one graph node each.
+cross-entropy) on ``apply_op``, one graph node each.  A relu right after a
+batchnorm is part of the batchnorm node, which keeps no output: an op that
+can rebuild its output bit for bit from what its backward keeps anyway
+hands ``apply_op`` that rebuild, and its tracked output is a ``Remade``.  A
+consumer keeps the rebuild, not the array, which is freed with the tensor.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -119,22 +123,34 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
 
-def apply_op(data, parents):
+class Remade(Tensor):
+    """A tracked op output that its op can rebuild: ``remake()`` returns a
+    new array with ``data``'s bytes and strides, from arrays the op's
+    backward keeps anyway.  A consumer that needs the input again in its
+    backward keeps ``remake`` instead of ``data``."""
+
+    __slots__ = ("remake",)
+
+
+def apply_op(data, parents, remake=None):
     """Build a tensor from a primitive's forward result.
 
     ``parents`` is a list of (tensor, grad_fn) pairs where grad_fn maps the
     output gradient to that parent's gradient contribution.  Parents that do
     not require gradients are dropped, so they never join the graph.
     ``data`` must already be an array of the inputs' float dtype, so the
-    output skips ``Tensor.__init__``'s conversion.
+    output skips ``Tensor.__init__``'s conversion.  ``remake``, a function
+    that rebuilds ``data``, makes a tracked output a ``Remade``; an
+    untracked one is a plain tensor, since no backward will read it.
     """
-    out = object.__new__(Tensor)
+    tracked = [(p.node, fn) for p, fn in parents if p.node is not None] if _grad_enabled else None
+    if tracked and remake is not None:
+        out = object.__new__(Remade)
+        out.remake = remake
+    else:
+        out = object.__new__(Tensor)
     out.data = data
-    out.node = None
-    if _grad_enabled:
-        tracked = [(p.node, fn) for p, fn in parents if p.node is not None]
-        if tracked:
-            out.node = Node(tracked)
+    out.node = Node(tracked) if tracked else None
     return out
 
 
@@ -261,12 +277,20 @@ def relu(a: Tensor) -> Tensor:
         nonlocal out
         mask = out > 0
         out = None                    # freed before g * mask allocates
-        # After a conv the mask is NHWC memory while g, a conv's input
-        # gradient, is NCHW; a product over mixed orders walks short inner
-        # runs.  Copying the 1-byte mask to g's order first is faster and
-        # gives the same values and strides as g * mask, which are C order.
-        if g.flags.c_contiguous and not mask.flags.c_contiguous:
-            mask = np.ascontiguousarray(mask)
-        return g * mask
+        return _masked(g, mask)
 
     return apply_op(out, [(a, grad)])
+
+
+def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """relu's input gradient ``g * mask``, with its values and strides.
+
+    After a conv the mask is NHWC memory while g, a conv's input gradient,
+    is NCHW; a product over mixed orders walks short inner runs.  Copying
+    the 1-byte mask to g's order first is faster and gives the same values
+    and strides as g * mask, which are C order.  Batchnorm with the relu
+    after it makes its mask the same way.
+    """
+    if g.flags.c_contiguous and not mask.flags.c_contiguous:
+        mask = np.ascontiguousarray(mask)
+    return g * mask

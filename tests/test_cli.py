@@ -217,7 +217,7 @@ class TestCmdGradcheck:
     def test_passes_on_fresh_checkout(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert "9 ops checked" in out and "0 failed" in out
+        assert "12 ops checked" in out and "0 failed" in out
 
     def test_injected_relu_sign_flip_fails(self, monkeypatch):
         import pgl.gradcheck as G

@@ -1,8 +1,8 @@
 """Layer library: forward values against hand/sliding-window oracles,
-finite-difference gradient checks, the fused conv and batchnorm against
-their unfused graph compositions, the conv lowered in slabs against the
-whole-matrix conv, batchnorm's channel sums against numpy's reductions, and
-the reach of every graph op."""
+finite-difference gradient checks, the fused conv, batchnorm and batchnorm
+with its relu against their unfused graph compositions, the conv lowered in
+slabs against the whole-matrix conv, batchnorm's channel sums against
+numpy's reductions, and the reach of every graph op."""
 
 import inspect
 import tracemalloc
@@ -815,6 +815,151 @@ class TestBatchNorm:
 
     def test_gradcheck(self):
         assert run_case("batchnorm", seed=0) < 1e-3
+
+
+def unfused_bn_forward(bn, x, train=True, relu=False):
+    """``BatchNorm2d.forward`` as ``tensor.relu`` of a plain batchnorm node,
+    whose output the next conv keeps as an array."""
+    out = L.batchnorm_forward(x, bn.gamma, bn.beta, bn.state, train)
+    return T.relu(out) if relu else out
+
+
+class TestBatchNormRelu:
+    """Batchnorm with the relu after it is one node that keeps no output:
+    it and the conv reading it rebuild the output.  Against ``tensor.relu``
+    of a batchnorm feeding a conv that keeps its input, every byte of the
+    outputs and gradients matches."""
+
+    @staticmethod
+    def _input(layout, train, nonfinite):
+        # [N,C,H,W] in NHWC or NCHW memory: normal values with -0.0
+        # scattered in and, if ``nonfinite``, NaN, +inf and -inf; in train
+        # mode all three go in channel 1, whose statistics any one of them
+        # makes NaN
+        a = np.random.default_rng(5).normal(size=(6, 5, 5, 4)).astype(np.float32)
+        a.reshape(-1)[3::7] = -0.0
+        if nonfinite:
+            a[0, 0, 0, 1] = np.nan
+            a[2, 4, 4, 1 if train else 2] = np.inf
+            a[5, 2, 0, 1 if train else 3] = -np.inf
+        a = a.transpose(0, 3, 1, 2)
+        return a if layout == "nhwc" else np.ascontiguousarray(a)
+
+    @staticmethod
+    def _affine():
+        return np.array([1.5, 0.5, 1.0, 2.0], np.float32), np.array([-0.0, 0.25, -0.5, 0.1], np.float32)
+
+    @staticmethod
+    def _state(train):
+        if train:
+            return L.BatchNormState.init(4)
+        return L.BatchNormState(np.array([0.0, 0.5, -0.5, 1.0], np.float32),
+                                np.array([1.0, 2.0, 0.5, 4.0], np.float32), 1)
+
+    @classmethod
+    def _chain(cls, data, train, fused):
+        # bn (+ relu) -> 3x3 "same" conv, seeded with a fixed projection;
+        # in eval mode channel 0 has running mean 0 and beta -0.0, so an
+        # input of -0.0 reaches the relu as -0.0
+        rng = np.random.default_rng(6)
+        x = Tensor(data, requires_grad=True)
+        gamma, beta = (Tensor(p, requires_grad=True) for p in cls._affine())
+        w = Tensor(rng.normal(size=(3, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        state = cls._state(train)
+        if fused:
+            y = L.batchnorm_forward(x, gamma, beta, state, train, relu=True)
+        else:
+            y = T.relu(L.batchnorm_forward(x, gamma, beta, state, train))
+        assert isinstance(y, T.Remade) == fused
+        remade = y.remake() if fused else y.data
+        out = L.conv2d_forward(y, w, 1, 1)
+        grads = backward(out, rng.normal(size=out.shape).astype(np.float32))
+        return [y.data, remade, out.data] + [grads[t.node_id].data for t in (x, gamma, beta, w)]
+
+    @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
+    @pytest.mark.parametrize("layout, train", [("nchw", True), ("nhwc", True), ("nchw", False), ("nhwc", False)],
+                             ids=["nchw", "nhwc", "nchw-eval", "nhwc-eval"])
+    def test_node_matches_unfused(self, layout, train, nonfinite):
+        data = self._input(layout, train, nonfinite)
+        with np.errstate(invalid="ignore"):
+            fused = self._chain(data, train, True)
+            ref = self._chain(data, train, False)
+        # y, its remake, the conv output, dx, dgamma, dbeta, dW
+        for a, b in zip(fused, ref):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides
+        y, remade = fused[:2]
+        assert remade is not y and np.isnan(y).any() == nonfinite
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous == (layout == "nhwc")
+        if not train:                            # the relu meets -0.0
+            pre = L.batchnorm_forward(Tensor(data), *map(Tensor, self._affine()), self._state(False), False).data
+            assert (np.signbit(pre) & (pre == 0)).any()
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_units_match_unfused(self, layout, monkeypatch):
+        # a stem and two residual units (the second with a projection):
+        # unit outputs and every gradient, fused against the unfused forward
+        remade = []
+        real_conv = L.conv2d_forward
+        monkeypatch.setattr(L, "conv2d_forward",
+                            lambda x, *args: remade.append(isinstance(x, T.Remade)) or real_conv(x, *args))
+
+        def run():
+            rng = np.random.default_rng(7)
+            units = [StemUnit(3, 8, rng=rng), ResidualUnit(8, 8, 1, rng=rng), ResidualUnit(8, 16, 2, rng=rng)]
+            data = rng.normal(size=(8, 6, 6, 3)).astype(np.float32)
+            data.reshape(-1)[2::9] = -0.0
+            data = data.transpose(0, 3, 1, 2)
+            x = Tensor(data if layout == "nhwc" else np.ascontiguousarray(data), requires_grad=True)
+            h = x
+            for u in units:
+                h = u.forward(h, train=True)
+            grads = backward(h, output_gradient(rng, h.shape, nonfinite=False))
+            params = [p for i, u in enumerate(units) for _, p in u.named_params(f"u{i}")]
+            return [h.data] + [grads[t.node_id].data for t in [x] + params]
+
+        fused = run()
+        # the stem's output feeds unit 1's conv1, each unit's bn1 its conv2
+        assert remade == [False, True, True, False, True, False]
+        monkeypatch.setattr(L.BatchNorm2d, "forward", unfused_bn_forward)
+        ref = run()
+        assert remade[6:] == [False] * 6
+        assert len(fused) == len(ref) == 2 + 18         # h, x and 18 parameters
+        for a, b in zip(fused, ref):
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides
+
+    @pytest.mark.parametrize("step", [local_epoch, guided_epoch], ids=["local", "guided"])
+    def test_output_dies_with_its_unit(self, step, monkeypatch):
+        # no grad_fn keeps a fused output: a residual unit's bn1 output is
+        # freed when the unit's forward returns, and the stem's (the unit's
+        # own output) once the next unit's forward returns
+        made, checked = [], []
+        real_bn = L.batchnorm_forward
+
+        def bn(x, gamma, beta, state, train=True, relu=False):
+            out = real_bn(x, gamma, beta, state, train, relu)
+            if relu:
+                made.append(weakref.ref(out.data))
+            return out
+
+        def watch(forward):
+            def wrapped(unit, x, train=True):
+                out = forward(unit, x, train)
+                live = [r() for r in made if r() is not None]
+                checked.append(all(a is out.data or a is x.data for a in live))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(L, "batchnorm_forward", bn)
+        for cls in (StemUnit, ResidualUnit):
+            monkeypatch.setattr(cls, "forward", watch(cls.forward))
+        model = DecoupledModel(RESNET8[0], RESNET8[1], "aux_adapt", seed=0)
+        rng = np.random.default_rng(8)
+        batch = [(rng.normal(size=RESNET8[2]).astype(np.float32), rng.integers(0, 3, size=16))]
+        step(model, batch, NesterovSGD(), 0.1)
+        assert len(made) == 4 and len(checked) == 4       # the stem and three units' bn1
+        assert all(checked)
+        assert all(r() is None for r in made)
 
 
 class TestChannelSums:

@@ -268,14 +268,16 @@ class TestMeasuredPeak:
     @staticmethod
     def _saved_bytes(monkeypatch, forward, *args):
         """(saved bytes, largest slab, result) of ``forward(*args)``.  The
-        saved bytes are every conv input (once per array: a projection
-        shares its unit's input) and batchnorm xhat (the size of its output)
-        the forward builds.  Relu keeps its output, which is the next conv's
-        input (all but the last, small one before the pool), so it adds
-        nothing.  The largest slab is the biggest column matrix the
-        forward's im2col calls build, at most ``L.SLAB_BYTES`` once a conv's
-        whole matrix exceeds it: the one transient a weight gradient
-        rebuilds beside the saved set."""
+        saved bytes are every conv input a conv keeps (once per array: a
+        projection shares its unit's input) and batchnorm xhat (the size of
+        its output) the forward builds.  A conv keeps no ``T.Remade`` input,
+        the output of a batchnorm with its relu, which it rebuilds from that
+        xhat.  A plain relu keeps its output, which is the next conv's input
+        (all but the last, small one before the pool), so it adds nothing.
+        The largest slab is the biggest column matrix the forward's im2col
+        calls build, at most ``L.SLAB_BYTES`` once a conv's whole matrix
+        exceeds it: the one transient a weight gradient rebuilds beside the
+        saved set."""
         conv_inputs, sizes, cols = {}, [], []
 
         def spy(fn, record):
@@ -285,9 +287,13 @@ class TestMeasuredPeak:
                 return out
             return wrapped
 
+        def kept_input(args, _):
+            x = args[0]
+            if not isinstance(x, T.Remade):
+                conv_inputs.setdefault(id(x.data), x.data.nbytes)
+
         with monkeypatch.context() as m:
-            m.setattr(L, "conv2d_forward", spy(
-                L.conv2d_forward, lambda args, _: conv_inputs.setdefault(id(args[0].data), args[0].data.nbytes)))
+            m.setattr(L, "conv2d_forward", spy(L.conv2d_forward, kept_input))
             m.setattr(L, "im2col", spy(L.im2col, lambda _, col: cols.append(col.nbytes)))
             m.setattr(L, "batchnorm_forward", spy(L.batchnorm_forward, lambda _, t: sizes.append(t.data.nbytes)))
             result = forward(*args)
@@ -341,6 +347,16 @@ class TestMeasuredPeak:
         model, opt, batch = self._model_and_batch()
         saved = max(s + col for s, col in self._block_sets(monkeypatch, model, batch))
         peak = self._peak(lambda: local_epoch(model, batch, opt, 0.1))
+        assert peak <= 1.25 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"
+
+    def test_benchmark_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
+        # resnet20-img16 at batch 64: a conv that kept its batchnorm + relu
+        # input, 6.25 MiB over the global forward, would put the peak near
+        # 1.35 x the set, which counts no such input
+        model, opt, batch = self._model_and_batch(ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, 64)
+        saved, col, _ = self._saved_bytes(monkeypatch, model.forward_global, Tensor(batch[0][0]), True)
+        saved += col
+        peak = self._peak(lambda: guided_epoch(model, batch, opt, 0.1))
         assert peak <= 1.25 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"
 
     def test_benchmark_local_step_peak_counts_no_column_matrix(self, monkeypatch):
