@@ -3,7 +3,7 @@ through the graph they form from an output gradient or a scalar loss, how
 long that graph keeps its arrays, and checking a gradient against finite
 differences.
 
-Run:  python3 demos/01_autodiff_tape.py
+Run:  python3 demos/01_autodiff_graph.py
 """
 
 import weakref

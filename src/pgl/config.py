@@ -16,7 +16,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import Dataset, gen_blobs, gen_spirals, load_idx
+from .data import Dataset, check_blobs, check_spirals, gen_blobs, gen_spirals, load_idx
 from .errors import ConfigError
 from .network import AuxHeadSpec, DecoupledModel, MlpSpec, ResNetSpec, block_plans, partition, unit_plan
 from .training import Schedule
@@ -28,6 +28,10 @@ class SpiralsSpec:
     n_per_class: int = 256
     test_n_per_class: int = 256
     noise: float = 0.05
+
+    def validate(self):
+        for key in ("n_per_class", "test_n_per_class"):
+            check_spirals(getattr(self, key), self.classes, self.noise, "dataset.", key)
 
     def build(self, seed):
         train = gen_spirals(self.n_per_class, self.classes, self.noise, [seed, 1])
@@ -42,6 +46,10 @@ class BlobsSpec:
     test_n_per_class: int = 128
     d: int = 2
     spread: float = 0.5
+
+    def validate(self):
+        for key in ("n_per_class", "test_n_per_class"):
+            check_blobs(getattr(self, key), self.d, self.classes, self.spread, "dataset.", key)
 
     def build(self, seed):
         train = gen_blobs(self.n_per_class, self.d, self.classes, self.spread, [seed, 1])
@@ -97,9 +105,9 @@ class RunConfig:
         memory estimator walk the same ``block_plans``.  That walk allocates
         nothing, so no model is built here; it also checks that the network's
         sizes are >= 1.  A fixed aux pair is range-checked even when no block
-        carries a head.  A spirals or blobs dataset must match the network's
-        class count and an MLP's in_features, and an idx dataset's four paths
-        must name files."""
+        carries a head.  A spirals or blobs dataset must pass its generator's
+        rule in both splits and match the network's class count and an MLP's
+        in_features, and an idx dataset's four paths must name files."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
         block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
         if self.aux != "aux_adapt":
@@ -114,6 +122,8 @@ class RunConfig:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if isinstance(self.dataset, (SpiralsSpec, BlobsSpec, IdxSpec)):
+            self.dataset.validate()
         if isinstance(self.dataset, (SpiralsSpec, BlobsSpec)):
             if self.dataset.classes != self.network.num_classes:
                 raise ConfigError(f"dataset has {self.dataset.classes} classes but the "
@@ -125,8 +135,6 @@ class RunConfig:
             if isinstance(self.network, MlpSpec) and self.network.in_features != features:
                 raise ConfigError(f"network.in_features is {self.network.in_features} but the "
                                   f"dataset's samples have {features} features")
-        if isinstance(self.dataset, IdxSpec):
-            self.dataset.validate()
         return self
 
     def build_model(self) -> DecoupledModel:

@@ -36,24 +36,37 @@ def _rng(seed):
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _require(where, *rules):
+    # raise for the first (name, value, ">=" or ">", bound) that fails
+    for name, value, op, bound in rules:
+        if not (value > bound if op == ">" else value >= bound):
+            raise ConfigError(f"{where}{name} must be {op} {bound}, got {value!r}")
+
+
+def check_blobs(n_per_class, d, classes, spread, where="gen_blobs: ", count="n_per_class"):
+    """``gen_blobs``' rule on its arguments.  The ConfigError names the
+    first argument that breaks it, after ``where``; n_per_class as ``count``."""
+    _require(where, (count, n_per_class, ">=", 1), ("classes", classes, ">=", 2),
+             ("d", d, ">=", classes), ("spread", spread, ">", 0))
+
+
+def check_spirals(n_per_class, classes, noise, where="gen_spirals: ", count="n_per_class"):
+    """``gen_spirals``' rule on its arguments, named as ``check_blobs`` names them."""
+    _require(where, (count, n_per_class, ">=", 1), ("classes", classes, ">=", 2),
+             ("noise", noise, ">=", 0))
+
+
 def gen_blobs(n_per_class: int, d: int, classes: int, spread: float, seed) -> Dataset:
     """Isotropic Gaussian blobs centered on scaled basis vectors.
 
     Class c sits at 4 * e_c, so d must be >= classes.  Noise std is
     ``spread``.  Deterministic given the seed; labels exactly balanced.
     """
-    if n_per_class < 1 or d < 1 or classes < 2 or spread <= 0:
-        raise ConfigError("gen_blobs: all sizes positive, classes >= 2, spread > 0")
-    if classes > d:
-        raise ConfigError(f"gen_blobs: needs d >= classes, got d={d}, classes={classes}")
+    check_blobs(n_per_class, d, classes, spread)
     rng = _rng(seed)
     centers = 4.0 * np.eye(classes, d, dtype=np.float64)
-    xs, ys = [], []
-    for c in range(classes):
-        pts = centers[c] + rng.normal(0.0, spread, size=(n_per_class, d))
-        xs.append(pts)
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.concatenate(xs).astype(np.float32), np.concatenate(ys), classes)
+    xs = [centers[c] + rng.normal(0.0, spread, size=(n_per_class, d)) for c in range(classes)]
+    return Dataset(np.concatenate(xs).astype(np.float32), np.repeat(np.arange(classes), n_per_class), classes)
 
 
 SPIRAL_TURNS = 1.75
@@ -62,18 +75,16 @@ SPIRAL_TURNS = 1.75
 def gen_spirals(n_per_class: int, classes: int, noise: float, seed) -> Dataset:
     """Interleaved 2-D spirals: radius 0..1 over 2*pi*1.75 turns, class phase
     offset 2*pi/classes, additive Gaussian noise of std ``noise``."""
-    if n_per_class < 1 or classes < 2 or noise < 0:
-        raise ConfigError("gen_spirals: n_per_class >= 1, classes >= 2, noise >= 0")
+    check_spirals(n_per_class, classes, noise)
     rng = _rng(seed)
-    xs, ys = [], []
+    xs = []
     for c in range(classes):
         t = np.linspace(0.0, 1.0, n_per_class, dtype=np.float64)
         angle = 2.0 * np.pi * SPIRAL_TURNS * t + 2.0 * np.pi * c / classes
         pts = np.stack([t * np.cos(angle), t * np.sin(angle)], axis=1)
         pts += rng.normal(0.0, noise, size=pts.shape)
         xs.append(pts)
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.concatenate(xs).astype(np.float32), np.concatenate(ys), classes)
+    return Dataset(np.concatenate(xs).astype(np.float32), np.repeat(np.arange(classes), n_per_class), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +119,11 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
             raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
         nl, = struct.unpack(">I", _read_exact(f, 4, labels_path))
         labels = np.frombuffer(_read_exact(f, nl, labels_path), dtype=np.uint8).astype(np.int64)
-    if n != nl:
-        raise DataError(f"IDX pair mismatch: {n} images vs {nl} labels")
+    if n == 0 or n != nl:
+        raise DataError(f"{images_path} holds {n} images and {labels_path} {nl} labels; "
+                        "an IDX pair needs one label per image and at least one image")
     x = (images.astype(np.float32) / 255.0 - mean) / std
-    return Dataset(x, labels, int(labels.max()) + 1 if nl else 0)
+    return Dataset(x, labels, int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

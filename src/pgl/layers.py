@@ -1,42 +1,26 @@
-"""Neural layers built on the tensor autodiff: linear, conv2d (an im2col GEMM
-forward, a kn2row GEMM weight gradient, both lowered in slabs from the kept
-input, not a column matrix, and a per-kernel-offset GEMM input gradient),
-batch norm (in its input's memory order, optionally with the relu after it
-in the same node), global average pooling, and softmax cross entropy.
+"""Neural layers built on the tensor autodiff: linear, conv2d, batch norm
+(optionally with the relu after it in the same node), global average
+pooling and softmax cross entropy.
 
-Each layer exists twice: a pure functional form (the testable contract) and a
-thin stateful class used to assemble networks.  All gradients flow through
-the tensor graph.  ``linear_forward``, ``conv2d_forward``,
-``batchnorm_forward``, ``softmax_cross_entropy`` and ``global_avg_pool`` are
-custom-backward primitives, one graph node each; ``im2col`` and ``kn2row``
-are plain array functions they do not expose to the graph.  ``im2col`` has
-two lowerings: stride-1 "same" convs copy each kernel offset's window as
-contiguous runs of whole images and zero the columns that wrap a row edge,
-the others copy one strided view per offset.  Both write the same bytes in
-the same layout, so the GEMMs that read them give the same bits.  ``kn2row``
-lowers pixel-major, one kernel offset at a time: each offset's window of
-all images is one copy out of the NHWC memory relu and batchnorm hand on,
-with +0.0 outside the input.  A stride-1 "same" conv's input gradient
-mirrors its lowering, adding each offset's product as contiguous runs.
+Each op is a pure function, the testable contract.  ``linear_forward``,
+``conv2d_forward``, ``batchnorm_forward``, ``softmax_cross_entropy`` and
+``global_avg_pool`` are custom-backward primitives, one graph node each;
+``im2col`` and ``kn2row`` are plain array functions they keep off the graph.
+Networks are assembled from ``LayerList``s, each one list of named parts
+down to its ``Param``s.
 
-Batchnorm keeps its input's memory order, NHWC after a conv.  Its channel
-sums add that memory's [N*H*W, C] rows in order, as numpy's reduction
-does, so they have its bits; its elementwise work runs on whole-image rows
-against per-channel vectors tiled along a row.  With the relu after it,
-the node keeps no output: it and the conv reading it rebuild it from xhat.
-
-A conv never lowers more than SLAB_BYTES of its input at once: its forward
-and input gradient run per slab of images, its weight gradient per slab of
-kernel offsets.  Each slab is a block of the output's rows or
-columns, never of a GEMM's reduction axis, so every element is the same dot
-product in the same order.  OpenBLAS runs a GEMM of M*N*K <= 1e6 through
-its small-matrix kernels, whose last bits differ from the large kernel's;
-near-equal slabs of about SLAB_BYTES stay above that size, so the bits do
-not depend on the slab count.
+The conv and batchnorm arithmetic that the bit-identical digests rest on is
+stated in full in ``conv2d_forward``'s and ``batchnorm_forward``'s
+docstrings.  In short: a conv lowers at most SLAB_BYTES of its input at a
+time, in slabs that never split a GEMM's reduction axis and, when there are
+several, keep each slab GEMM above M*N*K = 1e6, below which OpenBLAS runs
+small-matrix kernels with other last bits; its sums start at +0.0; and
+batchnorm works in its input's memory order, NHWC after a conv.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,59 +471,88 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# stateful layers
+# layers as lists of named parts
 
-class Linear:
-    def __init__(self, d_in: int, d_out: int, *, rng):
-        self.w = T.create((d_in, d_out), ("kaiming_normal", d_in), rng, requires_grad=True)
-        self.b = T.create((d_out,), "zeros", requires_grad=True)
+class Param(Tensor):
+    """A trainable tensor, the innermost part of a layout: a requires-grad leaf
+    made by ``tensor.create``, named for its checkpoint entry by that layout."""
+
+    __slots__ = ()
+
+    def __init__(self, shape, init, *, rng=None):
+        super().__init__(T.create(shape, init, rng).data, requires_grad=True)
 
     @staticmethod
-    def param_count(d_in: int, d_out: int) -> int:
-        return d_in * d_out + d_out
+    def param_count(shape, init) -> int:
+        return math.prod(shape)
+
+    def named_params(self, prefix):
+        yield prefix, self
+
+
+class LayerList:
+    """A layer made of named parts: a leaf layer, a backbone unit or an aux head.
+
+    ``layout(*args)`` states its parts once, as (name, class, args) triples
+    in build order, each a ``Param`` or another ``LayerList``.  The
+    constructor builds each as ``cls(*args, rng=rng)`` and sets it as an
+    attribute under its name, ``param_count`` sums the parts' counts without
+    building them, and the parameter and batchnorm walks follow the list, so
+    rng draws and parameter names keep its order.
+    """
+
+    def __init__(self, *args, rng):
+        self.layers = [(name, cls(*a, rng=rng)) for name, cls, a in self.layout(*args)]
+        vars(self).update(self.layers)
+
+    @classmethod
+    def param_count(cls, *args) -> int:
+        return sum(part.param_count(*a) for _, part, a in cls.layout(*args))
+
+    def named_params(self, prefix):
+        for name, part in self.layers:
+            yield from part.named_params(f"{prefix}.{name}")
+
+    def named_bns(self, prefix):
+        for name, part in self.layers:
+            if isinstance(part, BatchNorm2d):
+                yield f"{prefix}.{name}", part
+
+
+class Linear(LayerList):
+    @staticmethod
+    def layout(d_in: int, d_out: int) -> list:
+        return [("weight", Param, ((d_in, d_out), ("kaiming_normal", d_in))),
+                ("bias", Param, ((d_out,), "zeros"))]
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        return linear_forward(x, self.w, self.b)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.weight", self.w
-        yield f"{prefix}.bias", self.b
+        return linear_forward(x, self.weight, self.bias)
 
 
-class Conv2d:
-    """A bias-free conv; every conv in the networks feeds a batchnorm or an
-    aux head's relu."""
+class Conv2d(LayerList):
+    """A bias-free conv, since every conv in the networks feeds a batchnorm or
+    an aux head's relu; its stride and pad place the kernel and hold no parameters."""
 
     def __init__(self, in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0, *, rng):
+        super().__init__(in_ch, out_ch, k, rng=rng)
         self.stride, self.pad = stride, pad
-        fan_in = in_ch * k * k
-        self.w = T.create((out_ch, in_ch, k, k), ("kaiming_normal", fan_in), rng, requires_grad=True)
 
     @staticmethod
-    def param_count(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0) -> int:
-        return out_ch * in_ch * k * k
+    def layout(in_ch: int, out_ch: int, k: int, *placement) -> list:
+        return [("weight", Param, ((out_ch, in_ch, k, k), ("kaiming_normal", in_ch * k * k)))]
 
     def forward(self, x: Tensor, train: bool = True) -> Tensor:
-        return conv2d_forward(x, self.w, self.stride, self.pad)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.weight", self.w
+        return conv2d_forward(x, self.weight, self.stride, self.pad)
 
 
-class BatchNorm2d:
+class BatchNorm2d(LayerList):
     def __init__(self, channels: int, *, rng=None):
-        self.gamma = T.create((channels,), "ones", requires_grad=True)
-        self.beta = T.create((channels,), "zeros", requires_grad=True)
+        super().__init__(channels, rng=rng)
         self.state = BatchNormState.init(channels)
 
     @staticmethod
-    def param_count(channels: int) -> int:
-        return 2 * channels
+    def layout(channels: int) -> list:
+        return [("gamma", Param, ((channels,), "ones")), ("beta", Param, ((channels,), "zeros"))]
 
     def forward(self, x: Tensor, train: bool = True, relu: bool = False) -> Tensor:
         return batchnorm_forward(x, self.gamma, self.beta, self.state, train, relu)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-

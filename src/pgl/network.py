@@ -1,18 +1,20 @@
 """Backbone construction, block partitioning, and auxiliary classifier heads.
 
 A backbone is a flat list of units (stem / residual blocks / dense layers /
-terminal classifier).  Each unit, like each aux head, is a ``LayerList``: one
-list of named leaf layers builds it, counts its parameters and walks its
-parameters and batchnorms.  ``unit_plan`` walks the spec once, as classes,
-constructor arguments and output shapes.  ``partition`` groups the units into
-J contiguous blocks, merging the stem into block 1 and the classifier into
-block J while J leaves room for that.  Every block except the last gets an
-auxiliary head; block J's own classifier plays that role.  ``head_plan`` is
-the one walk of a head's layers.  ``block_plans`` is the one walk of blocks:
-per block, the shape it takes in, its units and its head, all before anything
-is built.  ``DecoupledModel`` builds that list, the memory estimator sums it
-and the run configuration validates it.  Gradient isolation between blocks
-comes from detaching boundary activations, never from parameter bookkeeping.
+terminal classifier).  Each unit, like each aux head, is a
+``layers.LayerList`` of named layers, and a unit class states whether
+``partition`` may split at it.  ``unit_plan`` walks the spec once, as
+classes, constructor arguments and output shapes, so a ``UnitPlan`` answers
+shape and size questions without building anything.  ``partition`` groups
+the units into J contiguous blocks, merging the stem into block 1 and the
+classifier into block J while J leaves room for that.  Every block except
+the last gets an auxiliary head; block J's own classifier plays that role.
+``head_plan`` is the one walk of a head's layers.  ``block_plans`` is the one
+walk of blocks: per block, the shape it takes in, its units and its head, all
+before anything is built.  ``DecoupledModel`` builds that list, the memory
+estimator sums it and the run configuration validates it.  Gradient isolation
+between blocks comes from detaching boundary activations, never from
+parameter bookkeeping.
 """
 
 from __future__ import annotations
@@ -84,43 +86,10 @@ class ResNetSpec:
 # ---------------------------------------------------------------------------
 # units
 
-class LayerList:
-    """A piece made of named layers: a backbone unit or an aux head.
-
-    ``layout(*args)`` states its layers once, as (name, class, args) triples
-    in build order.  The constructor builds each as ``cls(*args, rng=rng)``
-    and sets it as an attribute under its name, ``param_count`` sums the
-    leaves' counts, and the parameter and batchnorm walks follow the list, so
-    rng draws and parameter names keep its order.  Only leaf layers
-    (``Linear``, ``Conv2d``, ``BatchNorm2d``, ``HeadPool``) count their own
-    parameters.  A unit class also states its kind and whether ``partition``
-    may split at it, so a ``UnitPlan`` answers shape and size questions
-    without building it.
-    """
-
-    def __init__(self, *args, rng):
-        self.layers = [(name, cls(*a, rng=rng)) for name, cls, a in self.layout(*args)]
-        vars(self).update(self.layers)
-
-    @classmethod
-    def param_count(cls, *args) -> int:
-        return sum(leaf.param_count(*a) for _, leaf, a in cls.layout(*args))
-
-    def named_params(self, prefix):
-        for name, layer in self.layers:
-            yield from layer.named_params(f"{prefix}.{name}")
-
-    def named_bns(self, prefix):
-        for name, layer in self.layers:
-            if isinstance(layer, L.BatchNorm2d):
-                yield f"{prefix}.{name}", layer
-
-
-class StemUnit(LayerList):
+class StemUnit(L.LayerList):
     """3x3 conv (in->16) + bn + relu; not partitionable (merges into block 1
     unless J exceeds the partitionable units)."""
 
-    kind = "conv"
     partitionable = False
 
     @staticmethod
@@ -131,7 +100,7 @@ class StemUnit(LayerList):
         return self.bn.forward(self.conv.forward(x, train), train, relu=True)
 
 
-class ResidualUnit(LayerList):
+class ResidualUnit(L.LayerList):
     """conv3x3(stride s) -> bn -> relu -> conv3x3 -> bn, plus skip, then relu.
 
     When channels or stride change, the skip path gets a 1x1 stride-matched
@@ -139,7 +108,6 @@ class ResidualUnit(LayerList):
     are None and the skip is the input itself.
     """
 
-    kind = "conv"
     partitionable = True
     proj = proj_bn = None
 
@@ -159,10 +127,8 @@ class ResidualUnit(LayerList):
         return T.relu(T.add(out, skip))
 
 
-class _FcUnit(LayerList):
+class _FcUnit(L.LayerList):
     """A unit around one linear layer ``fc``; subclasses choose the forward."""
-
-    kind = "dense"
 
     @staticmethod
     def layout(d_in: int, d_out: int) -> list:
@@ -201,10 +167,6 @@ class UnitPlan:
     cls: type
     args: tuple
     out_shape: tuple          # (C, H, W) or (width,)
-
-    @property
-    def kind(self) -> str:
-        return self.cls.kind
 
     @property
     def partitionable(self) -> bool:
@@ -341,21 +303,15 @@ def aux_adapt_policy(input_channels: int, num_classes: int = 10) -> AuxHeadSpec:
     return AuxHeadSpec(n_conv, n_fc, int(input_channels), num_classes)
 
 
-class HeadPool:
+class HeadPool(L.LayerList):
     """Global average pooling, between a conv head's convs and its fc stack."""
 
-    def __init__(self, *, rng=None):
-        pass
-
     @staticmethod
-    def param_count() -> int:
-        return 0
+    def layout() -> list:
+        return []
 
     def forward(self, x, train=True):
         return L.global_avg_pool(x)
-
-    def named_params(self, prefix):
-        return iter(())
 
 
 def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
@@ -363,8 +319,8 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     build order; allocates nothing.  ``block_plans`` places it and
     ``AuxHead`` builds it.
 
-    Conv boundaries: n_conv channel-preserving 3x3 stride-2 convs, then
-    global average pooling.
+    Conv boundaries, whose output is (C, H, W): n_conv channel-preserving
+    3x3 stride-2 convs, then global average pooling.
     Dense boundaries replace each conv with a width-preserving linear layer.
     The fc stack follows: n_fc - 1 linear layers of width ``AUX_HIDDEN``, then
     one to num_classes.  The names ("conv{i}", "pool", "fc{i}") prefix the
@@ -372,7 +328,7 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     """
     spec.validate()
     c = spec.in_width
-    conv = boundary.kind == "conv"
+    conv = len(boundary.out_shape) == 3
     shape = (c,) + boundary.out_shape[1:]
     plan = []
     for i in range(spec.n_conv):
@@ -391,7 +347,7 @@ def head_plan(spec: AuxHeadSpec, boundary: UnitPlan) -> list:
     return plan
 
 
-class AuxHead(LayerList):
+class AuxHead(L.LayerList):
     """Small classifier on a block boundary, built layer by layer from a
     ``head_plan``; relu follows every layer but the pool and the last."""
 

@@ -166,9 +166,16 @@ class TestCmdTrain:
         ("seed", {"seed": -1}),
         ("train_images", {"dataset": {"kind": "idx"}}),
         ("n_conv", {"blocks": 1, "aux": {"n_conv": 9, "n_fc": 0}}),     # one block plans no head
+        ("dataset.n_per_class", {"dataset": {"kind": "spirals", "classes": 2, "n_per_class": 0}}),
+        ("dataset.test_n_per_class", {"dataset": {"kind": "spirals", "classes": 2, "test_n_per_class": 0}}),
+        ("dataset.noise", {"dataset": {"kind": "spirals", "classes": 2, "noise": -0.5}}),
+        ("dataset.d", {"network": {"kind": "mlp", "widths": [8], "num_classes": 3},
+                       "dataset": {"kind": "blobs", "classes": 3, "d": 2}}),
+        ("dataset.spread", {"dataset": {"kind": "blobs", "classes": 2, "spread": 0}}),
     ], ids=["blocks-str", "lr0-str", "weight_decay-nan", "epochs-float", "batch_size-float", "seed-str", "seed-bool",
             "widths-int", "noise-str", "aux-n_conv-str", "num_classes-missing", "seed-negative", "idx-paths-missing",
-            "aux-range-without-heads"])
+            "aux-range-without-heads", "spirals-n_per_class-0", "spirals-test_n_per_class-0", "spirals-noise-negative",
+            "blobs-d-below-classes", "blobs-spread-0"])
     def test_mistyped_value_fails_cleanly(self, tmp_path, capsys, key, overrides):
         path = spiral_config(tmp_path, **overrides)
         assert main(["train", "--config", str(path)]) == 1
@@ -353,6 +360,14 @@ class TestConvTrainingViaIdx:
                      "--config", str(path)]) == 0
         eval_acc = float(capsys.readouterr().out.split("test accuracy:")[1].split()[0])
         assert eval_acc == acc
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_without_images_fails_cleanly(self, tmp_path, capsys, split):
+        pairs = {tag: self._write_idx_pair(tmp_path, 0 if tag == split else 16, tag) for tag in ("train", "test")}
+        path = self._config(tmp_path, *pairs["train"], *pairs["test"])
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{split}_images.idx" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", [["train"], ["ablate", "--P", "2", "--Q", "1", "--seeds", "1"]])
     def test_missing_files_fail_before_any_output(self, tmp_path, capsys, command):

@@ -1055,10 +1055,10 @@ class TestSoftmaxCrossEntropy:
 
 class TestResidualBlock:
     def _zero_convs(self, block):
-        block.conv1.w.data[:] = 0
-        block.conv2.w.data[:] = 0
+        block.conv1.weight.data[:] = 0
+        block.conv2.weight.data[:] = 0
         if block.proj is not None:
-            block.proj.w.data[:] = 0
+            block.proj.weight.data[:] = 0
 
     def test_zero_weights_act_as_relu_skip(self):
         rng = np.random.default_rng(0)
@@ -1096,8 +1096,8 @@ class TestResidualBlock:
 class TestInit:
     def test_linear_shapes(self):
         lin = L.Linear(2, 3, rng=np.random.default_rng(0))
-        assert lin.w.shape == (2, 3)
-        assert lin.b.shape == (3,) and np.all(lin.b.data == 0)
+        assert lin.weight.shape == (2, 3)
+        assert lin.bias.shape == (3,) and np.all(lin.bias.data == 0)
 
     def test_batchnorm_init(self):
         bn = L.BatchNorm2d(16)
@@ -1106,7 +1106,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = L.Conv2d(3, 8, 3, rng=np.random.default_rng(12))
         b = L.Conv2d(3, 8, 3, rng=np.random.default_rng(12))
-        assert np.array_equal(a.w.data, b.w.data)
+        assert np.array_equal(a.weight.data, b.weight.data)
 
 
 class TestPooling:

@@ -246,10 +246,10 @@ class TestEvaluate:
     def _blob_model_with_oracle_weights(self):
         model = DecoupledModel(MlpSpec(widths=[2], num_classes=2), 1, "aux_adapt", seed=0)
         hidden, clf = (unit.fc for unit in model.blocks[0])
-        hidden.w.data = np.eye(2, dtype=np.float32)
-        hidden.b.data = np.zeros(2, dtype=np.float32)
-        clf.w.data = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32)
-        clf.b.data = np.zeros(2, dtype=np.float32)
+        hidden.weight.data = np.eye(2, dtype=np.float32)
+        hidden.bias.data = np.zeros(2, dtype=np.float32)
+        clf.weight.data = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32)
+        clf.bias.data = np.zeros(2, dtype=np.float32)
         return model
 
     def test_oracle_weights_on_separable_blobs(self):
