@@ -30,18 +30,20 @@ print("\n== gradient isolation across a block boundary ==")
 model = DecoupledModel(MlpSpec(widths=[16] * 4, num_classes=3), J=2, aux_policy="aux_adapt", seed=0)
 x = Tensor(np.random.default_rng(0).normal(size=(8, 2)).astype(np.float32))
 y = np.random.default_rng(1).integers(0, 3, size=8)
+print(f"parameter groups, listed once when the model is built: {[len(g) for g in model.block_params]} "
+      f"per block, {[len(g) for g in model.head_params]} per head")
 
 _, logits_1 = model.forward_local(x, 1, train=True)
 grads = backward(softmax_cross_entropy(logits_1, y))
 
-own = [name for name, p in model.block_named_params(1) if p.node_id in grads]
-own += [name for name, p in model.head_named_params(1) if p.node_id in grads]
-leaked = [name for name, p in model.block_named_params(2) if p.node_id in grads]
+own = [name for name, p in model.block_params[0] if p.node_id in grads]
+own += [name for name, p in model.head_params[0] if p.node_id in grads]
+leaked = [name for name, p in model.block_params[1] if p.node_id in grads]
 print(f"block-1 local loss reaches {len(own)} of its own parameters, {len(leaked)} of block 2's")
 
 glogits, boundaries = model.forward_global(x, train=True)
 ggrads = backward(softmax_cross_entropy(glogits, y))
-head_hit = [name for name, p in model.head_named_params(1) if p.node_id in ggrads]
+head_hit = [name for name, p in model.head_params[0] if p.node_id in ggrads]
 print(f"global loss reaches {len(head_hit)} head parameters (heads sit off the global path)")
 print(f"boundary activations returned detached: {[not b.requires_grad for b in boundaries]}")
 

@@ -55,10 +55,10 @@ def cmd_train(args) -> int:
     if args.out is not None:
         config = config.with_overrides(out_dir=args.out)
     config.validate()
+    records, model, opt = TR.train(config)
+    # made only now, so a run that fails leaves no output directory behind
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    records, model, opt = TR.train(config)
     write_metrics(records, model.J, out_dir / "metrics.csv")
     save_checkpoint(model, opt, config.epochs, out_dir / "final.ckpt")
     print(f"final test accuracy: {records[-1].test_acc:.4f}")

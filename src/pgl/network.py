@@ -12,15 +12,17 @@ the last gets an auxiliary head; block J's own classifier plays that role.
 ``head_plan`` is the one walk of a head's layers.  ``block_plans`` is the one
 walk of blocks: per block, the shape it takes in, its units and its head, all
 before anything is built.  ``DecoupledModel`` builds that list, the memory
-estimator sums it and the run configuration validates it.  Gradient isolation
-between blocks comes from detaching boundary activations, never from
-parameter bookkeeping.
+estimator sums it and the run configuration validates it.  Once built, the
+model walks its parameters once into fixed groups, one per block and one per
+head, which every optimizer step reads.  Gradient isolation between blocks
+comes from detaching boundary activations, never from parameter bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -405,7 +407,9 @@ def block_plans(spec, part: Partition, aux_policy) -> list:
 
 class DecoupledModel:
     """Backbone blocks plus auxiliary heads with stop-gradient boundaries,
-    built from ``block_plans``."""
+    built from ``block_plans``.  ``block_params[j-1]`` and ``head_params[j-1]``
+    list block j's and head j's (name, Param) pairs, walked once after
+    building; the optimizer steps them and ``named_params`` chains them."""
 
     def __init__(self, spec, J: int, aux_policy, seed: int):
         rng = np.random.default_rng(seed)
@@ -414,6 +418,10 @@ class DecoupledModel:
         # order fixes the initial values that the oracle digests pin
         self.blocks = [[u.cls(*u.args, rng=rng) for u in b.units] for b in self.plan]
         self.heads = [AuxHead(b.head, rng=rng) for b in self.plan[:-1]]
+        self.block_params = [[named for i, unit in enumerate(units)
+                              for named in unit.named_params(f"block{j}.unit{i}")]
+                             for j, units in enumerate(self.blocks, 1)]
+        self.head_params = [list(head.named_params(f"aux{j}")) for j, head in enumerate(self.heads, 1)]
 
     @property
     def J(self) -> int:
@@ -457,18 +465,8 @@ class DecoupledModel:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def block_named_params(self, j: int):
-        for i, unit in enumerate(self.blocks[j - 1]):
-            yield from unit.named_params(f"block{j}.unit{i}")
-
-    def head_named_params(self, j: int):
-        yield from self.heads[j - 1].named_params(f"aux{j}")
-
     def named_params(self):
-        for j in range(1, self.J + 1):
-            yield from self.block_named_params(j)
-        for j in range(1, self.J):
-            yield from self.head_named_params(j)
+        return chain(*self.block_params, *self.head_params)
 
     def named_bns(self):
         for j, units in enumerate(self.blocks, 1):

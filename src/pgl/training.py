@@ -6,15 +6,16 @@ losses.  ``bp`` runs every epoch end-to-end with the heads idle.  ``pgl``
 interleaves: local epochs, punctuated by Q guided epochs whenever the epoch
 index crosses a multiple of the period P.  During guidance the global loss
 updates the backbone while local losses update only the auxiliary heads.
-Each update runs in its own step function, whose ``backward`` releases the
-graph before the optimizer step, and ``NesterovSGD`` updates parameters and
-velocities in place.
+Every update, local, global or head, is one ``_update`` of a parameter
+group the model fixed when it was built, so no step walks a layer, and
+``NesterovSGD`` updates parameters and velocities in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -111,46 +112,36 @@ class NesterovSGD:
 # ---------------------------------------------------------------------------
 # epochs
 
+def _update(logits: Tensor, y, params, opt: NesterovSGD, lr: float) -> float:
+    """Step ``params`` on the cross entropy of ``logits`` and return its
+    value; ``backward`` releases the graph before the optimizer step."""
+    loss = L.softmax_cross_entropy(logits, y)
+    opt.step(params, T.backward(loss), lr)
+    return loss.item()
+
+
 def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     """Update block j (and its head) from its local loss on a detached input.
 
-    Returns (loss value, detached X_j).  ``backward`` releases the step's
-    graph before the update.
+    Returns (loss value, detached X_j).  Block j's tracked output dies on
+    return, before block j+1 runs forward; inlined into ``local_epoch`` it
+    would live through that forward and raise the local step's peak.
     """
     x_j, logits = model.forward_local(h, j, train=True)
-    loss = L.softmax_cross_entropy(logits, y)
-    params = list(model.block_named_params(j))
-    if j < model.J:
-        params += list(model.head_named_params(j))
-    opt.step(params, T.backward(loss), lr)
-    return loss.item(), x_j.detach()
-
-
-def _global_step(model, x, y, theta, opt: NesterovSGD, lr: float):
-    """Update every block from the global loss; returns (loss value,
-    detached boundaries)."""
-    logits, boundary = model.forward_global(Tensor(x), train=True)
-    loss = L.softmax_cross_entropy(logits, y)
-    opt.step(theta, T.backward(loss), lr)
-    return loss.item(), boundary
-
-
-def _head_step(model, j: int, x_j: Tensor, y, opt: NesterovSGD, lr: float) -> float:
-    """Update head j from its loss on the detached boundary X_j."""
-    loss = L.softmax_cross_entropy(model.aux_logits(x_j, j, train=True), y)
-    opt.step(list(model.head_named_params(j)), T.backward(loss), lr)
-    return loss.item()
+    # block J has no head: its classifier gives the logits
+    params = chain(model.block_params[j - 1], *model.head_params[j - 1:j])
+    return _update(logits, y, params, opt, lr), x_j.detach()
 
 
 def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
     """One sweep of greedy per-block updates.
 
     For each mini-batch, blocks run in order: forward the block and its head
-    on the detached boundary input, backpropagate the block-local loss, and
-    step that block's parameters together with its head.  The activation
-    handed to the next block comes from the pre-update weights (one forward
-    sweep per batch).  Only the detached boundary outlives a block's step, so
-    one block's graph is alive at a time.  Returns per-block mean losses.
+    on the detached boundary input, then ``_update`` block j's group together
+    with head j's.  The activation handed to the next block comes from the
+    pre-update weights (one forward sweep per batch).  Only the detached
+    boundary outlives ``_local_step``, so one block's graph is alive at a
+    time.  Returns per-block mean losses.
     """
     J = model.J
     sums = [0.0] * J
@@ -169,22 +160,24 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
                  update_aux: bool = True):
     """One sweep of global-loss updates over the whole backbone.
 
-    A single forward pass serves both losses: the global cross-entropy steps
-    every block, and (when ``update_aux``) each head is refreshed from its
-    untracked boundary tensor so the heads stay out of the global graph.
+    A single forward pass serves both losses: ``_update`` steps every
+    block's group on the global cross-entropy, and (when ``update_aux``) each
+    head's group on its loss over the untracked boundary tensor, so the heads
+    stay out of the global graph.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
     gsum = 0.0
     asums = [0.0] * (J - 1)
     seen = 0
-    theta = [(name, p) for j in range(1, J + 1) for name, p in model.block_named_params(j)]
     for x, y in batch_list:
         n = len(y)
-        gloss, boundary = _global_step(model, x, y, theta, opt, lr)
+        logits, boundary = model.forward_global(Tensor(x), train=True)
+        gloss = _update(logits, y, chain(*model.block_params), opt, lr)
         if update_aux:
             for j in range(1, J):
-                asums[j - 1] += _head_step(model, j, boundary[j - 1], y, opt, lr) * n
+                logits = model.aux_logits(boundary[j - 1], j, train=True)
+                asums[j - 1] += _update(logits, y, model.head_params[j - 1], opt, lr) * n
         gsum += gloss * n
         seen += n
     aux_means = [s / seen for s in asums] if (update_aux and J > 1) else None

@@ -142,16 +142,16 @@ class TestCriterion2:
             for i in range(1, model.J + 1):
                 if i == j:
                     continue
-                if any(p.node_id in grads for _, p in model.block_named_params(i)):
+                if any(p.node_id in grads for _, p in model.block_params[i - 1]):
                     failures += 1
-                if i < model.J and any(p.node_id in grads for _, p in model.head_named_params(i)):
+                if i < model.J and any(p.node_id in grads for _, p in model.head_params[i - 1]):
                     failures += 1
 
             # global loss never reaches any head
             glogits, _ = model.forward_global(x, train=True)
             ggrads = backward(softmax_cross_entropy(glogits, y))
             for i in range(1, model.J):
-                if any(p.node_id in ggrads for _, p in model.head_named_params(i)):
+                if any(p.node_id in ggrads for _, p in model.head_params[i - 1]):
                     failures += 1
         assert report("2 (isolation exactness)", failures == 0,
                       f"100 draws, {failures} leaks")
@@ -191,8 +191,8 @@ class TestCriterion4:
         _, model_bp, _ = train(RunConfig(regime="bp", **kw).validate())
         worst = 0.0
         for j in range(1, 3):
-            for (name, pa), (_, pb) in zip(model_pgl.block_named_params(j),
-                                           model_bp.block_named_params(j)):
+            for (name, pa), (_, pb) in zip(model_pgl.block_params[j - 1],
+                                           model_bp.block_params[j - 1]):
                 worst = max(worst, float(np.max(np.abs(pa.data - pb.data))))
         elapsed = time.time() - t0
         assert report("4 (regime collapse B)", worst < 1e-6 and elapsed < 120,

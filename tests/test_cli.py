@@ -201,6 +201,23 @@ class TestCmdTrain:
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_first_forward_leaves_out_dir_as_it_was(self, tmp_path, capsys, existing):
+        # a ResNet may name spirals as a placeholder; its 2-D samples fail the first conv
+        path = spiral_config(tmp_path, network={"kind": "resnet", "depth": 8, "num_classes": 2, "input_hw": 8})
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        if existing:
+            assert [f.name for f in out.iterdir()] == ["notes.txt"]
+            assert (out / "notes.txt").read_text() == "kept"
+        else:
+            assert not out.exists()
+
     def test_blobs_width_sets_the_input_shape(self, tmp_path, capsys):
         path = spiral_config(tmp_path, epochs=1,
                              network={"kind": "mlp", "widths": [8], "num_classes": 2, "in_features": 3},
@@ -368,6 +385,24 @@ class TestConvTrainingViaIdx:
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{split}_images.idx" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["no-images", "count-mismatch", "bad-magic", "truncated"])
+    def test_refused_pair_leaves_no_out_dir(self, tmp_path, capsys, fault):
+        import struct
+
+        tr_img, tr_lbl = self._write_idx_pair(tmp_path, 0 if fault == "no-images" else 16, "train")
+        path = self._config(tmp_path, tr_img, tr_lbl, *self._write_idx_pair(tmp_path, 16, "test"))
+        if fault == "count-mismatch":
+            tr_lbl.write_bytes(struct.pack(">II", 0x00000801, 15) + bytes(15))
+        elif fault == "bad-magic":
+            tr_img.write_bytes(bytes(4) + tr_img.read_bytes()[4:])
+        elif fault == "truncated":
+            tr_img.write_bytes(tr_img.read_bytes()[:-1])
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        # a short read is an OSError, which main reports as "io error:"
+        assert err.startswith(("error:", "io error:")) and "train_" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [["train"], ["ablate", "--P", "2", "--Q", "1", "--seeds", "1"]])
     def test_missing_files_fail_before_any_output(self, tmp_path, capsys, command):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import pgl.layers as L
 from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
                          aux_adapt_policy, block_plans, partition, unit_plan)
 from pgl.tensor import Tensor, backward
-from pgl.training import NesterovSGD
+from pgl.training import NesterovSGD, evaluate, guided_epoch, local_epoch
 
 
 def small_mlp(J=2, widths=None, classes=2, seed=0):
@@ -173,9 +174,9 @@ class TestBlockPlans:
         assert len(model.plan) == J
         for j, block in enumerate(model.plan, 1):
             planned = sum(p.params for p in block.units) + sum(p.params for _, p in block.head)
-            built = [p.size for _, p in model.block_named_params(j)]
+            built = [p.size for _, p in model.block_params[j - 1]]
             if j < J:
-                built += [p.size for _, p in model.head_named_params(j)]
+                built += [p.size for _, p in model.head_params[j - 1]]
             assert planned == sum(built), f"block {j}"
 
 
@@ -190,11 +191,11 @@ class TestForwardLocal:
         labels = np.array([0, 1, 0, 1])
         _, logits = m.forward_local(x, 1, train=True)
         grads = backward(softmax_cross_entropy(logits, labels))
-        allowed = _param_ids(m.block_named_params(1)) | _param_ids(m.head_named_params(1))
+        allowed = _param_ids(m.block_params[0]) | _param_ids(m.head_params[0])
         for j in range(2, 5):
-            for _, p in m.block_named_params(j):
+            for _, p in m.block_params[j - 1]:
                 assert p.node_id not in grads
-        for name, p in list(m.block_named_params(1)) + list(m.head_named_params(1)):
+        for name, p in m.block_params[0] + m.head_params[0]:
             assert p.node_id in grads, name
         assert set(grads) - allowed == {nid for nid in grads if nid not in allowed}
 
@@ -228,10 +229,10 @@ class TestForwardGlobal:
         logits, _ = m.forward_global(x, train=True)
         grads = backward(softmax_cross_entropy(logits, np.array([0, 1, 0, 1])))
         for j in range(1, 5):
-            for name, p in m.block_named_params(j):
+            for name, p in m.block_params[j - 1]:
                 assert p.node_id in grads, name
         for j in range(1, 4):
-            for name, p in m.head_named_params(j):
+            for name, p in m.head_params[j - 1]:
                 assert p.node_id not in grads, name
 
     def test_eval_equals_chained_local(self):
@@ -280,22 +281,50 @@ class TestForwardGlobal:
         assert all(b.data is h.data for b, h in zip(xs, outputs))
         before = [b.data.copy() for b in xs]
         opt = NesterovSGD()
-        theta = [p for j in range(1, m.J + 1) for p in m.block_named_params(j)]
+        theta = [p for j in range(1, m.J + 1) for p in m.block_params[j - 1]]
         opt.step(theta, backward(softmax_cross_entropy(logits, y)), 0.1)
         for j in range(1, m.J):
             loss = softmax_cross_entropy(m.aux_logits(xs[j - 1], j), y)
-            opt.step(list(m.head_named_params(j)), backward(loss), 0.1)
+            opt.step(m.head_params[j - 1], backward(loss), 0.1)
         assert all(b.data.tobytes() == a.tobytes() for b, a in zip(xs, before))
+
+
+BOOKKEEPING_SPECS = [MlpSpec(widths=[5] * 6, num_classes=3),
+                     ResNetSpec(depth=8, num_classes=3, input_hw=8)]
 
 
 class TestModelBookkeeping:
     def test_every_param_in_exactly_one_group(self):
-        m = small_mlp(J=3, widths=[5] * 6)
-        groups = [_param_ids(m.block_named_params(j)) for j in range(1, 4)]
-        groups += [_param_ids(m.head_named_params(j)) for j in range(1, 3)]
-        all_ids = [nid for g in groups for nid in g]
-        assert len(all_ids) == len(set(all_ids))
-        assert set(all_ids) == _param_ids(m.named_params())
+        for spec in BOOKKEEPING_SPECS:
+            m = DecoupledModel(spec, 3, "aux_adapt", seed=0)
+            assert len(m.block_params) == 3 and len(m.head_params) == 2
+            grouped = [named for g in m.block_params + m.head_params for named in g]
+            walked = [named for j, units in enumerate(m.blocks, 1) for i, u in enumerate(units)
+                      for named in u.named_params(f"block{j}.unit{i}")]
+            walked += [named for j, head in enumerate(m.heads, 1) for named in head.named_params(f"aux{j}")]
+            assert [(n, p.node_id) for n, p in grouped] == [(n, p.node_id) for n, p in walked]
+            assert len(_param_ids(grouped)) == len(grouped)
+            assert [(n, p.node_id) for n, p in grouped] == [(n, p.node_id) for n, p in m.named_params()]
+
+    @pytest.mark.parametrize("spec", BOOKKEEPING_SPECS, ids=["mlp", "resnet8"])
+    def test_epochs_walk_no_layer(self, spec, monkeypatch):
+        m = DecoupledModel(spec, 3, "aux_adapt", seed=0)
+
+        def walk(*args):
+            raise AssertionError("a training step walked the layers for its parameters")
+
+        monkeypatch.setattr(L.LayerList, "named_params", walk)
+        monkeypatch.setattr(L.Param, "named_params", walk)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, *spec.in_shape)).astype(np.float32)
+        batches = [(x, np.array([0, 1, 2, 0, 1, 2]))] * 2
+        opt = NesterovSGD()
+        before = [p.data.copy() for _, p in m.named_params()]
+        local_epoch(m, batches, opt, 0.1)
+        guided_epoch(m, batches, opt, 0.1, update_aux=True)
+        guided_epoch(m, batches, opt, 0.1, update_aux=False)
+        evaluate(m, batches)
+        assert all(not np.array_equal(a, p.data) for a, (_, p) in zip(before, m.named_params()))
 
     def test_same_seed_same_init(self):
         a = small_mlp(J=2, seed=9)

@@ -181,7 +181,7 @@ class TestLocalEpoch:
         local_epoch(model, D.batches(train_set, 16, 0, 0), NesterovSGD(), lr=0.1)
         for j in range(1, 5):
             moved = any(not np.array_equal(init[name], p.data)
-                        for name, p in model.block_named_params(j))
+                        for name, p in model.block_params[j - 1])
             assert moved, f"block {j} never updated"
 
     def test_j1_equals_bp_epoch_bitwise(self):
@@ -221,18 +221,18 @@ class TestGuidedEpoch:
         guided_epoch(with_aux, batches, NesterovSGD(), lr=0.1, update_aux=True)
         guided_epoch(without_aux, batches, NesterovSGD(), lr=0.1, update_aux=False)
         for j in range(1, 4):
-            for (na, pa), (_, pb) in zip(with_aux.block_named_params(j),
-                                         without_aux.block_named_params(j)):
+            for (na, pa), (_, pb) in zip(with_aux.block_params[j - 1],
+                                         without_aux.block_params[j - 1]):
                 assert np.array_equal(pa.data, pb.data), na
 
     def test_aux_heads_do_move_when_enabled(self):
         cfg = mlp_config(blocks=2)
         model = cfg.build_model()
-        init = {name: p.data.copy() for name, p in model.head_named_params(1)}
+        init = {name: p.data.copy() for name, p in model.head_params[0]}
         train_set, _ = cfg.build_datasets()
         guided_epoch(model, D.batches(train_set, 16, 0, 0), NesterovSGD(), lr=0.1)
         assert any(not np.array_equal(init[name], p.data)
-                   for name, p in model.head_named_params(1))
+                   for name, p in model.head_params[0])
 
     def test_returns_global_and_aux_losses(self):
         cfg = mlp_config(blocks=2)
