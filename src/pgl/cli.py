@@ -1,5 +1,10 @@
 """Command-line surface: train / eval / gradcheck / memest / ablate.
 
+``ablate`` runs ``training.panel`` over a (P, Q) grid of ``pgl`` cells and a
+``dgl`` cell at the same seeds; with two or more seeds its summary adds each
+(P, Q) cell's ``training.paired`` ``pgl - dgl``.  ``train`` and ``ablate``
+make their output directory only once every run has finished.
+
 ``PGL_THREADS`` caps BLAS kernel parallelism (default 1 for bit-deterministic
 runs); it must take effect before numpy spins up its thread pools, hence the
 environment setup ahead of any numeric import.
@@ -129,45 +134,31 @@ def cmd_ablate(args) -> int:
     q_list = _int_list(args.Q, "Q")
     if args.seeds < 1:
         raise ConfigError("need at least one seed")
-    for p in p_list:
-        for q in q_list:
-            Schedule(config.epochs, p, q, "pgl").validate()
     seeds = [config.seed + i for i in range(args.seeds)]
-    out_dir = Path(args.out if args.out is not None else config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cells = {("pgl", p, q): dict(regime="pgl", P=p, Q=q) for p in p_list for q in q_list}
+    dgl = ("dgl", "", "")
+    cells[dgl] = dict(regime="dgl")
+    accs = {cell: [] for cell in cells}
+    for (regime, p, q), s, acc in TR.panel(config, cells, seeds):
+        accs[regime, p, q].append(acc)
+        print(f"pgl P={p} Q={q} seed={s}: {acc:.4f}" if regime == "pgl" else f"dgl seed={s}: {acc:.4f}")
 
-    rows = []
-    means = {}
-    for p in p_list:
-        for q in q_list:
-            accs = []
-            for s in seeds:
-                run_cfg = config.with_overrides(regime="pgl", P=p, Q=q, seed=s).validate()
-                records, _, _ = TR.train(run_cfg)
-                acc = records[-1].test_acc
-                accs.append(acc)
-                rows.append(("pgl", p, q, s, acc))
-                print(f"pgl P={p} Q={q} seed={s}: {acc:.4f}")
-            means[(p, q)] = float(np.mean(accs))
-    dgl_accs = []
-    for s in seeds:
-        run_cfg = config.with_overrides(regime="dgl", seed=s).validate()
-        records, _, _ = TR.train(run_cfg)
-        acc = records[-1].test_acc
-        dgl_accs.append(acc)
-        rows.append(("dgl", "", "", s, acc))
-        print(f"dgl seed={s}: {acc:.4f}")
-
-    csv_path = out_dir / "ablation.csv"
+    # made only now, so a run that fails leaves no output directory behind
+    csv_path = Path(args.out if args.out is not None else config.out_dir) / "ablation.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["regime,P,Q,seed,test_acc"]
-    lines += [f"{r},{p},{q},{s},{a:.6f}" for r, p, q, s, a in rows]
+    lines += [f"{r},{p},{q},{s},{a:.6f}" for (r, p, q), row in accs.items() for s, a in zip(seeds, row)]
     csv_path.write_text("\n".join(lines) + "\n")
 
     print("\nmean test accuracy over seeds:")
     print("          " + "".join(f"P={p:<8d}" for p in p_list))
     for q in q_list:
-        print(f"  Q={q:<4d}  " + "".join(f"{means[(p, q)] * 100:<10.2f}" for p in p_list))
-    print(f"  DGL     {float(np.mean(dgl_accs)) * 100:.2f}")
+        print(f"  Q={q:<4d}  " + "".join(f"{float(np.mean(accs['pgl', p, q])) * 100:<10.2f}" for p in p_list))
+    print(f"  DGL     {float(np.mean(accs[dgl])) * 100:.2f}")
+    for (regime, p, q), row in accs.items():
+        if regime == "pgl" and len(seeds) >= 2:
+            mean, se, t = TR.paired(row, accs[dgl])
+            print(f"  P={p} Q={q}  pgl - dgl {mean:+.2f} ± {se:.2f} pt, paired (one-sided 95 % t = {t:.3f})")
     print(f"wrote {csv_path}")
     return 0
 

@@ -97,7 +97,7 @@ _IDX_LABELS_MAGIC = 0x00000801
 def _read_exact(f, n: int, path) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise OSError(f"{path}: truncated IDX file (wanted {n} bytes, got {len(buf)})")
+        raise FormatError(f"{path}: truncated IDX file (wanted {n} bytes, got {len(buf)})")
     return buf
 
 

@@ -8,7 +8,8 @@ index crosses a multiple of the period P.  During guidance the global loss
 updates the backbone while local losses update only the auxiliary heads.
 Every update, local, global or head, is one ``_update`` of a parameter
 group the model fixed when it was built, so no step walks a layer, and
-``NesterovSGD`` updates parameters and velocities in place.
+``NesterovSGD`` updates parameters and velocities in place.  ``panel``
+runs a grid of configs over seeds and ``paired`` compares two of its cells.
 """
 
 from __future__ import annotations
@@ -223,16 +224,14 @@ class MetricsRecord:
     test_acc: float
 
 
-def train(config, force_mode: str | None = None):
+def train(config):
     """Run the configured regime end to end.
 
     Returns (metrics records, model, optimizer).  After each epoch a
     non-finite mean loss (global or any block's) raises ``DomainError``
     naming the epoch and the loss.  After the last epoch, so does a model
     that gives every training row bitwise the same logits: it has collapsed
-    to a constant guess, whatever its accuracy.  ``force_mode`` overrides
-    the schedule for every epoch; it exists for trajectory-equivalence
-    diagnostics (e.g. an all-guided run compared against plain bp).
+    to a constant guess, whatever its accuracy.
     Accuracies are evaluated in batches of ``memory.eval_rows`` rows; logits
     match training-sized batches bit for bit unless BLAS sums a small GEMM
     (a few dozen rows) in a row-count-dependent order.
@@ -251,7 +250,7 @@ def train(config, force_mode: str | None = None):
     records = []
     for e in range(schedule.E):
         lr = lr_at(e, schedule.E, config.lr0)
-        mode = force_mode if force_mode is not None else mode_of_epoch(e, schedule)
+        mode = mode_of_epoch(e, schedule)
         batch_list = D.batches(train_set, config.batch_size, config.seed, e)
         if mode == LOCAL:
             local_losses = local_epoch(model, batch_list, opt, lr)
@@ -276,3 +275,34 @@ def train(config, force_mode: str | None = None):
         records.append(MetricsRecord(e, mode, lr, global_loss, list(local_losses),
                                      train_acc, test_acc))
     return records, model, opt
+
+
+# ---------------------------------------------------------------------------
+# seed panels
+
+# One-sided 95 % Student-t quantiles t_{0.95, d} for d = 1..29 degrees of
+# freedom, from the standard t table (numpy has no t quantile).
+T95 = (6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
+       1.796, 1.782, 1.771, 1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725,
+       1.721, 1.717, 1.714, 1.711, 1.708, 1.706, 1.703, 1.701, 1.699)
+
+
+def panel(config, cells, seeds):
+    """Yield (cell, seed, final test accuracy) for each cell of ``cells``, a map
+    from cell to config overrides, and each seed, in order; every cell's
+    config is validated before the first run."""
+    configs = {cell: config.with_overrides(**overrides).validate() for cell, overrides in cells.items()}
+    for cell, cell_config in configs.items():
+        for seed in seeds:
+            yield cell, seed, train(cell_config.with_overrides(seed=seed))[0][-1].test_acc
+
+
+def paired(a, b):
+    """(mean, SE, t) of the per-seed difference of accuracies ``a - b`` in points,
+    with t = ``T95`` at n - 1 d.o.f. (its 29-d.o.f. value past 29, which is
+    conservative)."""
+    diff = 100.0 * (np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    n = len(diff)
+    if n < 2:
+        raise ConfigError(f"a paired difference needs at least 2 seeds, got {n}")
+    return float(diff.mean()), float(diff.std(ddof=1)) / np.sqrt(n), T95[min(n - 1, len(T95)) - 1]

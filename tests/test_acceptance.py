@@ -23,7 +23,8 @@ from pgl.memory import estimate_bp, estimate_local, estimate_schedule_avg, unit_
 from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, block_plans,
                          partition)
 from pgl.tensor import Tensor, backward
-from pgl.training import GUIDED, Schedule, guided_epoch_count, mode_of_epoch, train
+from pgl.training import (GUIDED, NesterovSGD, Schedule, guided_epoch, guided_epoch_count, lr_at,
+                          mode_of_epoch, paired, panel)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -38,60 +39,45 @@ def report(criterion: str, ok: bool, detail: str = ""):
 TREND_SEEDS = range(5)
 TREND_P_GRID = (5, 10, 15, 20)
 TREND_Q_GRID = (1, 2, 3)
+TREND_CONFIG = RunConfig(network=MlpSpec(widths=[64] * 8, num_classes=3), blocks=4,
+                         aux="aux_adapt", regime="pgl", epochs=60, P=5, Q=1,
+                         lr0=0.1, batch_size=64, seed=0,
+                         dataset=SpiralsSpec(classes=3, n_per_class=256,
+                                             test_n_per_class=512, noise=0.05))
 
 
-def trend_config(regime, seed, P=5, Q=1):
-    return RunConfig(network=MlpSpec(widths=[64] * 8, num_classes=3), blocks=4,
-                     aux="aux_adapt", regime=regime, epochs=60, P=P, Q=Q,
-                     lr0=0.1, batch_size=64, seed=seed,
-                     dataset=SpiralsSpec(classes=3, n_per_class=256,
-                                         test_n_per_class=512, noise=0.05)).validate()
-
-
-def final_acc(regime, seed, P=5, Q=1):
-    records, _, _ = train(trend_config(regime, seed, P, Q))
-    return records[-1].test_acc
+def panel_accs(cells):
+    """Final test accuracies per cell over TREND_SEEDS, from ``training.panel``."""
+    accs = {cell: [] for cell in cells}
+    for cell, _, acc in panel(TREND_CONFIG, cells, TREND_SEEDS):
+        accs[cell].append(acc)
+    return accs
 
 
 @pytest.fixture(scope="module")
 def trend_panel():
     t0 = time.time()
-    panel = {"bp": [final_acc("bp", s) for s in TREND_SEEDS],
-             "dgl": [final_acc("dgl", s) for s in TREND_SEEDS],
-             (5, 1): [final_acc("pgl", s, 5, 1) for s in TREND_SEEDS]}
-    panel["runtime_c6"] = time.time() - t0     # criterion 6's 15 runs
-    for P in TREND_P_GRID[1:]:
-        panel[(P, 1)] = [final_acc("pgl", s, P, 1) for s in TREND_SEEDS]
-    for Q in TREND_Q_GRID[1:]:
-        panel[(5, Q)] = [final_acc("pgl", s, 5, Q) for s in TREND_SEEDS]
-    return panel
+    trend = panel_accs({"bp": dict(regime="bp"), "dgl": dict(regime="dgl"), (5, 1): {}})
+    trend["runtime_c6"] = time.time() - t0     # criterion 6's 15 runs
+    trend.update(panel_accs({(P, 1): dict(P=P) for P in TREND_P_GRID[1:]}))
+    trend.update(panel_accs({(5, Q): dict(Q=Q) for Q in TREND_Q_GRID[1:]}))
+    return trend
 
 
 def mean_pct(vals):
     return 100.0 * float(np.mean(vals))
 
 
-# One-sided 95 % Student-t quantile for n - 1 = 4 degrees of freedom, i.e. the
-# five seeds of TREND_SEEDS (t_{0.95,4} = 2.132 from the standard t table;
-# numpy has no t quantile).  Any other seed count needs its own value.
-T95_SEEDS = 5
-T95_ONE_SIDED = 2.132
-
-
 def paired_reversal(more_guided, less_guided):
     """Paired per-seed difference more_guided - less_guided, in points.
 
-    Returns (mean, standard error, reversed).  The pair counts as reversed
-    only when the mean lies below -T95_ONE_SIDED * SE, i.e. the more-guided
-    end is worse by more than the seed noise can explain.
+    Returns (mean, standard error, t, reversed) with ``training.paired``'s
+    one-sided 95 % t.  The pair counts as reversed only when the mean lies
+    below -t * SE, i.e. the more-guided end is worse by more than the seed
+    noise can explain.
     """
-    diff = 100.0 * (np.asarray(more_guided, dtype=float) - np.asarray(less_guided, dtype=float))
-    if diff.shape != (T95_SEEDS,):
-        raise ValueError(f"T95_ONE_SIDED is the t value for {T95_SEEDS} paired seeds, "
-                         f"got {diff.shape}; update it with TREND_SEEDS")
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1)) / np.sqrt(T95_SEEDS)
-    return mean, se, mean < -T95_ONE_SIDED * se
+    mean, se, t = paired(more_guided, less_guided)
+    return mean, se, t, mean < -t * se
 
 
 def worst_drop(means_by_guidance):
@@ -183,12 +169,20 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_all_guided_pgl_matches_bp_backbone(self):
+        # a guided epoch with head updates (pgl) and without (bp), same batches and lr
         t0 = time.time()
-        kw = dict(network=MlpSpec(widths=[16] * 4, num_classes=3), blocks=2,
-                  aux="aux_adapt", epochs=3, P=4, Q=1, lr0=0.1, batch_size=32, seed=3,
-                  dataset=SpiralsSpec(classes=3, n_per_class=64, test_n_per_class=64))
-        _, model_pgl, _ = train(RunConfig(regime="pgl", **kw).validate(), force_mode=GUIDED)
-        _, model_bp, _ = train(RunConfig(regime="bp", **kw).validate())
+        config = RunConfig(network=MlpSpec(widths=[16] * 4, num_classes=3), blocks=2,
+                           aux="aux_adapt", regime="pgl", epochs=3, P=4, Q=1, lr0=0.1,
+                           batch_size=32, seed=3,
+                           dataset=SpiralsSpec(classes=3, n_per_class=64, test_n_per_class=64)).validate()
+        train_set, _ = config.build_datasets()
+        model_pgl, model_bp = config.build_model(), config.build_model()
+        opt_pgl, opt_bp = (NesterovSGD(config.momentum, config.weight_decay) for _ in range(2))
+        for e in range(config.epochs):
+            batch_list = D.batches(train_set, config.batch_size, config.seed, e)
+            lr = lr_at(e, config.epochs, config.lr0)
+            guided_epoch(model_pgl, batch_list, opt_pgl, lr, update_aux=True)
+            guided_epoch(model_bp, batch_list, opt_bp, lr, update_aux=False)
         worst = 0.0
         for j in range(1, 3):
             for (name, pa), (_, pb) in zip(model_pgl.block_params[j - 1],
@@ -257,8 +251,8 @@ class TestCriterion7:
         q_means = [mean_pct(trend_panel[(5, Q)]) for Q in TREND_Q_GRID]
         p_worst = worst_drop(p_means[::-1])
         q_worst = worst_drop(q_means)
-        p_mean, p_se, p_rev = paired_reversal(trend_panel[(5, 1)], trend_panel[(20, 1)])
-        q_mean, q_se, q_rev = paired_reversal(trend_panel[(5, 3)], trend_panel[(5, 1)])
+        p_mean, p_se, t95, p_rev = paired_reversal(trend_panel[(5, 1)], trend_panel[(20, 1)])
+        q_mean, q_se, _, q_rev = paired_reversal(trend_panel[(5, 3)], trend_panel[(5, 1)])
         p_ok = not p_rev and p_worst <= 0.5
         q_ok = not q_rev and q_worst <= 0.5
 
@@ -269,7 +263,7 @@ class TestCriterion7:
 
         detail = (sweep("P", p_means, "P5-P20", p_mean, p_se, p_worst) + "; " +
                   sweep("Q", q_means, "Q3-Q1", q_mean, q_se, q_worst) +
-                  f"; reversal below -{T95_ONE_SIDED}*SE")
+                  f"; reversal below -{t95}*SE")
         assert report("7 (ablation trend)", p_ok and q_ok, detail)
         assert p_ok, f"P-sweep: {detail}"
         assert q_ok, f"Q-sweep: {detail}"
@@ -277,12 +271,15 @@ class TestCriterion7:
     def test_reversal_rule_on_synthetic_panels(self):
         base = np.array([0.880, 0.885, 0.890, 0.886, 0.892])
         jitter = np.array([0.2, -0.2, 0.1, -0.25, 0.05]) / 100.0
-        mean, se, rev = paired_reversal(base - 0.005 + jitter, base)
-        assert rev and mean == pytest.approx(-0.52) and se < 0.1
-        mean, se, rev = paired_reversal(base + jitter, base)
+        mean, se, t, rev = paired_reversal(base - 0.005 + jitter, base)
+        assert rev and mean == pytest.approx(-0.52) and se < 0.1 and t == 2.132
+        mean, se, t, rev = paired_reversal(base + jitter, base)
         assert not rev and abs(mean) < 0.05
-        with pytest.raises(ValueError):
-            paired_reversal(base[:4], base[:4])
+        # ten seeds: t falls to 1.833 at 9 d.o.f., so a drop of 2 SE now counts
+        base10 = np.concatenate([base, base + 0.001])
+        jitter10 = np.concatenate([jitter, -jitter])
+        mean, se, t, rev = paired_reversal(base10 + jitter10 - 0.0012, base10)
+        assert t == 1.833 and -2.132 * se < mean < -1.833 * se and rev
 
 
 class TestCriterion8:

@@ -117,7 +117,7 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, np.zeros((4, 3, 3), np.uint8), [0, 1, 2, 3])
         blob = img.read_bytes()
         img.write_bytes(blob[:-5])
-        with pytest.raises(OSError):
+        with pytest.raises(FormatError, match="truncated IDX file"):
             D.load_idx(img, lbl)
 
 

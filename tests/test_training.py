@@ -7,15 +7,16 @@ import pytest
 
 import pgl.data as D
 import pgl.tensor as T
+import pgl.training as TR
 from pgl.config import RunConfig, SpiralsSpec
 from pgl.errors import ConfigError, DomainError
 from pgl.layers import softmax_cross_entropy
 from pgl.memory import eval_rows
 from pgl.network import DecoupledModel, MlpSpec, ResNetSpec
 from pgl.tensor import Tensor
-from pgl.training import (GUIDED, LOCAL, NesterovSGD, Schedule, evaluate,
+from pgl.training import (GUIDED, LOCAL, T95, NesterovSGD, Schedule, evaluate,
                           guided_epoch, guided_epoch_count, local_epoch, lr_at,
-                          mode_of_epoch, train)
+                          mode_of_epoch, paired, panel, train)
 
 
 def guided_predicate(e, P, Q):
@@ -367,15 +368,17 @@ class TestTrain:
             last.append(np.mean([r.local_losses[-1] for r in tail]))
         assert np.mean(first) >= np.mean(last)
 
-    @pytest.mark.parametrize("mode", [LOCAL, GUIDED])
-    def test_one_block_per_unit_trains(self, mode):
+    @pytest.mark.parametrize("mode, schedule", [(LOCAL, dict(epochs=2)), (GUIDED, dict(epochs=3, P=2, Q=1))],
+                             ids=[LOCAL, GUIDED])
+    def test_one_block_per_unit_trains(self, mode, schedule):
         # 5 units, 4 partitionable: the classifier is block 5 on its own
-        cfg = mlp_config(blocks=5, regime="pgl", epochs=2)
-        recs, model, _ = train(cfg, force_mode=mode)
+        cfg = mlp_config(blocks=5, regime="pgl", **schedule)
+        recs, model, _ = train(cfg)
         assert [len(units) for units in model.blocks] == [1] * 5
-        losses = [v for r in recs for v in [r.global_loss] + r.local_losses if v is not None]
-        assert len(losses) == 2 * 5                  # 5 local, or global + 4 heads
-        assert all(math.isfinite(v) for v in losses)
+        assert recs[-1].mode == mode
+        losses = [[v for v in [r.global_loss] + r.local_losses if v is not None] for r in recs]
+        assert len(losses[-1]) == 5                  # 5 local, or global + 4 heads
+        assert all(math.isfinite(v) for epoch in losses for v in epoch)
 
     @pytest.mark.parametrize("regime, where", [("dgl", "block"), ("bp", "global")])
     def test_divergence_raises(self, regime, where):
@@ -383,3 +386,20 @@ class TestTrain:
                          lr0=50.0, epochs=3)
         with np.errstate(all="ignore"), pytest.raises(DomainError, match=rf"epoch \d+: {where}"):
             train(cfg)
+
+
+class TestPanel:
+    def test_t95_matches_the_standard_table(self):
+        assert len(T95) == 29
+        assert [T95[d - 1] for d in (1, 4, 9, 29)] == [6.314, 2.132, 1.833, 1.699]
+        assert all(a > b for a, b in zip(T95, T95[1:]))
+
+    def test_paired_refuses_one_seed(self):
+        with pytest.raises(ConfigError, match="at least 2 seeds"):
+            paired([0.9], [0.8])
+        assert paired(np.ones(40), np.zeros(40)) == (100.0, 0.0, 1.699)    # t held past 29 d.o.f.
+
+    def test_every_cell_is_validated_before_the_first_run(self, monkeypatch):
+        monkeypatch.setattr(TR, "train", lambda config: pytest.fail("a run started"))
+        with pytest.raises(ConfigError, match="1 <= Q < P"):
+            list(panel(mlp_config(regime="pgl"), {"good": dict(P=3, Q=1), "bad": dict(P=2, Q=2)}, [0]))
