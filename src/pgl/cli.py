@@ -30,7 +30,7 @@ from .config import parse_config
 from .errors import ConfigError, PglError
 from .gradcheck import run_suite
 from .network import partition, unit_plan
-from .training import NesterovSGD, Schedule, evaluate
+from .training import Schedule, evaluate
 
 
 def _fmt(v) -> str:
@@ -74,8 +74,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = parse_config(args.config)
     model = config.build_model()
-    opt = NesterovSGD(config.momentum, config.weight_decay)
-    apply_checkpoint(load_checkpoint(args.ckpt), model, opt)
+    apply_checkpoint(load_checkpoint(args.ckpt), model)
     _, test_set = config.build_datasets()
     from . import data as D
 

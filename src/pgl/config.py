@@ -67,7 +67,10 @@ class IdxSpec:
     std: float = 1.0
 
     def validate(self):
-        """Every path names a file, so a run fails before it makes anything."""
+        """Every path names a file and std is positive, so a run fails
+        before it reads or makes anything."""
+        if self.std <= 0:
+            raise ConfigError(f"dataset.std must be > 0, got {self.std}")
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             path = getattr(self, key)
             if not Path(path).is_file():

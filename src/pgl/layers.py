@@ -15,7 +15,8 @@ docstrings.  In short: a conv lowers at most SLAB_BYTES of its input at a
 time, in slabs that never split a GEMM's reduction axis and, when there are
 several, keep each slab GEMM above M*N*K = 1e6, below which OpenBLAS runs
 small-matrix kernels with other last bits; its sums start at +0.0; and
-batchnorm works in its input's memory order, NHWC after a conv.
+batchnorm takes only NHWC memory, as a conv hands it on, and builds a graph
+only in train mode.
 """
 
 from __future__ import annotations
@@ -311,12 +312,16 @@ def _channel_mean(a: np.ndarray) -> np.ndarray:
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                       state: BatchNormState, train: bool = True, relu: bool = False) -> Tensor:
     """Per-channel normalization over (N,H,W) with biased batch variance,
-    followed by ``tensor.relu``'s max(., 0) if ``relu``.
+    followed by ``tensor.relu``'s max(., 0) if ``relu``; eps is 1e-5.
 
-    Training normalizes by batch statistics and updates the running stats in
-    place with momentum 0.1; evaluation uses the running stats and requires
-    them populated.  eps is 1e-5.  One graph node; the training input
-    gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma * g.
+    x must be [N,C,H,W] in NHWC memory, as a conv hands it on; any other
+    layout raises ``ContractError``.  Train mode normalizes by batch
+    statistics; it is the one call that updates the running statistics (in
+    place, momentum 0.1) and the one that builds a graph, a node whose input
+    gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma *
+    g.  Eval mode normalizes by the running statistics, which must be
+    populated, and builds no graph: with gradients enabled and a tracked
+    input it raises ``ContractError``, so it runs under ``no_grad``.
 
     With ``relu`` the node keeps what it keeps without it, never its
     output.  It rebuilds the output with the forward's own ops on the same
@@ -328,12 +333,11 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     ``> 0`` has the values of the output's, NaN included.  x's edge runs
     last and scales that product in place into gx = gamma * g.
 
-    xhat, the output and dx take x's memory order if it is NHWC, as after
-    a conv, and C order otherwise.  The channel sums (``_channel_sum``) of
-    NHWC memory add its [N*H*W, C] rows in row order, as numpy's reduction
-    does.  The elementwise work runs on one row per image, [N, H*W*C] (or
-    [N, C*H*W]), against per-channel vectors tiled along a row, so each
-    loop is a whole image long, not C floats.  The mixed-layout backward
+    xhat, the output and dx are NHWC memory too.  The channel sums
+    (``_channel_sum``) add its [N*H*W, C] rows in row order, as numpy's
+    reduction does.  The elementwise work runs on one row per image,
+    [N, H*W*C], against per-channel vectors tiled along a row, so each loop
+    is a whole image long, not C floats.  The mixed-layout backward
     products ``g * gamma`` and ``gx * xhat`` keep numpy's memory order,
     which fixes the order of their sums and so their bits.
     """
@@ -342,59 +346,62 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: affine params must have shape [{c}]")
+    if not x.data.transpose(0, 2, 3, 1).flags.c_contiguous:
+        layout = "C-order" if x.data.flags.c_contiguous else f"strides {x.data.strides}"
+        raise ContractError(f"batchnorm: expects NHWC memory, as a conv hands it on, got {layout}")
     bshape = (1, c, 1, 1)
     eps = x.dtype.type(1e-5)
     gam = gamma.data.reshape(bshape)
-    nhwc = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
-
-    def rows(a):                                         # one row per image, in memory order
-        return (a.transpose(0, 2, 3, 1) if nhwc else a).reshape(n, -1)
-
-    def tile(v):                                         # a per-channel vector along one row
-        return np.tile(v, h * w) if nhwc else np.repeat(v, h * w)
-
-    def image(r):                                        # the [N,C,H,W] view of rows
-        return r.reshape(n, h, w, c).transpose(0, 3, 1, 2) if nhwc else r.reshape(n, c, h, w)
-
-    if train:
-        mu = _channel_mean(x.data)
-        xr = rows(x.data) - tile(mu)
-        var = _channel_mean(image(xr * xr))
-        std = np.sqrt(var + eps)
-        xr /= tile(std)
-        xhat = image(xr)
-        m = np.float32(0.1)
-        state.running_mean = (1 - m) * state.running_mean + m * mu
-        state.running_var = (1 - m) * state.running_var + m * var
-        state.batches_tracked += 1
-
-        def grad_x(gx):
-            # gx = gamma * g, an array of the node's own: once its sums are
-            # taken, the last product overwrites it.  dx takes xhat's memory
-            # order, [N,H,W,C] after a conv, so the conv's backward reads its
-            # GEMM rows without a copy
-            scale = tile(_channel_mean(gx * xhat))
-            dx = np.subtract(gx, _channel_mean(gx).reshape(bshape), out=np.empty_like(xhat))
-            dr = rows(dx)
-            dr -= np.multiply(xr, scale, out=gx.reshape(xr.shape) if gx.flags.c_contiguous else None)
-            dr /= tile(std)
-            return dx
-    else:
-        if state.batches_tracked == 0:
-            raise ContractError("batchnorm: eval mode before any train-mode batch")
-        std = np.sqrt(state.running_var.astype(x.dtype) + eps)
-        xr = rows(x.data) - tile(state.running_mean.astype(x.dtype))
-        xr /= tile(std)
-        xhat = image(xr)
-
-        def grad_x(gx):
-            return gx / std.reshape(bshape)
     gd, bd = gamma.data, beta.data
 
-    def affine():                                        # gamma * xhat + beta, in xhat's memory order
+    def rows(a):                                         # one row per image, [N, H*W*C]
+        return a.transpose(0, 2, 3, 1).reshape(n, -1)
+
+    def tile(v):                                         # a per-channel vector along one row
+        return np.tile(v, h * w)
+
+    def image(r):                                        # the [N,C,H,W] view of rows
+        return r.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+    def affine():                                        # gamma * xhat + beta, as NHWC memory
         out = tile(gd) * xr
         out += tile(bd)
         return image(out)
+
+    def remake():                                        # the output, as tensor.relu makes it
+        out = affine()
+        return np.maximum(out, 0, dtype=out.dtype)
+
+    if not train:
+        if state.batches_tracked == 0:
+            raise ContractError("batchnorm: eval mode before any train-mode batch")
+        if T._grad_enabled and any(t.requires_grad for t in (x, gamma, beta)):
+            raise ContractError("batchnorm: eval mode builds no graph; run it under no_grad")
+        xr = rows(x.data) - tile(state.running_mean.astype(x.dtype))
+        xr /= tile(np.sqrt(state.running_var.astype(x.dtype) + eps))
+        return Tensor(remake() if relu else affine())
+
+    mu = _channel_mean(x.data)
+    xr = rows(x.data) - tile(mu)
+    var = _channel_mean(image(xr * xr))
+    std = np.sqrt(var + eps)
+    xr /= tile(std)
+    xhat = image(xr)
+    m = np.float32(0.1)
+    state.running_mean = (1 - m) * state.running_mean + m * mu
+    state.running_var = (1 - m) * state.running_var + m * var
+    state.batches_tracked += 1
+
+    def grad_x(gx):
+        # gx = gamma * g, an array of the node's own: once its sums are
+        # taken, the last product overwrites it.  dx takes xhat's NHWC
+        # memory, so the conv's backward reads its GEMM rows without a copy
+        scale = tile(_channel_mean(gx * xhat))
+        dx = np.subtract(gx, _channel_mean(gx).reshape(bshape), out=np.empty_like(xhat))
+        dr = rows(dx)
+        dr -= np.multiply(xr, scale, out=gx.reshape(xr.shape) if gx.flags.c_contiguous else None)
+        dr /= tile(std)
+        return dx
 
     def grad_gamma(g):
         return _channel_sum(g * xhat)
@@ -404,10 +411,6 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     if not relu:
         return apply_op(affine(), [(gamma, grad_gamma), (beta, _channel_sum),
                                    (x, lambda g: grad_x(g * gam))])
-
-    def remake():                                        # the output, as tensor.relu makes it
-        out = affine()
-        return np.maximum(out, 0, dtype=out.dtype)
 
     gm = None                                            # relu's g * mask, made by the first edge to run
 

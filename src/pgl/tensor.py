@@ -114,8 +114,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Value-equal C-order copy with no parents and requires_grad=False.
 
-        A copy, not an alias: a local step hands the next block this C
-        order, not a conv's NHWC memory, and batchnorm's sums follow it.
+        A copy, not an alias: a local step hands the next block C-order
+        memory, whatever order the op that made it left.
         """
         return Tensor(self.data.copy(), requires_grad=False)
 
@@ -221,7 +221,7 @@ def _as_rng(rng):
     return np.random.default_rng(rng)
 
 
-def create(shape, init="zeros", rng=None, requires_grad=False) -> Tensor:
+def create(shape, init="zeros", rng=None) -> Tensor:
     """Allocate a float32 tensor under a named init rule.
 
     ``init`` is "zeros", "ones", "kaiming_normal" or ("kaiming_normal",
@@ -248,7 +248,7 @@ def create(shape, init="zeros", rng=None, requires_grad=False) -> Tensor:
         fan_in = arg if arg is not None else int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
         std = np.sqrt(2.0 / fan_in)
         data = (rng.standard_normal(shape) * std).astype(np.float32)
-    return Tensor(data, requires_grad=requires_grad)
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import pgl.checkpoint as C
 import pgl.data as D
+import pgl.tensor as T
 from pgl.checkpoint import (apply_checkpoint, load_checkpoint, read_tensors,
                             save_checkpoint, write_tensors)
 from pgl.cli import main
@@ -133,8 +134,9 @@ class TestModelCheckpoint:
             assert np.array_equal(a.state.running_var, b.state.running_var)
             assert a.state.batches_tracked == b.state.batches_tracked
         # eval mode must work right after restore
-        logits_a, _ = model.forward_global(x, train=False)
-        logits_b, _ = fresh.forward_global(x, train=False)
+        with T.no_grad():
+            logits_a, _ = model.forward_global(x, train=False)
+            logits_b, _ = fresh.forward_global(x, train=False)
         assert np.array_equal(logits_a.data, logits_b.data)
 
     def test_missing_parameter_rejected(self, tmp_path):

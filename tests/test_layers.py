@@ -286,6 +286,11 @@ def network_calls(name, key, spec, J, shape, monkeypatch):
     return sorted(seen)
 
 
+def nhwc(a):
+    """a's values in NHWC memory, the order a conv hands on its output."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 # ResNet-8 as the ResNet oracle trains it, and the benchmark's resnet20-img16
 RESNET8 = (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2, (16, 3, 8, 8))
 RESNET20_IMG16 = (ResNetSpec(depth=20, num_classes=10, input_hw=16), 4, (64, 3, 16, 16))
@@ -325,7 +330,7 @@ class TestIm2col:
         x = np.random.default_rng(shape).normal(size=shape).astype(dtype)
         flat = x.reshape(-1)
         flat[::7], flat[1::11], flat[2::13], flat[3::5] = np.nan, np.inf, -np.inf, -0.0
-        return x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        return x, nhwc(x)
 
     def _check(self, shape, k, stride, pad, dtype=np.float32):
         for x in self._inputs(shape, dtype):
@@ -722,57 +727,73 @@ def reference_batchnorm(x, gamma, beta, state=None, eps=1e-5):
 
 
 class TestBatchNorm:
-    @pytest.mark.parametrize("layout, train", [("nchw", True), ("nhwc", True), ("nchw", False), ("nhwc", False)],
-                             ids=["nchw", "nhwc", "nchw-eval", "nhwc-eval"])
-    def test_matches_unfused_composition(self, layout, train):
-        # same forward arithmetic, bit for bit; the closed-form training input
-        # gradient reorders float32 sums, so it agrees to a few ulps of the
-        # largest entry, while eval's g * gamma / std is the composition's own
+    @pytest.mark.parametrize("train", [True, False], ids=["nhwc", "nhwc-eval"])
+    def test_matches_unfused_composition(self, train):
+        # same forward arithmetic on a conv output's memory, bit for bit;
+        # the closed-form training input gradient reorders float32 sums, so
+        # it agrees to a few ulps of the largest entry.  Eval mode builds no
+        # graph, so only its forward is compared
         rng = np.random.default_rng(3)
-        data = rng.normal(2.0, 3.0, size=(32, 8, 6, 6)).astype(np.float32)
-        if layout == "nhwc":                     # a conv output's memory order
-            data = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        data = nhwc(rng.normal(2.0, 3.0, size=(32, 8, 6, 6)).astype(np.float32))
         x = Tensor(data, requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, 8).astype(np.float32), requires_grad=True)
         beta = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
         proj = rng.normal(size=data.shape).astype(np.float32)
-        state = L.BatchNormState.init(8)
         if not train:
             state = L.BatchNormState(rng.normal(2.0, 1.0, 8).astype(np.float32),
                                      rng.uniform(4.0, 12.0, 8).astype(np.float32), batches_tracked=1)
+            with T.no_grad():
+                out = L.batchnorm_forward(x, gamma, beta, state, False)
+                assert np.array_equal(out.data, reference_batchnorm(x, gamma, beta, state).data)
+            return
         runs = []
-        for out in (L.batchnorm_forward(x, gamma, beta, state, train),
-                    reference_batchnorm(x, gamma, beta, None if train else state)):
+        for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8)),
+                    reference_batchnorm(x, gamma, beta)):
             grads = backward(out, proj)
             runs.append([out.data] + [grads[t.node_id].data for t in (x, gamma, beta)])
         (out, gx, gg, gb), (ref_out, ref_gx, ref_gg, ref_gb) = runs
         assert np.array_equal(out, ref_out)
         assert np.array_equal(gg, ref_gg) and np.array_equal(gb, ref_gb)
-        if train:
-            assert np.max(np.abs(gx - ref_gx)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(ref_gx))
-        else:
-            assert np.array_equal(gx, ref_gx)
+        assert np.max(np.abs(gx - ref_gx)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(ref_gx))
 
-    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
-    def test_train_node_keeps_no_input(self, layout):
-        # the node holds xhat, std and gamma, never x: a conv output dropped
-        # by its caller is freed before the backward runs (a closure that
-        # captured x kept every conv output of a step alive)
+    def test_c_order_input_raises(self):
+        x = Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32))        # C order with C >= 2
+        with pytest.raises(ContractError, match="NHWC memory.*C-order"):
+            L.batchnorm_forward(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), L.BatchNormState.init(3))
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn-relu"])
+    def test_eval_builds_no_graph(self, relu):
+        # eval mode under gradients with a tracked gamma would build a node:
+        # it raises; under no_grad its output is untracked
+        x = Tensor(nhwc(np.arange(36, dtype=np.float32).reshape(1, 4, 3, 3)))
+        gamma = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(4, dtype=np.float32))
+        state = L.BatchNormState(np.zeros(4, np.float32), np.ones(4, np.float32), 1)
+        with pytest.raises(ContractError, match="eval mode builds no graph"):
+            L.batchnorm_forward(x, gamma, beta, state, False, relu)
+        with T.no_grad():
+            out = L.batchnorm_forward(x, gamma, beta, state, False, relu)
+        assert not out.requires_grad and not isinstance(out, T.Remade)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["nhwc", "nhwc-relu"])
+    def test_train_node_keeps_no_input(self, relu):
+        # the node holds xhat, std and gamma, never x, with or without its
+        # relu: a conv output dropped by its caller is freed before the
+        # backward runs (a closure that captured x kept every conv output of
+        # a step alive)
         rng = np.random.default_rng(4)
-        data = rng.normal(size=(8, 4, 5, 5)).astype(np.float32)
-        if layout == "nhwc":
-            data = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        data = nhwc(rng.normal(size=(8, 4, 5, 5)).astype(np.float32))
         x = Tensor(data, requires_grad=True)
         refs = [weakref.ref(a) for a in (x.data, x.data.base) if a is not None]
         gamma, beta = Tensor(np.ones(4, np.float32), requires_grad=True), Tensor(np.zeros(4, np.float32))
-        out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(4))
+        out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(4), relu=relu)
         del x, data
         assert all(r() is None for r in refs)
         assert np.isfinite(backward(out, np.ones(out.shape, np.float32))[gamma.node_id].data).all()
 
     def test_standardizes_batch(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(3.0, 2.5, size=(8, 3, 4, 4)).astype(np.float32))
+        x = Tensor(nhwc(rng.normal(3.0, 2.5, size=(8, 3, 4, 4)).astype(np.float32)))
         gamma, beta = Tensor(np.ones(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32))
         state = L.BatchNormState.init(3)
         out = L.batchnorm_forward(x, gamma, beta, state).data
@@ -782,7 +803,7 @@ class TestBatchNorm:
 
     def test_affine_shift_scale(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(16, 2, 3, 3)).astype(np.float32))
+        x = Tensor(nhwc(rng.normal(size=(16, 2, 3, 3)).astype(np.float32)))
         gamma = Tensor(np.full(2, 2.0, dtype=np.float32))
         beta = Tensor(np.full(2, 3.0, dtype=np.float32))
         out = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(2)).data
@@ -790,7 +811,7 @@ class TestBatchNorm:
         assert abs(out.std() - 2.0) < 1e-2
 
     def test_running_stats_updated(self):
-        x = Tensor(np.ones((4, 2, 2, 2), dtype=np.float32) * 5)
+        x = Tensor(nhwc(np.ones((4, 2, 2, 2), dtype=np.float32) * 5))
         state = L.BatchNormState.init(2)
         L.batchnorm_forward(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state)
         assert np.allclose(state.running_mean, 0.5)       # 0.9*0 + 0.1*5
@@ -804,12 +825,13 @@ class TestBatchNorm:
         state.running_var[:] = 4.0
         state.batches_tracked = 1
         x = Tensor(np.full((1, 1, 1, 2), 3.0, dtype=np.float32))
-        out = L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, train=False)
+        with T.no_grad():
+            out = L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, train=False)
         assert np.allclose(out.data, (3 - 1) / np.sqrt(4 + 1e-5), atol=1e-6)
 
     def test_eval_empty_state_error(self):
         x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
-        with pytest.raises(ContractError):
+        with T.no_grad(), pytest.raises(ContractError, match="eval mode before any train-mode batch"):
             L.batchnorm_forward(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
                                 L.BatchNormState.init(1), train=False)
 
@@ -828,22 +850,21 @@ class TestBatchNormRelu:
     """Batchnorm with the relu after it is one node that keeps no output:
     it and the conv reading it rebuild the output.  Against ``tensor.relu``
     of a batchnorm feeding a conv that keeps its input, every byte of the
-    outputs and gradients matches."""
+    outputs and gradients matches, and in eval mode, which builds no graph,
+    every byte of the outputs."""
 
     @staticmethod
-    def _input(layout, train, nonfinite):
-        # [N,C,H,W] in NHWC or NCHW memory: normal values with -0.0
-        # scattered in and, if ``nonfinite``, NaN, +inf and -inf; in train
-        # mode all three go in channel 1, whose statistics any one of them
-        # makes NaN
+    def _input(train, nonfinite):
+        # [N,C,H,W] in NHWC memory: normal values with -0.0 scattered in
+        # and, if ``nonfinite``, NaN, +inf and -inf; in train mode all
+        # three go in channel 1, whose statistics any one of them makes NaN
         a = np.random.default_rng(5).normal(size=(6, 5, 5, 4)).astype(np.float32)
         a.reshape(-1)[3::7] = -0.0
         if nonfinite:
             a[0, 0, 0, 1] = np.nan
             a[2, 4, 4, 1 if train else 2] = np.inf
             a[5, 2, 0, 1 if train else 3] = -np.inf
-        a = a.transpose(0, 3, 1, 2)
-        return a if layout == "nhwc" else np.ascontiguousarray(a)
+        return a.transpose(0, 3, 1, 2)
 
     @staticmethod
     def _affine():
@@ -859,17 +880,24 @@ class TestBatchNormRelu:
     @classmethod
     def _chain(cls, data, train, fused):
         # bn (+ relu) -> 3x3 "same" conv, seeded with a fixed projection;
-        # in eval mode channel 0 has running mean 0 and beta -0.0, so an
-        # input of -0.0 reaches the relu as -0.0
+        # in eval mode, under no_grad, only the outputs: channel 0 has
+        # running mean 0 and beta -0.0, so an input of -0.0 reaches the
+        # relu as -0.0
         rng = np.random.default_rng(6)
         x = Tensor(data, requires_grad=True)
         gamma, beta = (Tensor(p, requires_grad=True) for p in cls._affine())
         w = Tensor(rng.normal(size=(3, 4, 3, 3)).astype(np.float32), requires_grad=True)
         state = cls._state(train)
-        if fused:
-            y = L.batchnorm_forward(x, gamma, beta, state, train, relu=True)
-        else:
-            y = T.relu(L.batchnorm_forward(x, gamma, beta, state, train))
+
+        def forward():
+            if fused:
+                return L.batchnorm_forward(x, gamma, beta, state, train, relu=True)
+            return T.relu(L.batchnorm_forward(x, gamma, beta, state, train))
+        if not train:
+            with T.no_grad():
+                y = forward()
+                return [y.data, L.conv2d_forward(y, w, 1, 1).data]
+        y = forward()
         assert isinstance(y, T.Remade) == fused
         remade = y.remake() if fused else y.data
         out = L.conv2d_forward(y, w, 1, 1)
@@ -877,21 +905,23 @@ class TestBatchNormRelu:
         return [y.data, remade, out.data] + [grads[t.node_id].data for t in (x, gamma, beta, w)]
 
     @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
-    @pytest.mark.parametrize("layout, train", [("nchw", True), ("nhwc", True), ("nchw", False), ("nhwc", False)],
-                             ids=["nchw", "nhwc", "nchw-eval", "nhwc-eval"])
-    def test_node_matches_unfused(self, layout, train, nonfinite):
-        data = self._input(layout, train, nonfinite)
+    @pytest.mark.parametrize("train", [True, False], ids=["nhwc", "nhwc-eval"])
+    def test_node_matches_unfused(self, train, nonfinite):
+        data = self._input(train, nonfinite)
         with np.errstate(invalid="ignore"):
             fused = self._chain(data, train, True)
             ref = self._chain(data, train, False)
-        # y, its remake, the conv output, dx, dgamma, dbeta, dW
+        # y, its remake, the conv output, dx, dgamma, dbeta, dW; in eval
+        # mode y and the conv output
+        assert len(fused) == len(ref) == (7 if train else 2)
         for a, b in zip(fused, ref):
             assert a.dtype == b.dtype == np.float32
             assert a.tobytes() == b.tobytes() and a.strides == b.strides
-        y, remade = fused[:2]
-        assert remade is not y and np.isnan(y).any() == nonfinite
-        assert y.transpose(0, 2, 3, 1).flags.c_contiguous == (layout == "nhwc")
-        if not train:                            # the relu meets -0.0
+        y = fused[0]
+        assert np.isnan(y).any() == nonfinite and y.transpose(0, 2, 3, 1).flags.c_contiguous
+        if train:
+            assert fused[1] is not y
+        else:                                    # the relu meets -0.0
             pre = L.batchnorm_forward(Tensor(data), *map(Tensor, self._affine()), self._state(False), False).data
             assert (np.signbit(pre) & (pre == 0)).any()
 
@@ -1139,13 +1169,18 @@ class TestGradcheckCoverage:
 
     @classmethod
     def _spy(cls, monkeypatch):
-        """Wrap every graph op; returns (their names, the names called so far)."""
+        """Wrap every graph op; returns (their names, {name: the bound
+        arguments of each call so far})."""
         ops = list(cls._graph_ops())
-        called = set()
+        called = {}
 
         def spy(mod, name, fn):
+            sig = inspect.signature(fn)
+
             def wrapped(*args, **kwargs):
-                called.add(f"{mod.__name__}.{name}")
+                bound = sig.bind(*args, **kwargs)
+                bound.apply_defaults()
+                called.setdefault(f"{mod.__name__}.{name}", []).append(bound.arguments)
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -1161,7 +1196,11 @@ class TestGradcheckCoverage:
         for _, gen, _ in G.CASES:
             for inputs, f, _ in gen(np.random.default_rng(0)):
                 f(inputs)
-        assert names - called == set()
+        assert names - set(called) == set()
+        # batchnorm runs as the networks run it: on NHWC memory in train mode
+        bn = called["pgl.layers.batchnorm_forward"]
+        assert all(a["x"].data.transpose(0, 2, 3, 1).flags.c_contiguous and a["train"] for a in bn)
+        assert any(a["x"].shape[1] >= 2 for a in bn)
 
     def test_every_graph_op_is_reached_by_a_run(self, monkeypatch):
         # no graph op is kept that training and evaluation never build
@@ -1176,4 +1215,4 @@ class TestGradcheckCoverage:
             local_epoch(model, batch_list, opt, 0.01)
             guided_epoch(model, batch_list, opt, 0.01)
             evaluate(model, batch_list)
-        assert names - called == set()
+        assert names - set(called) == set()

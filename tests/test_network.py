@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pgl.layers as L
+import pgl.tensor as T
 from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
@@ -242,11 +243,12 @@ class TestForwardGlobal:
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
         spec.input_hw = 16
         m.forward_global(Tensor(x), train=True)       # populate batchnorm stats
-        logits_g, _ = m.forward_global(Tensor(x), train=False)
-        h = Tensor(x)
-        for j in range(1, m.J + 1):
-            h, logits_l = m.forward_local(h, j, train=False)
-            h = h.detach()
+        with T.no_grad():                             # eval mode builds no graph
+            logits_g, _ = m.forward_global(Tensor(x), train=False)
+            h = Tensor(x)
+            for j in range(1, m.J + 1):
+                h, logits_l = m.forward_local(h, j, train=False)
+                h = h.detach()
         assert np.array_equal(logits_g.data, logits_l.data)
 
     def test_boundaries_are_detached(self):

@@ -274,7 +274,8 @@ class TestGraphLifetime:
 
     def test_unread_batchnorm_output_is_collected(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(4, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        # NHWC memory, as a conv hands batchnorm its input
+        x = Tensor(rng.normal(size=(4, 5, 5, 3)).astype(np.float32).transpose(0, 3, 1, 2), requires_grad=True)
         gamma = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         beta = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         bn = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(3))
