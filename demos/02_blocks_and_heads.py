@@ -31,7 +31,8 @@ model = DecoupledModel(MlpSpec(widths=[16] * 4, num_classes=3), J=2, aux_policy=
 x = Tensor(np.random.default_rng(0).normal(size=(8, 2)).astype(np.float32))
 y = np.random.default_rng(1).integers(0, 3, size=8)
 print(f"parameter groups, listed once when the model is built: {[len(g) for g in model.block_params]} "
-      f"per block, {[len(g) for g in model.head_params]} per head")
+      f"per block, {[len(g) for g in model.head_params]} per head; each steps as one flat array of "
+      f"{[g.data.size for g in model.groups()]} floats")
 
 _, logits_1 = model.forward_local(x, 1, train=True)
 grads = backward(softmax_cross_entropy(logits_1, y))
@@ -41,14 +42,16 @@ own += [name for name, p in model.head_params[0] if p.node_id in grads]
 leaked = [name for name, p in model.block_params[1] if p.node_id in grads]
 print(f"block-1 local loss reaches {len(own)} of its own parameters, {len(leaked)} of block 2's")
 
-glogits, boundaries = model.forward_global(x, train=True)
-ggrads = backward(softmax_cross_entropy(glogits, y))
+outs, ins = model.forward_global(x, train=True)
+ggrads = backward(softmax_cross_entropy(outs[-1], y))       # block 2, down to its input leaf
+ggrads.update(backward(outs[0], ggrads[ins[1].node_id].data))  # block 1, seeded with that leaf's gradient
 head_hit = [name for name, p in model.head_params[0] if p.node_id in ggrads]
 print(f"global loss reaches {len(head_hit)} head parameters (heads sit off the global path)")
-print(f"boundary activations returned detached: {[not b.requires_grad for b in boundaries]}")
+print(f"block 2 runs on a parentless leaf over block 1's output array: "
+      f"{ins[1].parents == () and ins[1].data is outs[0].data}")
 
 print("\n== eval-mode equivalence, block-chained vs end-to-end ==")
-logits_g, _ = model.forward_global(x, train=False)
+logits_g = model.forward_global(x, train=False)[0][-1]
 h = x
 for j in (1, 2):
     h, logits_l = model.forward_local(h, j, train=False)

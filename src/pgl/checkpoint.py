@@ -107,7 +107,12 @@ class Checkpoint:
 
 
 def save_checkpoint(model, opt, epoch: int, path):
-    """Serialize model params, batchnorm stats, velocities, and the epoch."""
+    """Serialize model params, batchnorm stats, velocities, and the epoch.
+
+    Velocities go in local-step order (``model.groups``: block j's, then
+    head j's, for j = 1..J), skipping the groups never stepped; that is the
+    order a run creates them in, except ``bp``, whose guided steps create
+    block J's first."""
     tensors = {}
     for name, p in model.named_params():
         tensors[name] = p.data
@@ -115,8 +120,10 @@ def save_checkpoint(model, opt, epoch: int, path):
         tensors[f"{prefix}.running_mean"] = bn.state.running_mean
         tensors[f"{prefix}.running_var"] = bn.state.running_var
         tensors[f"{prefix}.batches_tracked"] = np.asarray([bn.state.batches_tracked], dtype=np.float32)
-    for name, v in opt.velocity.items():
-        tensors[f"opt.velocity.{name}"] = v
+    for group in model.groups():
+        for name, _ in group:
+            if name in opt.velocity:
+                tensors[f"opt.velocity.{name}"] = opt.velocity[name]
     tensors["meta.epoch"] = np.asarray([epoch], dtype=np.float32)
     write_tensors(tensors, path)
 
@@ -140,7 +147,10 @@ def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
     The checkpoint must hold exactly what the model reads: its parameters,
     its batchnorm stats, velocities of its parameters and ``meta.epoch``.
     A tensor missing, left over, or shaped unlike the model's raises
-    ``CheckpointError`` naming it, whether or not ``opt`` is given.
+    ``CheckpointError`` naming it, and so do velocities for only part of a
+    parameter group, naming the group, whether or not ``opt`` is given.
+    Parameters and velocities are copied into the arrays the model's groups
+    and the optimizer step, never rebound.
     """
     params = dict(model.named_params())
     bns = list(model.named_bns())
@@ -158,13 +168,22 @@ def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
             velocities[param] = _stored(ckpt, name, params[param].shape)
         elif name not in known:
             raise CheckpointError(f"checkpoint holds {name}, which the model does not read")
+    stepped = []
+    for group in model.groups():
+        held = sum(name in velocities for name, _ in group)
+        if held and held < len(group):
+            raise CheckpointError(f"checkpoint holds velocities for {held} of the {len(group)} "
+                                  f"parameters of group {group.name}")
+        if held:
+            stepped.append(group)
     for name, p in params.items():
-        p.data = _stored(ckpt, name, p.shape).astype(np.float32).copy()
+        p.data[...] = _stored(ckpt, name, p.shape)
     for prefix, bn in bns:
         st = bn.state
         st.running_mean = _stored(ckpt, f"{prefix}.running_mean", st.running_mean.shape).copy()
         st.running_var = _stored(ckpt, f"{prefix}.running_var", st.running_var.shape).copy()
         st.batches_tracked = int(_stored(ckpt, f"{prefix}.batches_tracked", (1,))[0])
     if opt is not None:
-        for param, arr in velocities.items():
-            opt.velocity[param] = arr.astype(np.float32).copy()
+        for group in stepped:
+            for name, v in group.views(opt.group_velocity(group)):
+                v[...] = velocities[name]

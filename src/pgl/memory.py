@@ -8,7 +8,10 @@ head.
 Backprop must hold every unit's output activation plus optimizer state for
 all parameters at once; decoupled-local training holds one block at a time
 (its activations, its head, the handed-off boundary input, and its optimizer
-state).  A guided schedule time-averages the two at the guided-epoch
+state).  ``estimate_bp`` counts every parameter's gradient as alive at once,
+though the running guided and ``bp`` steps update one block at a time and
+so hold one block's gradients (``training.guided_epoch``); it does not
+model that yet.  A guided schedule time-averages the two at the guided-epoch
 fraction.  ``eval_rows`` sizes evaluation batches so that a no-grad pass
 stays within the local step's activation figure.
 

@@ -13,9 +13,10 @@ the last gets an auxiliary head; block J's own classifier plays that role.
 walk of blocks: per block, the shape it takes in, its units and its head, all
 before anything is built.  ``DecoupledModel`` builds that list, the memory
 estimator sums it and the run configuration validates it.  Once built, the
-model walks its parameters once into fixed groups, one per block and one per
-head, which every optimizer step reads.  Gradient isolation between blocks
-comes from detaching boundary activations, never from parameter bookkeeping.
+model walks its parameters once into fixed ``ParamGroup``s, one per block
+and one per head, each stored as one flat array, which every optimizer step
+reads.  Gradient isolation between blocks comes from detaching boundary
+activations, never from parameter bookkeeping.
 """
 
 from __future__ import annotations
@@ -405,11 +406,50 @@ def block_plans(spec, part: Partition, aux_policy) -> list:
 # ---------------------------------------------------------------------------
 # the decoupled model
 
+class ParamGroup:
+    """Named parameters stored as views into one float32 array, ``data``.
+
+    Building the group copies each parameter's values into its slice of
+    ``data``, in order, and points the parameter at a view of that slice;
+    the optimizer then steps ``data`` as one array.  Iterating a group yields
+    its (name, Param) pairs.  A parameter must be written in place
+    (``p.data[...] = ...``): once one is rebound to another array, the
+    layers no longer read its slice of ``data``, and the optimizer refuses
+    to step the group.
+    """
+
+    def __init__(self, name: str, named):
+        self.name = name
+        self.named = list(named)
+        self.data = np.concatenate([p.data.reshape(-1) for _, p in self.named], dtype=np.float32)
+        ends = np.cumsum([p.size for _, p in self.named]).tolist()
+        self._slices = [(n, start, end, p.shape) for (n, p), start, end in zip(self.named, [0] + ends, ends)]
+        for (_, p), (_, view) in zip(self.named, self.views(self.data)):
+            p.data = view
+
+    def views(self, flat: np.ndarray) -> list:
+        """(name, view) of each parameter's slice of ``flat``, an array laid
+        out like ``data``, shaped as the parameter."""
+        return [(name, flat[start:end].reshape(shape)) for name, start, end, shape in self._slices]
+
+    def rebound(self):
+        """The name of the first parameter whose array is no longer its view
+        of ``data``, or None."""
+        return next((name for name, p in self.named if p.data.base is not self.data), None)
+
+    def __iter__(self):
+        return iter(self.named)
+
+    def __len__(self) -> int:
+        return len(self.named)
+
+
 class DecoupledModel:
     """Backbone blocks plus auxiliary heads with stop-gradient boundaries,
     built from ``block_plans``.  ``block_params[j-1]`` and ``head_params[j-1]``
-    list block j's and head j's (name, Param) pairs, walked once after
-    building; the optimizer steps them and ``named_params`` chains them."""
+    are block j's and head j's ``ParamGroup``s ("block{j}", "aux{j}"), walked
+    once after building; the optimizer steps them, ``named_params`` chains
+    them and ``groups`` lists them in local-step order."""
 
     def __init__(self, spec, J: int, aux_policy, seed: int):
         rng = np.random.default_rng(seed)
@@ -418,30 +458,38 @@ class DecoupledModel:
         # order fixes the initial values that the oracle digests pin
         self.blocks = [[u.cls(*u.args, rng=rng) for u in b.units] for b in self.plan]
         self.heads = [AuxHead(b.head, rng=rng) for b in self.plan[:-1]]
-        self.block_params = [[named for i, unit in enumerate(units)
-                              for named in unit.named_params(f"block{j}.unit{i}")]
+        self.block_params = [ParamGroup(f"block{j}", (named for i, unit in enumerate(units)
+                                                      for named in unit.named_params(f"block{j}.unit{i}")))
                              for j, units in enumerate(self.blocks, 1)]
-        self.head_params = [list(head.named_params(f"aux{j}")) for j, head in enumerate(self.heads, 1)]
+        self.head_params = [ParamGroup(f"aux{j}", head.named_params(f"aux{j}"))
+                            for j, head in enumerate(self.heads, 1)]
 
     @property
     def J(self) -> int:
         return len(self.blocks)
 
     def forward_global(self, x: Tensor, train: bool = True):
-        """One uninterrupted differentiable chain through all blocks.
+        """All blocks in order, each block past the first on a requires-grad
+        leaf over the previous block's output array (not a copy).
 
-        Returns (logits, [X_1 .. X_J]) where the boundary activations, for
-        auxiliary-head training, are untracked tensors over the graph's own
-        arrays, not copies: no grad_fn writes an activation, so they keep
-        their values through the global backward.
+        Returns (outs, ins): ``outs[j-1]`` is block j's tracked output X_j,
+        the last one the logits, and ``ins[j-1]`` is what block j ran on,
+        ``x`` for block 1.  ``backward`` from the loss walks block J's graph
+        and gives ``ins[J-1]``'s gradient, the seed of
+        ``backward(outs[J-2], grad=...)``, and so on down to block 1, so the
+        global gradient comes one block at a time.  No grad_fn writes an
+        activation, so an untracked tensor over ``outs[j-1].data`` keeps its
+        values through those walks (the heads read the boundaries so).
         """
-        h = x
-        boundary = []
+        h, outs, ins = x, [], []
         for units in self.blocks:
+            if outs:
+                h = Tensor(h.data, requires_grad=True)
+            ins.append(h)
             for unit in units:
                 h = unit.forward(h, train)
-            boundary.append(Tensor(h.data))
-        return h, boundary
+            outs.append(h)
+        return outs, ins
 
     def forward_local(self, x: Tensor, j: int, train: bool = True):
         """Forward block j on a detached input; returns (X_j, logits_j).
@@ -467,6 +515,11 @@ class DecoupledModel:
 
     def named_params(self):
         return chain(*self.block_params, *self.head_params)
+
+    def groups(self) -> list:
+        """Every parameter group in local-step order: block j's, then head
+        j's, for j = 1..J."""
+        return [g for j, block in enumerate(self.block_params) for g in (block, *self.head_params[j:j + 1])]
 
     def named_bns(self):
         for j, units in enumerate(self.blocks, 1):

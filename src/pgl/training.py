@@ -6,17 +6,18 @@ losses.  ``bp`` runs every epoch end-to-end with the heads idle.  ``pgl``
 interleaves: local epochs, punctuated by Q guided epochs whenever the epoch
 index crosses a multiple of the period P.  During guidance the global loss
 updates the backbone while local losses update only the auxiliary heads.
-Every update, local, global or head, is one ``_update`` of a parameter
-group the model fixed when it was built, so no step walks a layer, and
-``NesterovSGD`` updates parameters and velocities in place.  ``panel``
-runs a grid of configs over seeds and ``paired`` compares two of its cells.
+Every update, local, global or head, is one ``NesterovSGD.step`` of a
+parameter group the model fixed when it was built, so no step walks a
+layer, and each group's parameters and velocities are updated in place as
+one array.  A guided step updates the blocks one at a time, last first, so
+it holds one block's gradients.  ``panel`` runs a grid of configs over
+seeds and ``paired`` compares two of its cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -73,51 +74,80 @@ def lr_at(e: int, E: int, lr0: float) -> float:
 class NesterovSGD:
     """g <- grad + wd*theta; v <- mu*v + g; theta <- theta - lr*(g + mu*v).
 
-    Velocities live per parameter name and persist across epoch-mode
-    switches.  Weight decay applies to every parameter, biases and batchnorm
-    affine terms included.  The update runs in place on one scratch array
-    per parameter and on the stored velocity, in the formula's operation
-    order (IEEE addition and multiplication commute, so every bit matches
-    the out-of-place formula).  A velocity is its own array: it never
-    aliases a gradient or a parameter.
+    ``step`` updates one ``network.ParamGroup`` as one array: it gathers the
+    group's gradients, popped from ``backward``'s result, into one array
+    beside ``wd * theta``, and updates the group's array and its one velocity
+    array in place, in the formula's operation order (IEEE addition and
+    multiplication commute, and every operation is elementwise, so every bit
+    matches the per-parameter, out-of-place formula).  Beyond the gradients
+    a step allocates that one array and one temporary (``mu * v``), each the
+    group's size.  Velocities persist across epoch-mode switches; a group's
+    first step copies its velocity from its first gradient, and
+    ``velocity`` holds a view of it per parameter name, which checkpoints
+    read and write.  Weight decay applies to every parameter, biases and
+    batchnorm affine terms included.
     """
 
     def __init__(self, momentum: float = 0.9, weight_decay: float = 1e-4):
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {}
+        self.velocity = {}          # parameter name -> view of its group's velocity
+        self._groups = {}           # group name -> velocity array
 
-    def step(self, named_params, grads: dict, lr: float):
+    def group_velocity(self, group, init=None) -> np.ndarray:
+        """``group``'s velocity array.  A group that has none yet takes
+        ``init`` (zeros if None), and ``velocity`` a view of it per name."""
+        v = self._groups.get(group.name)
+        if v is None:
+            v = self._groups[group.name] = np.zeros_like(group.data) if init is None else init
+            self.velocity.update(group.views(v))
+        return v
+
+    def step(self, group, grads: dict, lr: float):
+        """Update ``group``, popping each of its parameters' gradients out of
+        ``grads``; a missing one raises ``ContractError``, a misshapen one
+        ``ShapeError``, and so does a parameter whose array is no longer a
+        view of the group's, before anything is updated."""
+        rebound = group.rebound()
+        if rebound is not None:
+            raise ContractError(f"parameter {rebound} is no longer a view of group {group.name}'s "
+                                "array, which the optimizer steps; write parameters in place")
         mu = np.float32(self.momentum)
         wd = np.float32(self.weight_decay)
         lr = np.float32(lr)
-        for name, p in named_params:
-            g = grads.get(p.node_id)
-            if g is None:
-                raise ContractError(f"no gradient for parameter {name}")
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {list(g.shape)} != param shape {list(p.shape)} ({name})")
-            gd = wd * p.data
-            gd += g.data
-            v = self.velocity.get(name)
-            if v is None:
-                v = self.velocity[name] = gd.copy()
-            else:
-                v *= mu
-                v += gd
-            gd += mu * v
-            gd *= lr
-            p.data -= gd
+        gd = wd * group.data
+        for (name, p), (_, view) in zip(group, group.views(gd)):
+            view += _popped_grad(grads, name, p)
+        v = self._groups.get(group.name)
+        if v is None:
+            v = self.group_velocity(group, gd.copy())
+        else:
+            v *= mu
+            v += gd
+        gd += mu * v
+        gd *= lr
+        group.data -= gd
+
+
+def _popped_grad(grads: dict, name: str, p) -> np.ndarray:
+    g = grads.pop(p.node_id, None)
+    if g is None:
+        raise ContractError(f"no gradient for parameter {name}")
+    if g.shape != p.shape:
+        raise ShapeError(f"gradient shape {list(g.shape)} != param shape {list(p.shape)} ({name})")
+    return g.data
 
 
 # ---------------------------------------------------------------------------
 # epochs
 
-def _update(logits: Tensor, y, params, opt: NesterovSGD, lr: float) -> float:
-    """Step ``params`` on the cross entropy of ``logits`` and return its
-    value; ``backward`` releases the graph before the optimizer step."""
+def _update(logits: Tensor, y, groups, opt: NesterovSGD, lr: float) -> float:
+    """Step each of ``groups`` on the cross entropy of ``logits`` and return
+    its value; ``backward`` releases the graph before the optimizer steps."""
     loss = L.softmax_cross_entropy(logits, y)
-    opt.step(params, T.backward(loss), lr)
+    grads = T.backward(loss)
+    for group in groups:
+        opt.step(group, grads, lr)
     return loss.item()
 
 
@@ -130,8 +160,8 @@ def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     """
     x_j, logits = model.forward_local(h, j, train=True)
     # block J has no head: its classifier gives the logits
-    params = chain(model.block_params[j - 1], *model.head_params[j - 1:j])
-    return _update(logits, y, params, opt, lr), x_j.detach()
+    groups = [model.block_params[j - 1], *model.head_params[j - 1:j]]
+    return _update(logits, y, groups, opt, lr), x_j.detach()
 
 
 def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
@@ -161,10 +191,16 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
                  update_aux: bool = True):
     """One sweep of global-loss updates over the whole backbone.
 
-    A single forward pass serves both losses: ``_update`` steps every
-    block's group on the global cross-entropy, and (when ``update_aux``) each
-    head's group on its loss over the untracked boundary tensor, so the heads
-    stay out of the global graph.
+    A single forward pass serves both losses.  The global cross-entropy
+    updates the blocks one at a time, last first: ``backward`` from the loss
+    is followed by block J's step, and each earlier block j runs
+    ``backward`` from its output, seeded with the gradient of the leaf that
+    block j+1 ran on, and steps its own group.  Each seed is computed before
+    the step of the block it came through, so every value equals that of
+    one backward over the whole chain followed by one update, while only
+    one block's gradients are alive at a time.  Then (when ``update_aux``)
+    each head's group steps on its loss over an untracked view of its
+    boundary, so the heads stay out of the global graph.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
@@ -173,13 +209,18 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     seen = 0
     for x, y in batch_list:
         n = len(y)
-        logits, boundary = model.forward_global(Tensor(x), train=True)
-        gloss = _update(logits, y, chain(*model.block_params), opt, lr)
+        outs, ins = model.forward_global(Tensor(x), train=True)
+        loss = L.softmax_cross_entropy(outs[-1], y)
+        grads = T.backward(loss)
+        for j in range(J, 0, -1):
+            if j < J:
+                grads = T.backward(outs[j - 1], grads.pop(ins[j].node_id).data)
+            opt.step(model.block_params[j - 1], grads, lr)
         if update_aux:
             for j in range(1, J):
-                logits = model.aux_logits(boundary[j - 1], j, train=True)
-                asums[j - 1] += _update(logits, y, model.head_params[j - 1], opt, lr) * n
-        gsum += gloss * n
+                logits = model.aux_logits(Tensor(outs[j - 1].data), j, train=True)
+                asums[j - 1] += _update(logits, y, model.head_params[j - 1:j], opt, lr) * n
+        gsum += loss.item() * n
         seen += n
     aux_means = [s / seen for s in asums] if (update_aux and J > 1) else None
     return gsum / seen, aux_means
@@ -199,7 +240,7 @@ def _evaluate(model, batch_list, check_collapse: bool = False):
     collapsed = True if check_collapse else None
     with T.no_grad():
         for x, y in batch_list:
-            logits, _ = model.forward_global(Tensor(x), train=False)
+            logits = model.forward_global(Tensor(x), train=False)[0][-1]
             pred = np.argmax(logits.data, axis=1)
             correct += int((pred == np.asarray(y)).sum())
             total += len(y)

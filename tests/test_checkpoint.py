@@ -15,7 +15,7 @@ from pgl.config import RunConfig, SpiralsSpec, parse_config
 from pgl.errors import CheckpointError
 from pgl.network import DecoupledModel, MlpSpec, ResNetSpec
 from pgl.tensor import Tensor
-from pgl.training import NesterovSGD, evaluate, local_epoch, train
+from pgl.training import NesterovSGD, evaluate, guided_epoch, local_epoch, train
 
 
 class TestTensorFile:
@@ -135,8 +135,8 @@ class TestModelCheckpoint:
             assert a.state.batches_tracked == b.state.batches_tracked
         # eval mode must work right after restore
         with T.no_grad():
-            logits_a, _ = model.forward_global(x, train=False)
-            logits_b, _ = fresh.forward_global(x, train=False)
+            logits_a = model.forward_global(x, train=False)[0][-1]
+            logits_b = fresh.forward_global(x, train=False)[0][-1]
         assert np.array_equal(logits_a.data, logits_b.data)
 
     def test_missing_parameter_rejected(self, tmp_path):
@@ -159,6 +159,69 @@ class TestModelCheckpoint:
         fresh_opt = NesterovSGD(cfg.momentum, cfg.weight_decay)
         with pytest.raises(CheckpointError, match=name):
             apply_checkpoint(load_checkpoint(path), cfg.build_model(), fresh_opt)
+
+    @staticmethod
+    def _state(model, opt):
+        """Every parameter, velocity and running statistic as bytes, by name."""
+        state = {name: p.data.tobytes() for name, p in model.named_params()}
+        state.update((f"opt.velocity.{name}", v.tobytes()) for name, v in opt.velocity.items())
+        for prefix, bn in model.named_bns():
+            state.update((f"{prefix}.{stat}", getattr(bn.state, stat).tobytes())
+                         for stat in ("running_mean", "running_var"))
+            state[f"{prefix}.batches_tracked"] = bn.state.batches_tracked
+        return state
+
+    @pytest.mark.parametrize("spec, J", [
+        (MlpSpec(widths=[64] * 8, num_classes=3), 4),
+        (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2),
+    ], ids=["acceptance-mlp", "resnet8"])
+    def test_applied_checkpoint_trains_on_identically(self, tmp_path, spec, J):
+        # save after a pgl epoch's local and guided sweeps; a model and an
+        # optimizer restored into their own arrays then train on byte for byte
+        rng = np.random.default_rng(5)
+        batches = [[(rng.normal(size=(16, *spec.in_shape)).astype(np.float32), rng.integers(0, 3, size=16))
+                    for _ in range(2)] for _ in range(2)]
+        model, opt = DecoupledModel(spec, J, "aux_adapt", seed=0), NesterovSGD()
+        local_epoch(model, batches[0], opt, 0.1)
+        guided_epoch(model, batches[0], opt, 0.1)
+        path = tmp_path / "pgl.ckpt"
+        save_checkpoint(model, opt, epoch=2, path=path)
+        fresh, fresh_opt = DecoupledModel(spec, J, "aux_adapt", seed=1), NesterovSGD()
+        arrays = [g.data for g in fresh.groups()]
+        apply_checkpoint(load_checkpoint(path), fresh, fresh_opt)
+        assert all(g.data is a for g, a in zip(fresh.groups(), arrays))
+        assert all(g.rebound() is None for g in fresh.groups())
+        assert self._state(fresh, fresh_opt) == self._state(model, opt)
+        for m, o in ((model, opt), (fresh, fresh_opt)):
+            local_epoch(m, batches[1], o, 0.05)
+            guided_epoch(m, batches[1], o, 0.05)
+        assert self._state(fresh, fresh_opt) == self._state(model, opt)
+
+    @pytest.mark.parametrize("with_opt", [False, True], ids=["no_opt", "opt"])
+    def test_velocities_for_part_of_a_group_rejected(self, tmp_path, with_opt):
+        cfg, model, opt = self._trained_model()
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(model, opt, epoch=2, path=path)
+        tensors = read_tensors(path)
+        del tensors["opt.velocity.aux1.fc1.bias"]
+        write_tensors(tensors, path)
+        with pytest.raises(CheckpointError, match="group aux1"):
+            apply_checkpoint(load_checkpoint(path), cfg.build_model(), NesterovSGD() if with_opt else None)
+
+    @pytest.mark.parametrize("update_aux", [True, False], ids=["pgl", "bp"])
+    def test_velocities_saved_in_local_step_order(self, tmp_path, update_aux):
+        # a guided step makes block J's velocities first; the file lists them
+        # as a local epoch makes them: block j's, then head j's
+        cfg = RunConfig(network=MlpSpec(widths=[8] * 4, num_classes=2), blocks=3,
+                        dataset=SpiralsSpec(classes=2, n_per_class=24, test_n_per_class=24)).validate()
+        model, opt = cfg.build_model(), NesterovSGD()
+        guided_epoch(model, [(np.ones((4, 2), np.float32), np.array([0, 1, 0, 1]))], opt, 0.1, update_aux)
+        path = tmp_path / "g.ckpt"
+        save_checkpoint(model, opt, epoch=1, path=path)
+        saved = [n[len("opt.velocity."):] for n in read_tensors(path) if n.startswith("opt.velocity.")]
+        groups = model.groups() if update_aux else model.block_params
+        assert saved == [name for g in groups for name, _ in g]
+        assert list(opt.velocity)[0].startswith("block3.")
 
     def _eval_with(self, tmp_path, capsys, corrupt):
         """Save a ResNet checkpoint, let ``corrupt`` edit its tensors, and

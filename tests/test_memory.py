@@ -300,12 +300,30 @@ class TestMeasuredPeak:
         return sum(conv_inputs.values()) + sum(sizes), max(cols), result
 
     @staticmethod
+    def _linear_inputs(monkeypatch, forward, *args):
+        """(bytes, result) of ``forward(*args)``, where the bytes are those of
+        every distinct input array its linear layers keep for their weight
+        gradients.  In an MLP each relu output is the next linear layer's
+        input, so these are what the forward saves."""
+        kept = {}
+        linear = L.linear_forward
+
+        def spy(x, w, b):
+            kept.setdefault(id(x.data), x.data.nbytes)
+            return linear(x, w, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(L, "linear_forward", spy)
+            result = forward(*args)
+        return sum(kept.values()), result
+
+    @staticmethod
     def _model_and_batch(spec=ResNetSpec(depth=8, num_classes=10, input_hw=8), J=2, n=16):
         model = DecoupledModel(spec, J, "aux_adapt", seed=0)
         opt = NesterovSGD()
         rng = np.random.default_rng(0)
-        hw = spec.input_hw
-        batch = [(rng.normal(size=(n, 3, hw, hw)).astype(np.float32), rng.integers(0, 10, size=n))]
+        batch = [(rng.normal(size=(n, *spec.in_shape)).astype(np.float32),
+                  rng.integers(0, spec.num_classes, size=n))]
         # one step of each mode first, so every velocity exists, as in the benchmark's memory pass
         local_epoch(model, batch, opt, 0.1)
         guided_epoch(model, batch, opt, 0.1)
@@ -371,3 +389,28 @@ class TestMeasuredPeak:
         saved = max(s for s, _ in sets)
         peak = self._peak(lambda: local_epoch(model, batch, opt, 0.1))
         assert peak <= 1.3 * saved, f"peak {peak} B is {peak / saved:.3f} x the saved set {saved} B"
+
+    def test_acceptance_mlp_guided_step_holds_one_groups_update(self, monkeypatch):
+        # The acceptance MLP at batch 64.  The global loss updates the blocks
+        # one at a time, so the step holds at most the global forward's saved
+        # set, plus one block's gradients gathered into one array, plus the one
+        # temporary (mu * v) of its update.  The heads step once the global
+        # graph is gone, each holding its own saved set and the same two
+        # arrays at its size.  Stepping every block only after one whole
+        # backward held all their gradients at once: 234,284 B on this batch,
+        # against a bound of 199,704 B
+        model, opt, batch = self._model_and_batch(MlpSpec(widths=[64] * 8, num_classes=3), 4, 64)
+
+        def nbytes(group):
+            return sum(p.data.nbytes for _, p in group)
+
+        h = Tensor(batch[0][0])
+        saved, _ = self._linear_inputs(monkeypatch, model.forward_global, h, True)
+        bound = saved + 2 * max(nbytes(g) for g in model.block_params)
+        for j in range(1, model.J):
+            x_j, _ = model.forward_local(h, j, True)
+            h = x_j.detach()
+            head_saved, _ = self._linear_inputs(monkeypatch, model.aux_logits, h, j, True)
+            bound = max(bound, head_saved + 2 * nbytes(model.head_params[j - 1]))
+        peak = self._peak(lambda: guided_epoch(model, batch, opt, 0.1))
+        assert peak <= bound, f"peak {peak} B exceeds {bound} B"

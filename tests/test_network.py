@@ -181,6 +181,15 @@ class TestBlockPlans:
             assert planned == sum(built), f"block {j}"
 
 
+def global_grads(model, x, y) -> dict:
+    """The global loss's gradients over every block, one block's backward at a time."""
+    outs, ins = model.forward_global(x, train=True)
+    grads = backward(softmax_cross_entropy(outs[-1], y))
+    for j in range(model.J - 1, 0, -1):
+        grads.update(backward(outs[j - 1], grads[ins[j].node_id].data))
+    return grads
+
+
 def _param_ids(named):
     return {p.node_id for _, p in named}
 
@@ -196,14 +205,14 @@ class TestForwardLocal:
         for j in range(2, 5):
             for _, p in m.block_params[j - 1]:
                 assert p.node_id not in grads
-        for name, p in m.block_params[0] + m.head_params[0]:
+        for name, p in [*m.block_params[0], *m.head_params[0]]:
             assert p.node_id in grads, name
         assert set(grads) - allowed == {nid for nid in grads if nid not in allowed}
 
     def test_matches_global_slices_bitwise(self):
         m = small_mlp(J=3, widths=[6] * 6, classes=3)
         x = np.random.default_rng(1).normal(size=(5, 2)).astype(np.float32)
-        logits, xs = m.forward_global(Tensor(x), train=False)
+        xs, _ = m.forward_global(Tensor(x), train=False)
         h = Tensor(x)
         for j in range(1, 4):
             h, _ = m.forward_local(h, j, train=False)
@@ -227,8 +236,7 @@ class TestForwardGlobal:
     def test_gradients_cover_theta_never_gamma(self):
         m = small_mlp(J=4, widths=[8] * 8)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 2)).astype(np.float32))
-        logits, _ = m.forward_global(x, train=True)
-        grads = backward(softmax_cross_entropy(logits, np.array([0, 1, 0, 1])))
+        grads = global_grads(m, x, np.array([0, 1, 0, 1]))
         for j in range(1, 5):
             for name, p in m.block_params[j - 1]:
                 assert p.node_id in grads, name
@@ -244,7 +252,7 @@ class TestForwardGlobal:
         spec.input_hw = 16
         m.forward_global(Tensor(x), train=True)       # populate batchnorm stats
         with T.no_grad():                             # eval mode builds no graph
-            logits_g, _ = m.forward_global(Tensor(x), train=False)
+            logits_g = m.forward_global(Tensor(x), train=False)[0][-1]
             h = Tensor(x)
             for j in range(1, m.J + 1):
                 h, logits_l = m.forward_local(h, j, train=False)
@@ -252,10 +260,14 @@ class TestForwardGlobal:
         assert np.array_equal(logits_g.data, logits_l.data)
 
     def test_boundaries_are_detached(self):
+        # block j+1 runs on a leaf over block j's output array: tracked, with no parents
         m = small_mlp(J=3, widths=[4] * 6)
-        _, xs = m.forward_global(Tensor(np.zeros((2, 2), dtype=np.float32)), train=True)
-        assert all(not b.requires_grad for b in xs)
-        assert len(xs) == 3
+        x = Tensor(np.zeros((2, 2), dtype=np.float32))
+        outs, ins = m.forward_global(x, train=True)
+        assert len(outs) == len(ins) == 3 and ins[0] is x
+        assert all(b.requires_grad and b.parents == () for b in ins[1:])
+        assert all(b.data is out.data for b, out in zip(ins[1:], outs))
+        assert all(out.requires_grad and out.parents for out in outs)
 
     @pytest.mark.parametrize("spec, shape", [
         (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8)),
@@ -265,30 +277,27 @@ class TestForwardGlobal:
         # the heads read the graph's own arrays, so nothing the global step
         # or a head step runs may write an activation in place
         m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
-        outputs = []
+        outputs, head_inputs = [], []
 
         def record(forward):
             def wrapped(x, train=True):
-                outputs.append(forward(x, train))
-                return outputs[-1]
+                out = forward(x, train)
+                outputs.append((out.data, out.data.copy()))
+                return out
             return wrapped
 
         for units in m.blocks:
             monkeypatch.setattr(units[-1], "forward", record(units[-1].forward))
+        aux_logits = m.aux_logits
+        monkeypatch.setattr(m, "aux_logits", lambda x, j, train=True: head_inputs.append(x) or aux_logits(x, j, train))
         rng = np.random.default_rng(4)
         x = rng.normal(size=shape).astype(np.float32)
         y = np.array([0, 1, 2, 3, 0, 1])
-        logits, xs = m.forward_global(Tensor(x), train=True)
-        assert [b.node for b in xs] == [None] * m.J
-        assert all(b.data is h.data for b, h in zip(xs, outputs))
-        before = [b.data.copy() for b in xs]
-        opt = NesterovSGD()
-        theta = [p for j in range(1, m.J + 1) for p in m.block_params[j - 1]]
-        opt.step(theta, backward(softmax_cross_entropy(logits, y)), 0.1)
-        for j in range(1, m.J):
-            loss = softmax_cross_entropy(m.aux_logits(xs[j - 1], j), y)
-            opt.step(m.head_params[j - 1], backward(loss), 0.1)
-        assert all(b.data.tobytes() == a.tobytes() for b, a in zip(xs, before))
+        guided_epoch(m, [(x, y)], NesterovSGD(), 0.1, update_aux=True)
+        assert len(outputs) == m.J and len(head_inputs) == m.J - 1
+        assert [b.node for b in head_inputs] == [None] * (m.J - 1)
+        assert all(b.data is out for b, (out, _) in zip(head_inputs, outputs))
+        assert all(out.tobytes() == before.tobytes() for out, before in outputs)
 
 
 BOOKKEEPING_SPECS = [MlpSpec(widths=[5] * 6, num_classes=3),

@@ -9,10 +9,10 @@ import pgl.data as D
 import pgl.tensor as T
 import pgl.training as TR
 from pgl.config import RunConfig, SpiralsSpec
-from pgl.errors import ConfigError, DomainError
+from pgl.errors import ConfigError, ContractError, DomainError, ShapeError
 from pgl.layers import softmax_cross_entropy
 from pgl.memory import eval_rows
-from pgl.network import DecoupledModel, MlpSpec, ResNetSpec
+from pgl.network import DecoupledModel, MlpSpec, ParamGroup, ResNetSpec
 from pgl.tensor import Tensor
 from pgl.training import (GUIDED, LOCAL, T95, NesterovSGD, Schedule, evaluate,
                           guided_epoch, guided_epoch_count, local_epoch, lr_at,
@@ -91,13 +91,11 @@ class TestLrSchedule:
 
 
 class TestNesterovSGD:
-    def _step(self, theta, grad, lr, momentum, wd, velocity=None):
+    def _step(self, theta, grad, lr, momentum, wd):
         p = Tensor(np.array([theta], dtype=np.float32), requires_grad=True)
         opt = NesterovSGD(momentum, wd)
-        if velocity is not None:
-            opt.velocity["p"] = np.array([velocity], dtype=np.float32)
         g = Tensor(np.array([grad], dtype=np.float32))
-        opt.step([("p", p)], {p.node_id: g}, lr)
+        opt.step(ParamGroup("g", [("p", p)]), {p.node_id: g}, lr)
         return float(p.data[0]), float(opt.velocity["p"][0])
 
     def test_one_step_hand_oracle(self):
@@ -119,7 +117,7 @@ class TestNesterovSGD:
         p = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
         before = p.data.copy()
         opt = NesterovSGD(mu, wd)
-        opt.step([("p", p)], {p.node_id: Tensor(np.zeros((3, 2), dtype=np.float32))}, lr)
+        opt.step(ParamGroup("g", [("p", p)]), {p.node_id: Tensor(np.zeros((3, 2), dtype=np.float32))}, lr)
         assert np.allclose(p.data, before * (1 - lr * wd * (1 + mu)), atol=1e-8)
 
     def test_in_place_matches_formula(self):
@@ -130,12 +128,13 @@ class TestNesterovSGD:
         shapes = {"w": (64, 128), "b": (128,), "gamma": (16,)}
         params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                   for n, s in shapes.items()}
+        group = ParamGroup("g", params.items())
         ref_p = {n: p.data.copy() for n, p in params.items()}
         ref_v = {}
         opt = NesterovSGD(mu, wd)
         for step in range(3):
             grads = {n: Tensor(rng.normal(size=s).astype(np.float32)) for n, s in shapes.items()}
-            opt.step(list(params.items()), {params[n].node_id: g for n, g in grads.items()}, lr)
+            opt.step(group, {params[n].node_id: g for n, g in grads.items()}, lr)
             for n in shapes:
                 g = grads[n].data + np.float32(wd) * ref_p[n]
                 v = ref_v.get(n)
@@ -150,8 +149,47 @@ class TestNesterovSGD:
 
     def test_missing_gradient_raises(self):
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        with pytest.raises(Exception):
-            NesterovSGD().step([("p", p)], {}, 0.1)
+        with pytest.raises(ContractError, match="no gradient for parameter p"):
+            NesterovSGD().step(ParamGroup("g", [("p", p)]), {}, 0.1)
+
+    def test_misshapen_gradient_raises_before_any_update(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        opt = NesterovSGD()
+        grads = {a.node_id: Tensor(np.ones(2, dtype=np.float32)), b.node_id: Tensor(np.ones(2, dtype=np.float32))}
+        with pytest.raises(ShapeError, match=r"\(b\)"):
+            opt.step(ParamGroup("g", [("a", a), ("b", b)]), grads, 0.1)
+        assert a.data.tolist() == [1.0, 1.0] and opt.velocity == {}
+
+    def test_step_pops_the_groups_gradients(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        other = Tensor(np.ones(1, dtype=np.float32))
+        grads = {a.node_id: Tensor(np.ones(2, dtype=np.float32)), -1: other}
+        NesterovSGD().step(ParamGroup("g", [("a", a)]), grads, 0.1)
+        assert grads == {-1: other}
+
+    def test_rebound_parameter_raises(self):
+        model = DecoupledModel(MlpSpec(widths=[4], num_classes=2), 1, "aux_adapt", seed=0)
+        group = model.block_params[0]
+        name, p = group.named[1]
+        p.data = p.data.copy()
+        grads = {q.node_id: Tensor(np.ones_like(q.data)) for _, q in group}
+        with pytest.raises(ContractError, match=name):
+            NesterovSGD().step(group, grads, 0.1)
+
+    def test_groups_are_views_of_one_array(self):
+        spec = MlpSpec(widths=[8, 8, 8, 8], num_classes=3)
+        model = DecoupledModel(spec, 2, "aux_adapt", seed=0)
+        for group in model.groups():
+            assert group.data.dtype == np.float32 and group.data.ndim == 1
+            assert group.data.size == sum(p.size for _, p in group)
+            assert all(np.shares_memory(p.data, group.data) for _, p in group)
+            assert group.rebound() is None
+        opt = NesterovSGD()
+        local_epoch(model, [(np.ones((4, 2), np.float32), np.array([0, 1, 2, 0]))], opt, 0.1)
+        for group in model.groups():
+            v = opt.group_velocity(group)
+            assert all(np.shares_memory(opt.velocity[name], v) for name, _ in group)
 
 
 def _measure_local_losses(model, x, y, boundaries=None):
@@ -235,6 +273,35 @@ class TestGuidedEpoch:
         assert any(not np.array_equal(init[name], p.data)
                    for name, p in model.head_params[0])
 
+    @pytest.mark.parametrize("update_aux", [True, False], ids=["aux", "no-aux"])
+    @pytest.mark.parametrize("spec, J", [
+        (MlpSpec(widths=[64] * 8, num_classes=3), 4),
+        (ResNetSpec(depth=8, num_classes=3, input_hw=8), 2),
+        (ResNetSpec(depth=8, num_classes=3, input_hw=8), 5),
+    ], ids=["acceptance-mlp", "resnet8", "resnet8-j5"])
+    def test_block_by_block_equals_one_stored_backward(self, spec, J, update_aux):
+        # three batches, so velocities are made and then carried; at J=5 the
+        # stem is block 1, whose batchnorm + relu output is a boundary
+        a = DecoupledModel(spec, J, "aux_adapt", seed=3)
+        b = DecoupledModel(spec, J, "aux_adapt", seed=3)
+        rng = np.random.default_rng(3)
+        n = 16
+        batches = [(rng.normal(size=(n, *spec.in_shape)).astype(np.float32), rng.integers(0, 3, size=n))
+                   for _ in range(3)]
+        opt, velocity = NesterovSGD(), {}
+        guided_epoch(a, batches, opt, 0.1, update_aux=update_aux)
+        for x, y in batches:
+            _stored_guided_step(b, x, y, velocity, 0.1, update_aux)
+        for (name, pa), (_, pb) in zip(a.named_params(), b.named_params()):
+            assert pa.data.tobytes() == pb.data.tobytes(), name
+        assert set(opt.velocity) == set(velocity)
+        for name, v in velocity.items():
+            assert opt.velocity[name].tobytes() == v.tobytes(), name
+        for (name, bn_a), (_, bn_b) in zip(a.named_bns(), b.named_bns()):
+            for stat in ("running_mean", "running_var"):
+                assert getattr(bn_a.state, stat).tobytes() == getattr(bn_b.state, stat).tobytes(), name
+            assert bn_a.state.batches_tracked == bn_b.state.batches_tracked
+
     def test_returns_global_and_aux_losses(self):
         cfg = mlp_config(blocks=2)
         model = cfg.build_model()
@@ -243,14 +310,47 @@ class TestGuidedEpoch:
         assert gl > 0 and len(aux) == 1 and aux[0] > 0
 
 
+def _stored_guided_step(model, x, y, velocity, lr, update_aux, mu=0.9, wd=1e-4):
+    """A guided step as one backward over the whole chain, then one update of
+    every block, parameter by parameter; then the heads on the boundaries.
+    ``velocity`` maps parameter names to their velocities."""
+    mu, wd, lr = np.float32(mu), np.float32(wd), np.float32(lr)
+
+    def update(params, grads):
+        for name, p in params:
+            gd = wd * p.data
+            gd += grads[p.node_id].data
+            v = velocity.get(name)
+            if v is None:
+                v = velocity[name] = gd.copy()
+            else:
+                v *= mu
+                v += gd
+            gd += mu * v
+            gd *= lr
+            p.data -= gd
+
+    h, boundary = Tensor(x), []
+    for units in model.blocks:
+        for unit in units:
+            h = unit.forward(h, True)
+        boundary.append(Tensor(h.data))
+    update([named for group in model.block_params for named in group],
+           T.backward(softmax_cross_entropy(h, y)))
+    if update_aux:
+        for j in range(1, model.J):
+            logits = model.aux_logits(boundary[j - 1], j, True)
+            update(model.head_params[j - 1], T.backward(softmax_cross_entropy(logits, y)))
+
+
 class TestEvaluate:
     def _blob_model_with_oracle_weights(self):
         model = DecoupledModel(MlpSpec(widths=[2], num_classes=2), 1, "aux_adapt", seed=0)
         hidden, clf = (unit.fc for unit in model.blocks[0])
-        hidden.weight.data = np.eye(2, dtype=np.float32)
-        hidden.bias.data = np.zeros(2, dtype=np.float32)
-        clf.weight.data = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32)
-        clf.bias.data = np.zeros(2, dtype=np.float32)
+        hidden.weight.data[...] = np.eye(2)
+        hidden.bias.data[...] = 0.0
+        clf.weight.data[...] = [[1.0, -1.0], [-1.0, 1.0]]
+        clf.bias.data[...] = 0.0
         return model
 
     def test_oracle_weights_on_separable_blobs(self):
@@ -317,7 +417,7 @@ class TestEvalChunks:
             logits = []
             with T.no_grad():
                 for size in (cfg.batch_size, rows):
-                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0].data
+                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0][-1].data
                                                   for x, _ in D.batches(ds, size, None, 0)]))
             if exact_logits:
                 assert np.array_equal(*logits)
