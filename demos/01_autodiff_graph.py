@@ -36,17 +36,24 @@ loss = L.softmax_cross_entropy(T.relu(L.linear_forward(x, w, b)), labels)
 grads = backward(loss)                        # seeded with ones, d(loss)/d(loss)
 print(f"cross-entropy {loss.item():.4f}; d loss / db = {grads[b.node_id].data}")
 
+
+def add(a, b):
+    """a + b as a graph node.  A new op is one apply_op call: its output and
+    a grad_fn per input, here passing the output's gradient through."""
+    return T.apply_op(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+
+
 print("\n== detach severs the gradient path; reuse accumulates ==")
 x = Tensor([2.0, -1.0], requires_grad=True)
-y = T.add(T.relu(x), x.detach())              # the detached copy is a constant
+y = add(T.relu(x), x.detach())                # the detached copy is a constant
 print(f"d(relu(x) + stop(x))/dx = {backward(y, np.ones(2))[x.node_id].data}   (expected [1, 0])")
 x = Tensor([2.0, -1.0], requires_grad=True)
-y = T.add(T.relu(x), x)                       # x reaches y twice; the terms add
+y = add(T.relu(x), x)                         # x reaches y twice; the terms add
 print(f"d(relu(x) + x)/dx = {backward(y, np.ones(2))[x.node_id].data}   (expected [2, 1])")
 
 print("\n== the graph keeps only what backward reads ==")
 x = Tensor(np.ones((4, 3)), requires_grad=True)
-hidden = T.add(x, x)                          # relu's backward reads its output, not its input
+hidden = add(x, x)                            # relu's backward reads its output, not its input
 probe = weakref.ref(hidden.data)
 y = T.relu(hidden)
 del hidden

@@ -78,12 +78,6 @@ def _proj(rng, shape):
 # the inputs to the op's output and w is the projection of that output.
 # Ops resolve at call time, so the suite always checks the live implementation.
 
-def _case_add(rng):
-    for _ in range(5):
-        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-        yield [_leaf(rng, shape), _leaf(rng, shape)], lambda ts: T.add(*ts), _proj(rng, shape)
-
-
 def _case_relu(rng):
     for _ in range(5):
         shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
@@ -128,15 +122,22 @@ def _case_conv2d(rng):
             _proj(rng, (n, o, oh, oh))
 
 
-def _batchnorm_case(relu=False, conv=False):
+_SKIPS = ("nhwc", "c-order", "untracked")
+
+
+def _batchnorm_case(relu=False, conv=False, skip=False):
     """Train-mode batchnorm on NHWC memory, as a conv hands it on; with
     ``relu``, the relu after it in the same node; with ``conv`` as well,
     feeding a 3x3 "same" conv, which rebuilds that node's output for its
-    weight gradient.  A draw with a pre-activation within 0.05 of relu's
-    kink is redrawn, as ``_case_relu`` moves its inputs off the kink."""
+    weight gradient.  With ``skip``, a residual tail relu(bn(x) + skip),
+    the draws taking turns over ``_SKIPS``: a tracked skip in NHWC memory
+    (another tail's output), a tracked C-order one (the add's out-of-place
+    path, as for a detached block input) and an untracked one.  A draw with
+    a pre-activation within 0.05 of relu's kink is redrawn, as
+    ``_case_relu`` moves its inputs off the kink."""
     def gen(rng):
         made = 0
-        while made < 5:
+        while made < (6 if skip else 5):
             n, c, h = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
             x = _leaf(rng, (n, h, h, c))
             x.data = x.data.transpose(0, 3, 1, 2)
@@ -145,16 +146,28 @@ def _batchnorm_case(relu=False, conv=False):
             w = _proj(rng, (n, c, h, h))
             state = L.BatchNormState.init(c)
             inputs = [x, gamma, beta]
-            if relu:
+            s = None
+            if skip:
+                kind = _SKIPS[made % len(_SKIPS)]
+                s = _leaf(rng, (n, h, h, c))
+                s.data = s.data.transpose(0, 3, 1, 2)
+                if kind == "c-order":
+                    s.data = np.ascontiguousarray(s.data)
+                if kind == "untracked":
+                    s = Tensor(s.data)
+                else:
+                    inputs.append(s)
+            if relu or skip:
                 with T.no_grad():
-                    if np.min(np.abs(L.batchnorm_forward(x, gamma, beta, state).data)) < 0.05:
+                    pre = L.batchnorm_forward(x, gamma, beta, state).data
+                    if np.min(np.abs(pre if s is None else pre + s.data)) < 0.05:
                         continue
             if conv:
                 inputs.append(_leaf(rng, (c + 1, c, 3, 3)))
                 w = _proj(rng, (n, c + 1, h, h))
 
-            def f(ts, st=state):
-                out = L.batchnorm_forward(*ts[:3], st, relu=relu)
+            def f(ts, st=state, sk=s):                   # a tracked skip is also ts[3]
+                out = L.batchnorm_forward(*ts[:3], st, relu=relu, skip=sk)
                 return L.conv2d_forward(out, ts[3], stride=1, pad=1) if conv else out
             made += 1
             yield inputs, f, w
@@ -186,13 +199,13 @@ def _case_residual(rng):
 
 
 CASES = [
-    ("add", _case_add, DEFAULT_TOL),
     ("relu", _case_relu, DEFAULT_TOL),
     ("global_avg_pool", _case_global_avg_pool, DEFAULT_TOL),
     ("linear", _case_linear, DEFAULT_TOL),
     ("conv2d", _case_conv2d, DEFAULT_TOL),
     ("batchnorm", _batchnorm_case(), BN_TOL),
     ("batchnorm_relu", _batchnorm_case(relu=True), BN_TOL),
+    ("batchnorm_skip", _batchnorm_case(skip=True), BN_TOL),
     ("conv2d_remade_input", _batchnorm_case(relu=True, conv=True), BN_TOL),
     ("cross_entropy", _case_cross_entropy, DEFAULT_TOL),
     ("residual_block", _case_residual, BN_TOL),

@@ -1,6 +1,6 @@
 """Neural layers built on the tensor autodiff: linear, conv2d, batch norm
-(optionally with the relu after it in the same node), global average
-pooling and softmax cross entropy.
+(optionally with the relu after it, or a residual unit's skip add and relu,
+in the same node), global average pooling and softmax cross entropy.
 
 Each op is a pure function, the testable contract.  ``linear_forward``,
 ``conv2d_forward``, ``batchnorm_forward``, ``softmax_cross_entropy`` and
@@ -22,6 +22,7 @@ only in train mode.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +208,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     The node keeps x, not column matrices: the weight gradient lowers x
     again, runs first and drops each slab before it lowers the next and
     before the input gradient allocates dx.  An x that is a
-    ``tensor.Remade`` it does not keep: the weight gradient rebuilds it.
+    ``tensor.Remade`` it does not keep: the weight gradient rebuilds it and,
+    once its slabs are done, hands the rebuild to x's ``keep_mask``.
     Each gradient reads the output gradient as [N*H'*W', O] rows: a view
     of what batchnorm hands back in [N,H,W,C] memory, a copy of a gradient
     in NCHW memory (an aux head's).
@@ -225,8 +227,9 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
     ohw, kk = oh * ow, k * k
     same = stride == 1 and 2 * pad == k - 1              # im2col's contiguous-run case
     xd, wd = x.data, w.data
-    # the input the weight gradient lowers: a Remade input is rebuilt, not kept
-    dw_input = x.remake if isinstance(x, T.Remade) else lambda: xd
+    # the input the weight gradient lowers: a Remade input is rebuilt, not
+    # kept, and once lowered handed to its op for relu's mask
+    dw_input, lowered = (x.remake, x.keep_mask) if isinstance(x, T.Remade) else (lambda: xd, None)
     wmat = wd.reshape(o, c * kk)
     column_bytes = kk * ohw * xd.itemsize                # column matrix per image and input channel
     images = _slabs(n, c * column_bytes)
@@ -244,6 +247,8 @@ def conv2d_forward(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tenso
         for s0, s1 in _slabs(kk, n * ohw * c * xs.itemsize):
             np.matmul(gr.T, kn2row(xs, k, stride, pad, s0, s1).reshape(n * ohw, -1),
                       out=dw[:, s0 * c:s1 * c])
+        if lowered is not None:                          # after the slabs, so the mask is not beside them
+            lowered(xs)
         return dw.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
     def grad_x(g):
@@ -309,10 +314,12 @@ def _channel_mean(a: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(n * h * w), out=total, casting="unsafe")
 
 
-def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                      state: BatchNormState, train: bool = True, relu: bool = False) -> Tensor:
+def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                      train: bool = True, relu: bool = False, skip: Tensor = None) -> Tensor:
     """Per-channel normalization over (N,H,W) with biased batch variance,
-    followed by ``tensor.relu``'s max(., 0) if ``relu``; eps is 1e-5.
+    followed by ``tensor.relu``'s max(., 0) if ``relu``; with ``skip``, a
+    tensor of the output's shape, relu(bn(x) + skip), a residual unit's
+    tail.  eps is 1e-5.
 
     x must be [N,C,H,W] in NHWC memory, as a conv hands it on; any other
     layout raises ``ContractError``.  Train mode normalizes by batch
@@ -323,15 +330,22 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     populated, and builds no graph: with gradients enabled and a tracked
     input it raises ``ContractError``, so it runs under ``no_grad``.
 
-    With ``relu`` the node keeps what it keeps without it, never its
-    output.  It rebuilds the output with the forward's own ops on the same
-    operands, ``tile(gamma) * xr``, ``+= tile(beta)`` and ``np.maximum``,
-    so with the same bytes and strides: its tracked output is a
-    ``tensor.Remade`` whose ``remake`` the next conv keeps in place of the
-    array.  Its first edge to run makes relu's ``g * mask`` as
-    ``tensor.relu`` does, the mask from the rebuilt pre-activation, whose
-    ``> 0`` has the values of the output's, NaN included.  x's edge runs
-    last and scales that product in place into gx = gamma * g.
+    The node never keeps its output.  Its tracked output is a
+    ``tensor.Remade`` whose ``remake`` returns the output while anything
+    holds it, else rebuilds it from xhat with the forward's own ops, so
+    with the same bytes and strides: ``tile(gamma) * xr``, ``+=
+    tile(beta)``, with ``relu`` or ``skip`` then the skip added (in place
+    when the two strides match, else into a new array, as a plain ``+``
+    lays it out) and ``np.maximum`` taken in place, the ops of a separate
+    add and ``tensor.relu``.  Of the skip the node keeps only what rebuilds
+    it, a ``tensor.Remade`` skip's ``remake``, else its array, and a
+    rebuild runs it first, so it holds at most two arrays.  With a relu the
+    first edge to run makes relu's ``g * mask`` as ``tensor.relu`` does,
+    with the mask that a consuming conv left (``keep_mask``) or one taken
+    from the output.  The edges run gamma's, beta's, the skip's (that
+    product unscaled, as an add passes it) and last x's, which scales it
+    into gx = gamma * g: in place, unless the skip's gradient is that same
+    array.
 
     xhat, the output and dx are NHWC memory too.  The channel sums
     (``_channel_sum``) add its [N*H*W, C] rows in row order, as numpy's
@@ -346,6 +360,8 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: affine params must have shape [{c}]")
+    if skip is not None and skip.shape != x.shape:
+        raise ShapeError(f"batchnorm: skip {list(skip.shape)} vs output {list(x.shape)}")
     if not x.data.transpose(0, 2, 3, 1).flags.c_contiguous:
         layout = "C-order" if x.data.flags.c_contiguous else f"strides {x.data.strides}"
         raise ContractError(f"batchnorm: expects NHWC memory, as a conv hands it on, got {layout}")
@@ -353,6 +369,8 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     eps = x.dtype.type(1e-5)
     gam = gamma.data.reshape(bshape)
     gd, bd = gamma.data, beta.data
+    # the closures read the skip through this, never through the tensor
+    skip_data = None if skip is None else skip.remake if isinstance(skip, T.Remade) else _array(skip.data)
 
     def rows(a):                                         # one row per image, [N, H*W*C]
         return a.transpose(0, 2, 3, 1).reshape(n, -1)
@@ -368,9 +386,12 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         out += tile(bd)
         return image(out)
 
-    def remake():                                        # the output, as tensor.relu makes it
+    def output():                                        # relu(affine [+ skip]), as add and relu make it
+        s = None if skip_data is None else skip_data()
         out = affine()
-        return np.maximum(out, 0, dtype=out.dtype)
+        if s is not None:
+            out = np.add(out, s, out=out if out.strides == s.strides else None)
+        return np.maximum(out, 0, out=out)
 
     if not train:
         if state.batches_tracked == 0:
@@ -379,7 +400,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
             raise ContractError("batchnorm: eval mode builds no graph; run it under no_grad")
         xr = rows(x.data) - tile(state.running_mean.astype(x.dtype))
         xr /= tile(np.sqrt(state.running_var.astype(x.dtype) + eps))
-        return Tensor(remake() if relu else affine())
+        return Tensor(output() if relu or skip is not None else affine())
 
     mu = _channel_mean(x.data)
     xr = rows(x.data) - tile(mu)
@@ -406,30 +427,57 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     def grad_gamma(g):
         return _channel_sum(g * xhat)
 
+    plain = not relu and skip is None
+    out = affine() if plain else output()
+    held = weakref.ref(out)
+
+    def remake():
+        y = held()
+        return (affine() if plain else output()) if y is None else y
+
+    def plain_grad_x(g):                                 # the last edge, g's last holder
+        gx = g * gam
+        del g                                            # freed before grad_x allocates
+        return grad_x(gx)
+
     # x's edge runs last: gamma's and beta's temporaries are gone before dx
     # exists, and with relu, gx reuses the g * mask they read
-    if not relu:
-        return apply_op(affine(), [(gamma, grad_gamma), (beta, _channel_sum),
-                                   (x, lambda g: grad_x(g * gam))])
+    if plain:
+        return apply_op(out, [(gamma, grad_gamma), (beta, _channel_sum), (x, plain_grad_x)], remake)
 
-    gm = None                                            # relu's g * mask, made by the first edge to run
+    mask = gm = None                 # relu's mask, left by a consumer; g * mask, made by the first edge
+    shared = skip is not None and skip.requires_grad     # the skip's gradient is gm itself
+
+    def keep_mask(y):                                    # what a consuming conv lowered
+        nonlocal mask
+        if mask is None:
+            mask = y > 0
 
     def relu_grad(g):
         # backward runs each edge of a node once, with the same g
-        nonlocal gm
+        nonlocal mask, gm
         if gm is None:
-            gm = T._masked(g, affine() > 0)
+            gm, mask = T._masked(g, remake() > 0 if mask is None else mask), None
         return gm
 
-    def relu_grad_x(g):                                  # the last edge: gx is gm scaled in place
+    def relu_grad_x(g):                                  # the last edge, g's last holder: gx is gm scaled
         nonlocal gm
         gx, gm = relu_grad(g), None
+        del g                                            # freed before grad_x allocates
+        if shared:
+            return grad_x(gx * gam)
         gx *= gam
         return grad_x(gx)
 
-    return apply_op(remake(), [(gamma, lambda g: grad_gamma(relu_grad(g))),
-                               (beta, lambda g: _channel_sum(relu_grad(g))),
-                               (x, relu_grad_x)], remake)
+    edges = [(gamma, lambda g: grad_gamma(relu_grad(g))), (beta, lambda g: _channel_sum(relu_grad(g)))]
+    if skip is not None:
+        edges.append((skip, relu_grad))
+    return apply_op(out, edges + [(x, relu_grad_x)], remake, keep_mask)
+
+
+def _array(a: np.ndarray):
+    """A function returning ``a``: a plain skip's rebuild."""
+    return lambda: a
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -557,5 +605,5 @@ class BatchNorm2d(LayerList):
     def layout(channels: int) -> list:
         return [("gamma", Param, ((channels,), "ones")), ("beta", Param, ((channels,), "zeros"))]
 
-    def forward(self, x: Tensor, train: bool = True, relu: bool = False) -> Tensor:
-        return batchnorm_forward(x, self.gamma, self.beta, self.state, train, relu)
+    def forward(self, x: Tensor, train: bool = True, relu: bool = False, skip: Tensor = None) -> Tensor:
+        return batchnorm_forward(x, self.gamma, self.beta, self.state, train, relu, skip)

@@ -108,7 +108,9 @@ class ResidualUnit(L.LayerList):
 
     When channels or stride change, the skip path gets a 1x1 stride-matched
     projection ``proj`` followed by batch norm ``proj_bn``; otherwise both
-    are None and the skip is the input itself.
+    are None and the skip is the input itself.  The tail, bn2, the skip add
+    and the relu, is one batchnorm node, so the unit's output is a
+    ``tensor.Remade`` that its consumers rebuild: it keeps no output.
     """
 
     partitionable = True
@@ -124,10 +126,10 @@ class ResidualUnit(L.LayerList):
         return layers
 
     def forward(self, x, train=True):
-        out = self.bn1.forward(self.conv1.forward(x, train), train, relu=True)
-        out = self.bn2.forward(self.conv2.forward(out, train), train)
+        # bn1's output is not bound to a name: it dies once conv2 has run
+        h = self.conv2.forward(self.bn1.forward(self.conv1.forward(x, train), train, relu=True), train)
         skip = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x, train), train)
-        return T.relu(T.add(out, skip))
+        return self.bn2.forward(h, train, skip=skip)
 
 
 class _FcUnit(L.LayerList):

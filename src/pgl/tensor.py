@@ -12,12 +12,12 @@ from leaf node ids to gradient tensors; walking a released graph again raises
 ``ContractError``.  Detaching a tensor cuts it from its producers; nothing
 else has to be cleared between steps.
 
-The primitives are the two that training builds outside the layers: the
-same-shape residual ``add``, which keeps nothing, and ``relu``, which keeps
-its output (the array the next layer reads anyway), not a mask beside it.
-The layers build their fused ops (linear, conv, batchnorm, pooling,
-cross-entropy) on ``apply_op``, one graph node each.  A relu right after a
-batchnorm is part of the batchnorm node, which keeps no output: an op that
+The one primitive here is ``relu``, the activation of the dense units and
+the aux heads; it keeps its output (the array the next layer reads anyway),
+not a mask beside it.  The layers build their fused ops (linear, conv,
+batchnorm, pooling, cross-entropy) on ``apply_op``, one graph node each.  A
+relu right after a batchnorm, and a residual unit's whole tail, relu(bn(x)
++ skip), are part of the batchnorm node, which keeps no output: an op that
 can rebuild its output bit for bit from what its backward keeps anyway
 hands ``apply_op`` that rebuild, and its tracked output is a ``Remade``.  A
 consumer keeps the rebuild, not the array, which is freed with the tensor.
@@ -124,15 +124,20 @@ class Tensor:
 
 
 class Remade(Tensor):
-    """A tracked op output that its op can rebuild: ``remake()`` returns a
-    new array with ``data``'s bytes and strides, from arrays the op's
-    backward keeps anyway.  A consumer that needs the input again in its
-    backward keeps ``remake`` instead of ``data``."""
+    """A tracked op output that its op can rebuild from arrays the op's
+    backward keeps anyway.  ``remake()`` returns an array with ``data``'s
+    bytes and strides: ``data`` itself while anything still holds it, else
+    a rebuild; a caller reads it and never writes it.  A consumer that needs
+    the input again in its backward keeps ``remake`` instead of ``data``.
+    ``keep_mask``, None unless the op ends in a relu, takes what ``remake``
+    returned and keeps relu's 1-byte mask of it for the op's own backward,
+    which runs right after a conv's (a conv is created right after the op
+    it reads), so the op need not rebuild its output again."""
 
-    __slots__ = ("remake",)
+    __slots__ = ("remake", "keep_mask")
 
 
-def apply_op(data, parents, remake=None):
+def apply_op(data, parents, remake=None, keep_mask=None):
     """Build a tensor from a primitive's forward result.
 
     ``parents`` is a list of (tensor, grad_fn) pairs where grad_fn maps the
@@ -140,13 +145,14 @@ def apply_op(data, parents, remake=None):
     not require gradients are dropped, so they never join the graph.
     ``data`` must already be an array of the inputs' float dtype, so the
     output skips ``Tensor.__init__``'s conversion.  ``remake``, a function
-    that rebuilds ``data``, makes a tracked output a ``Remade``; an
-    untracked one is a plain tensor, since no backward will read it.
+    that rebuilds ``data``, makes a tracked output a ``Remade`` with that
+    ``remake`` and ``keep_mask`` (see ``Remade``); an untracked one is a
+    plain tensor, since no backward will read it.
     """
     tracked = [(p.node, fn) for p, fn in parents if p.node is not None] if _grad_enabled else None
     if tracked and remake is not None:
         out = object.__new__(Remade)
-        out.remake = remake
+        out.remake, out.keep_mask = remake, keep_mask
     else:
         out = object.__new__(Tensor)
     out.data = data
@@ -164,9 +170,13 @@ def backward(out: Tensor, grad=None) -> dict:
     Nodes are processed in descending ``node_id``.  An op's output is always
     created after its inputs, so every node is reached after all its
     consumers, and each gradient sum adds its terms in creation order.  An
-    interior gradient is dropped once it has been passed to its parents, and
-    an interior node's edges (with the arrays its grad_fns captured) once
-    they have run.
+    interior node's edges (with the arrays its grad_fns captured) are
+    dropped once they have run, and its gradient once it has been passed to
+    its parents: the node's last edge is handed it as its one reference (in
+    CPython 3.11+, which moves a call's arguments into the callee), so a
+    last edge that no longer needs it can free it before it allocates.  The
+    walk holds neither ``out`` nor ``grad`` itself: a seed the caller does
+    not keep dies with the root's edges.
 
     Returns {node_id: gradient Tensor} for the reachable leaves only: tensors
     that require gradients and have no parents.  Unreachable parameters are
@@ -195,17 +205,20 @@ def backward(out: Tensor, grad=None) -> dict:
                 nodes[p.node_id] = p
                 stack.append(p)
     grads = {root.node_id: grad}
+    del out, grad                 # the root's gradient now lives in grads alone
     leaves = {}
     for nid in sorted(nodes, reverse=True):
         node = nodes[nid]
-        g = grads.pop(nid)
         if not node.parents:
-            leaves[nid] = Tensor(g)
+            leaves[nid] = Tensor(grads.pop(nid))
             continue
-        for p, fn in node.parents:
+        edges, node.parents = node.parents, None
+        last = len(edges) - 1
+        for i, (p, fn) in enumerate(edges):
+            # the last edge is handed the node's gradient as its one reference
+            d = fn(grads[nid] if i < last else grads.pop(nid))
             pid = p.node_id
-            grads[pid] = grads[pid] + fn(g) if pid in grads else fn(g)
-        node.parents = None
+            grads[pid] = grads[pid] + d if pid in grads else d
     return leaves
 
 
@@ -252,21 +265,11 @@ def create(shape, init="zeros", rng=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# primitives
-
-def _identity(g):
-    return g
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors (the residual add)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {list(a.shape)} and {list(b.shape)} differ")
-    return apply_op(a.data + b.data, [(a, _identity), (b, _identity)])
-
+# the one primitive
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0); NaN passes through, and the subgradient at 0 and NaN is 0.
+    The activation of the dense units and the aux heads.
 
     The node keeps the output, which the next layer holds anyway, not a
     mask: ``out > 0`` has the values of ``a > 0``, NaN included.

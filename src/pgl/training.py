@@ -154,14 +154,19 @@ def _update(logits: Tensor, y, groups, opt: NesterovSGD, lr: float) -> float:
 def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     """Update block j (and its head) from its local loss on a detached input.
 
-    Returns (loss value, detached X_j).  Block j's tracked output dies on
-    return, before block j+1 runs forward; inlined into ``local_epoch`` it
-    would live through that forward and raise the local step's peak.
+    Returns (loss value, detached X_j).  The step holds X_j's array, not
+    the tensor: a ``tensor.Remade`` would pin the arrays its rebuild reads
+    through the update, and while the array is held, the head's conv reads
+    it back without a rebuild.  Block j's graph dies on return, before
+    block j+1 runs forward; inlined into ``local_epoch`` it would live
+    through that forward and raise the local step's peak.
     """
     x_j, logits = model.forward_local(h, j, train=True)
+    out = x_j.data
+    del x_j
     # block J has no head: its classifier gives the logits
     groups = [model.block_params[j - 1], *model.head_params[j - 1:j]]
-    return _update(logits, y, groups, opt, lr), x_j.detach()
+    return _update(logits, y, groups, opt, lr), Tensor(out).detach()
 
 
 def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
@@ -198,9 +203,12 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     block j+1 ran on, and steps its own group.  Each seed is computed before
     the step of the block it came through, so every value equals that of
     one backward over the whole chain followed by one update, while only
-    one block's gradients are alive at a time.  Then (when ``update_aux``)
-    each head's group steps on its loss over an untracked view of its
-    boundary, so the heads stay out of the global graph.
+    one block's gradients are alive at a time.  Each block's output is
+    dropped as its walk starts, since a ``tensor.Remade`` one would pin the
+    arrays its rebuild reads.  Then (when ``update_aux``) each head's group
+    steps on its loss over an untracked tensor over its boundary array,
+    which the leaf block j+1 ran on still holds, so the heads stay out of
+    the global graph.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
@@ -210,15 +218,15 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     for x, y in batch_list:
         n = len(y)
         outs, ins = model.forward_global(Tensor(x), train=True)
-        loss = L.softmax_cross_entropy(outs[-1], y)
+        loss = L.softmax_cross_entropy(outs.pop(), y)
         grads = T.backward(loss)
         for j in range(J, 0, -1):
             if j < J:
-                grads = T.backward(outs[j - 1], grads.pop(ins[j].node_id).data)
+                grads = T.backward(outs.pop(), grads.pop(ins[j].node_id).data)
             opt.step(model.block_params[j - 1], grads, lr)
         if update_aux:
             for j in range(1, J):
-                logits = model.aux_logits(Tensor(outs[j - 1].data), j, train=True)
+                logits = model.aux_logits(Tensor(ins[j].data), j, train=True)
                 asums[j - 1] += _update(logits, y, model.head_params[j - 1:j], opt, lr) * n
         gsum += loss.item() * n
         seen += n

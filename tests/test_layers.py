@@ -839,19 +839,23 @@ class TestBatchNorm:
         assert run_case("batchnorm", seed=0) < 1e-3
 
 
-def unfused_bn_forward(bn, x, train=True, relu=False):
+def unfused_bn_forward(bn, x, train=True, relu=False, skip=None):
     """``BatchNorm2d.forward`` as ``tensor.relu`` of a plain batchnorm node,
-    whose output the next conv keeps as an array."""
+    plus ``skip`` through a test-local sum node, whose output the next conv
+    keeps as an array."""
     out = L.batchnorm_forward(x, bn.gamma, bn.beta, bn.state, train)
-    return T.relu(out) if relu else out
+    if skip is not None:
+        out = T.apply_op(out.data + skip.data, [(out, lambda g: g), (skip, lambda g: g)])
+    return T.relu(out) if relu or skip is not None else out
 
 
 class TestBatchNormRelu:
-    """Batchnorm with the relu after it is one node that keeps no output:
-    it and the conv reading it rebuild the output.  Against ``tensor.relu``
-    of a batchnorm feeding a conv that keeps its input, every byte of the
-    outputs and gradients matches, and in eval mode, which builds no graph,
-    every byte of the outputs."""
+    """Batchnorm with the relu after it, or with a residual unit's skip add
+    and relu, is one node that keeps no output: it and the conv reading it
+    rebuild the output.  Against ``tensor.relu`` of a batchnorm (plus the
+    skip) feeding a conv that keeps its input, every byte of the outputs and
+    gradients matches, and in eval mode, which builds no graph, every byte
+    of the outputs."""
 
     @staticmethod
     def _input(train, nonfinite):
@@ -899,10 +903,18 @@ class TestBatchNormRelu:
                 return [y.data, L.conv2d_forward(y, w, 1, 1).data]
         y = forward()
         assert isinstance(y, T.Remade) == fused
-        remade = y.remake() if fused else y.data
+        assert not fused or y.remake() is y.data         # while held, the array itself
         out = L.conv2d_forward(y, w, 1, 1)
+        # y's bytes and strides, in an array of the test's own, so the
+        # output dies with y and remake() rebuilds it
+        y_data = np.empty_like(y.data)
+        y_data[...] = y.data
+        remake, alive = (y.remake, weakref.ref(y.data)) if fused else (None, None)
+        del y
+        assert not fused or alive() is None
+        remade = remake() if fused else y_data
         grads = backward(out, rng.normal(size=out.shape).astype(np.float32))
-        return [y.data, remade, out.data] + [grads[t.node_id].data for t in (x, gamma, beta, w)]
+        return [y_data, remade, out.data] + [grads[t.node_id].data for t in (x, gamma, beta, w)]
 
     @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
     @pytest.mark.parametrize("train", [True, False], ids=["nhwc", "nhwc-eval"])
@@ -919,11 +931,50 @@ class TestBatchNormRelu:
             assert a.tobytes() == b.tobytes() and a.strides == b.strides
         y = fused[0]
         assert np.isnan(y).any() == nonfinite and y.transpose(0, 2, 3, 1).flags.c_contiguous
-        if train:
-            assert fused[1] is not y
-        else:                                    # the relu meets -0.0
+        if not train:                            # the relu meets -0.0
             pre = L.batchnorm_forward(Tensor(data), *map(Tensor, self._affine()), self._state(False), False).data
             assert (np.signbit(pre) & (pre == 0)).any()
+
+    @pytest.mark.parametrize("skip", ["remade", "c-order", "untracked"])
+    @pytest.mark.parametrize("train", [True, False], ids=["nhwc", "nhwc-eval"])
+    def test_tail_matches_unfused(self, train, skip):
+        # relu(bn(x) + skip) feeding a conv, against bn, a sum node and
+        # tensor.relu: the skip another fused node's output, a tracked
+        # C-order leaf (added out of place) or an untracked NHWC tensor
+        data = self._input(train, nonfinite=False)
+
+        def run(fused):
+            rng = np.random.default_rng(10)
+            x = Tensor(data, requires_grad=True)
+            gamma, beta = (Tensor(p, requires_grad=True) for p in self._affine())
+            src = Tensor(nhwc(rng.normal(size=data.shape).astype(np.float32)), requires_grad=skip != "untracked")
+            w = Tensor(rng.normal(size=(3, 4, 3, 3)).astype(np.float32), requires_grad=True)
+            if skip == "c-order":
+                src.data = np.ascontiguousarray(src.data)
+            bn = L.BatchNorm2d(4)
+            bn.gamma.data[...], bn.beta.data[...] = self._affine()[::-1]
+            bn.state = self._state(train)
+            tail = L.BatchNorm2d(4)
+            tail.gamma, tail.beta, tail.state = gamma, beta, self._state(train)
+            forward = L.BatchNorm2d.forward if fused else unfused_bn_forward
+
+            def chain():
+                s = forward(bn, src, train, relu=True) if skip == "remade" else src
+                y = forward(tail, x, train, skip=s)
+                return y, L.conv2d_forward(y, w, 1, 1)
+            if not train:
+                with T.no_grad():
+                    return [a.data for a in chain()]
+            y, out = chain()
+            assert isinstance(y, T.Remade) == fused
+            grads = backward(out, rng.normal(size=out.shape).astype(np.float32))
+            leaves = [x, gamma, beta, w] + [src] * (skip != "untracked") + [bn.gamma, bn.beta] * (skip == "remade")
+            return [y.data, out.data] + [grads[t.node_id].data for t in leaves]
+
+        fused, ref = run(True), run(False)
+        assert len(fused) == len(ref) == ({"remade": 9, "c-order": 7, "untracked": 6}[skip] if train else 2)
+        for a, b in zip(fused, ref):
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides
 
     @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
     def test_units_match_unfused(self, layout, monkeypatch):
@@ -949,8 +1000,9 @@ class TestBatchNormRelu:
             return [h.data] + [grads[t.node_id].data for t in [x] + params]
 
         fused = run()
-        # the stem's output feeds unit 1's conv1, each unit's bn1 its conv2
-        assert remade == [False, True, True, False, True, False]
+        # the stem's output feeds unit 1's conv1, each unit's bn1 its conv2,
+        # and unit 1's output unit 2's conv1 and projection
+        assert remade == [False, True, True, True, True, True]
         monkeypatch.setattr(L.BatchNorm2d, "forward", unfused_bn_forward)
         ref = run()
         assert remade[6:] == [False] * 6
@@ -961,14 +1013,17 @@ class TestBatchNormRelu:
     @pytest.mark.parametrize("step", [local_epoch, guided_epoch], ids=["local", "guided"])
     def test_output_dies_with_its_unit(self, step, monkeypatch):
         # no grad_fn keeps a fused output: a residual unit's bn1 output is
-        # freed when the unit's forward returns, and the stem's (the unit's
-        # own output) once the next unit's forward returns
-        made, checked = [], []
+        # freed before its tail runs, and the stem's or a unit's own output
+        # once the next unit's forward returns, unless the step holds it as
+        # a block's output
+        made, checked, tails = [], [], []
         real_bn = L.batchnorm_forward
 
-        def bn(x, gamma, beta, state, train=True, relu=False):
-            out = real_bn(x, gamma, beta, state, train, relu)
-            if relu:
+        def bn(x, gamma, beta, state, train=True, relu=False, skip=None):
+            if skip is not None:                          # made[-1] is this unit's bn1 output
+                tails.append(made[-1]() is None)
+            out = real_bn(x, gamma, beta, state, train, relu, skip)
+            if relu or skip is not None:
                 made.append(weakref.ref(out.data))
             return out
 
@@ -987,8 +1042,8 @@ class TestBatchNormRelu:
         rng = np.random.default_rng(8)
         batch = [(rng.normal(size=RESNET8[2]).astype(np.float32), rng.integers(0, 3, size=16))]
         step(model, batch, NesterovSGD(), 0.1)
-        assert len(made) == 4 and len(checked) == 4       # the stem and three units' bn1
-        assert all(checked)
+        assert len(made) == 7 and len(checked) == 4       # the stem, three units' bn1 and tails
+        assert all(checked) and tails == [True] * 3
         assert all(r() is None for r in made)
 
 

@@ -26,6 +26,11 @@ def scale(a, c):
     return T.apply_op(a.data * c, [(a, lambda g: g * c)])
 
 
+def add(a, b):
+    """A test-local same-shape sum node; the core keeps none."""
+    return T.apply_op(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+
+
 def ones(t):
     return np.ones_like(t.data)
 
@@ -57,15 +62,6 @@ class TestCreate:
 class TestElementwise:
     def test_relu(self):
         assert T.relu(Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0, 0, 2]
-
-    def test_add(self):
-        assert T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data.tolist() == [4, 6]
-
-    def test_shape_mismatch(self):
-        # add is the same-shape residual add; it broadcasts nothing
-        for a, b in [((3,), (4,)), ((2, 3), (1, 3)), ((2, 3), (3,))]:
-            with pytest.raises(ShapeError):
-                T.add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
     def test_relu_grad_zero_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
@@ -143,7 +139,7 @@ class TestBackward:
 
     def test_accumulation_over_reuse(self):
         x = Tensor([2.0], requires_grad=True)
-        y = T.add(mul(x, x), x)  # x^2 + x -> 2x + 1 = 5
+        y = add(mul(x, x), x)  # x^2 + x -> 2x + 1 = 5
         g = backward(y, ones(y))
         assert g[x.node_id].data.tolist() == [5]
 
@@ -159,7 +155,7 @@ class TestBackward:
         # float32 sum is (1e8 + -1e8) + 1 = 1, where oldest first gives 0
         x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
         c1, c2, c3 = scale(x, 1.0), scale(x, -1e8), scale(x, 1e8)
-        out = T.add(T.add(c1, c2), c3)
+        out = add(add(c1, c2), c3)
         g = backward(out, ones(out))
         assert g[x.node_id].data.tolist() == [1.0]
 
@@ -169,7 +165,7 @@ class TestBackward:
         xv = rng.uniform(-1, 1, size=5)
         for a, b in [(-2.0, 0.5), (0.5, 3.0), (3.0, -2.0)]:
             x = Tensor(xv.copy(), requires_grad=True)
-            combo = T.add(scale(mul(x, x), a), scale(mul(T.relu(x), x), b))
+            combo = add(scale(mul(x, x), a), scale(mul(T.relu(x), x), b))
             combo = backward(combo, ones(combo))[x.node_id].data
             x2 = Tensor(xv.copy(), requires_grad=True)
             gf = backward(mul(x2, x2), np.ones(5))[x2.node_id].data
@@ -209,27 +205,27 @@ class TestDetach:
 
     def test_all_detached_inputs_give_empty_gradmap(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = T.add(x.detach(), x.detach())
+        y = add(x.detach(), x.detach())
         assert not y.requires_grad
         assert backward(y, ones(y)) == {}
 
     def test_ops_on_untracked_tensors_leave_tape_empty(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        out = T.relu(T.add(T.add(a, b), a))
+        out = T.relu(add(add(a, b), a))
         assert out.parents == () and not out.requires_grad
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
-            out = T.relu(T.add(x, x))
+            out = T.relu(add(x, x))
         assert out.parents == () and not out.requires_grad
         assert T.relu(x).requires_grad
 
     def test_upstream_producer_gets_no_gradient(self):
         w = Tensor([3.0], requires_grad=True)
-        mid = T.add(w, w)
-        out = T.add(mid.detach(), Tensor([2.0], requires_grad=True))
+        mid = add(w, w)
+        out = add(mid.detach(), Tensor([2.0], requires_grad=True))
         g = backward(out, ones(out))
         assert w.node_id not in g and mid.node_id not in g
 
@@ -240,7 +236,7 @@ class TestGraphLifetime:
 
     def test_interior_activation_lives_as_long_as_the_loss(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
-        hidden = T.relu(T.add(x, x))
+        hidden = T.relu(add(x, x))
         alive = weakref.ref(hidden.data)
         w = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
         out = L.linear_forward(hidden, w, Tensor(np.zeros(2, dtype=np.float32)))  # dW reads hidden
@@ -279,7 +275,7 @@ class TestGraphLifetime:
         gamma = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         beta = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         bn = L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(3))
-        total = T.add(bn, x)                              # a residual add reads nothing
+        total = add(bn, x)                                # a sum node reads nothing
         out = T.relu(total)
         bn_out, sum_out = weakref.ref(bn.data), weakref.ref(total.data)
         del bn, total
@@ -338,17 +334,33 @@ class TestGraphLifetime:
         assert conv_in() is None and lin_in() is None      # dW's inputs go with the graph
         assert w.node_id in grads and np.isfinite(loss.item())  # the loss value stays readable
 
+    def test_seed_is_freed_with_the_roots_edges(self):
+        # a seed the caller does not keep is freed once the root's edges have
+        # run, before the walk's second node runs
+        seen = []
+
+        def seed():
+            s = np.ones(3, dtype=np.float32)
+            seen.append(weakref.ref(s))
+            return s
+
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        mid = T.apply_op(x.data * 2, [(x, lambda g: seen.append(seen[0]() is None) or g * 2)])
+        out = T.apply_op(mid.data * 3, [(mid, lambda g: g * 3)])
+        assert backward(out, seed())[x.node_id].data.tolist() == [6, 6, 6]
+        assert seen[1:] == [True]
+
     def test_second_backward_is_refused(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        hidden = T.relu(T.add(x, x))
+        hidden = T.relu(add(x, x))
         seed = np.ones(3)
         assert backward(hidden, seed)[x.node_id].data.tolist() == [2, 0, 2]
         with pytest.raises(ContractError):
             backward(hidden, seed)
         with pytest.raises(ContractError):          # shares hidden's released node
-            backward(T.add(hidden, x), seed)
+            backward(add(hidden, x), seed)
         # leaves are never released: a fresh graph on x differentiates as before
-        assert backward(T.relu(T.add(x, x)), seed)[x.node_id].data.tolist() == [2, 0, 2]
+        assert backward(T.relu(add(x, x)), seed)[x.node_id].data.tolist() == [2, 0, 2]
 
 
 class TestDeterminism:
@@ -373,6 +385,6 @@ class TestDeterminism:
 class TestFiniteDifferences:
     """Analytic gradients vs the 64-bit central-difference oracle."""
 
-    @pytest.mark.parametrize("op", ["add", "relu"])
+    @pytest.mark.parametrize("op", ["relu"])
     def test_primitive(self, op):
         assert run_case(op, seed=0) < 1e-4
