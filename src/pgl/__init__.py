@@ -15,8 +15,7 @@ from .training import (GUIDED, LOCAL, MetricsRecord, NesterovSGD, Schedule,
                        lr_at, mode_of_epoch, train)
 from .config import RunConfig, config_from_dict, parse_config
 from .data import Dataset, batches, gen_blobs, gen_spirals, load_idx
-from .memory import (MemEstimate, estimate, estimate_bp, estimate_local,
-                     estimate_schedule_avg)
+from .memory import MemEstimate, estimate, estimate_bp, estimate_local
 from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

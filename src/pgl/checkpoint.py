@@ -59,7 +59,8 @@ def write_tensors(tensors: dict, path):
 
 
 def read_tensors(path) -> dict:
-    """Read a PGLC file back into an ordered {name: ndarray} mapping."""
+    """Read a PGLC file back into an ordered {name: ndarray} mapping; a
+    name stored twice raises ``CheckpointError`` naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -87,7 +88,11 @@ def read_tensors(path) -> dict:
             if data.size != size:
                 raise struct.error("short read")
             pos += 4 * size
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name} is stored twice")
             tensors[name] = data.reshape(dims).copy()
+    except CheckpointError:
+        raise
     except (struct.error, ValueError):
         raise CheckpointError(f"{path}: truncated checkpoint") from None
     if pos != len(payload):
@@ -121,9 +126,8 @@ def save_checkpoint(model, opt, epoch: int, path):
         tensors[f"{prefix}.running_var"] = bn.state.running_var
         tensors[f"{prefix}.batches_tracked"] = np.asarray([bn.state.batches_tracked], dtype=np.float32)
     for group in model.groups():
-        for name, _ in group:
-            if name in opt.velocity:
-                tensors[f"opt.velocity.{name}"] = opt.velocity[name]
+        if group.name in opt.velocity:
+            tensors.update((f"opt.velocity.{name}", v) for name, v in group.views(opt.velocity[group.name]))
     tensors["meta.epoch"] = np.asarray([epoch], dtype=np.float32)
     write_tensors(tensors, path)
 
@@ -185,5 +189,5 @@ def apply_checkpoint(ckpt: Checkpoint, model, opt=None):
         st.batches_tracked = int(_stored(ckpt, f"{prefix}.batches_tracked", (1,))[0])
     if opt is not None:
         for group in stepped:
-            for name, v in group.views(opt.group_velocity(group)):
+            for name, v in group.views(opt.velocity.setdefault(group.name, np.zeros_like(group.data))):
                 v[...] = velocities[name]

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data as D
 from . import memory as M
 from . import training as TR
 from .checkpoint import apply_checkpoint, load_checkpoint, save_checkpoint
@@ -30,7 +31,7 @@ from .config import parse_config
 from .errors import ConfigError, PglError
 from .gradcheck import run_suite
 from .network import partition, unit_plan
-from .training import Schedule, evaluate
+from .training import evaluate
 
 
 def _fmt(v) -> str:
@@ -76,8 +77,6 @@ def cmd_eval(args) -> int:
     model = config.build_model()
     apply_checkpoint(load_checkpoint(args.ckpt), model)
     _, test_set = config.build_datasets()
-    from . import data as D
-
     rows = M.eval_rows(model.plan, config.batch_size)
     acc = evaluate(model, D.batches(test_set, rows, None, 0))
     print(f"test accuracy: {acc:.4f}")
@@ -99,18 +98,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_memest(args) -> int:
     config = parse_config(args.config)
     part = partition(unit_plan(config.network), config.blocks)
-    schedule = Schedule(config.epochs, config.P, config.Q, config.regime)
-    est = M.estimate(config.network, part, config.batch_size, schedule, config.aux)
-    ratio_local = est.peak_local / est.peak_bp
-    ratio_avg = est.schedule_avg / est.peak_bp
+    est = M.estimate(config.network, part, config.batch_size, aux_policy=config.aux)
     print(f"peak_bp       {est.peak_bp:>14d} bytes")
-    print(f"peak_local    {est.peak_local:>14d} bytes  (local/bp = {ratio_local:.3f})")
-    print(f"schedule_avg  {est.schedule_avg:>14.0f} bytes  (avg/bp   = {ratio_avg:.3f})")
+    print(f"peak_local    {est.peak_local:>14d} bytes  (local/bp = {est.peak_local / est.peak_bp:.3f})")
     for j, b in enumerate(est.per_block, 1):
         print(f"  block {j:>2d}    {b:>14d} bytes")
     if args.csv:
-        lines = ["quantity,bytes", f"peak_bp,{est.peak_bp}", f"peak_local,{est.peak_local}",
-                 f"schedule_avg,{est.schedule_avg:.1f}"]
+        lines = ["quantity,bytes", f"peak_bp,{est.peak_bp}", f"peak_local,{est.peak_local}"]
         lines += [f"block_{j},{b}" for j, b in enumerate(est.per_block, 1)]
         Path(args.csv).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.csv}")

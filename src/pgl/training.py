@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as D
 from . import layers as L
 from . import tensor as T
 from .errors import ConfigError, ContractError, DomainError, ShapeError
+from .memory import eval_rows
 from .tensor import Tensor
 
 LOCAL = "local"
@@ -82,26 +84,16 @@ class NesterovSGD:
     matches the per-parameter, out-of-place formula).  Beyond the gradients
     a step allocates that one array and one temporary (``mu * v``), each the
     group's size.  Velocities persist across epoch-mode switches; a group's
-    first step copies its velocity from its first gradient, and
-    ``velocity`` holds a view of it per parameter name, which checkpoints
-    read and write.  Weight decay applies to every parameter, biases and
-    batchnorm affine terms included.
+    first step copies its velocity from its first gradient.  ``velocity``
+    maps each stepped group's name to its velocity array, laid out like the
+    group's ``data``, so ``group.views`` names its parts.  Weight decay
+    applies to every parameter, biases and batchnorm affine terms included.
     """
 
     def __init__(self, momentum: float = 0.9, weight_decay: float = 1e-4):
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {}          # parameter name -> view of its group's velocity
-        self._groups = {}           # group name -> velocity array
-
-    def group_velocity(self, group, init=None) -> np.ndarray:
-        """``group``'s velocity array.  A group that has none yet takes
-        ``init`` (zeros if None), and ``velocity`` a view of it per name."""
-        v = self._groups.get(group.name)
-        if v is None:
-            v = self._groups[group.name] = np.zeros_like(group.data) if init is None else init
-            self.velocity.update(group.views(v))
-        return v
+        self.velocity = {}          # group name -> velocity array
 
     def step(self, group, grads: dict, lr: float):
         """Update ``group``, popping each of its parameters' gradients out of
@@ -118,9 +110,9 @@ class NesterovSGD:
         gd = wd * group.data
         for (name, p), (_, view) in zip(group, group.views(gd)):
             view += _popped_grad(grads, name, p)
-        v = self._groups.get(group.name)
+        v = self.velocity.get(group.name)
         if v is None:
-            v = self.group_velocity(group, gd.copy())
+            v = self.velocity[group.name] = gd.copy()
         else:
             v *= mu
             v += gd
@@ -285,9 +277,6 @@ def train(config):
     match training-sized batches bit for bit unless BLAS sums a small GEMM
     (a few dozen rows) in a row-count-dependent order.
     """
-    from . import data as D
-    from .memory import eval_rows
-
     schedule = Schedule(config.epochs, config.P, config.Q, config.regime)
     schedule.validate()
     model = config.build_model()

@@ -8,6 +8,8 @@ import pytest
 from pgl.cli import main, write_metrics
 from pgl.config import config_from_dict, parse_config
 from pgl.errors import ConfigError
+from pgl.memory import estimate
+from pgl.network import partition, unit_plan
 from pgl.training import MetricsRecord, train
 
 
@@ -270,12 +272,6 @@ class TestCmdMemest:
         ratio = float(out.split("local/bp = ")[1].split(")")[0])
         assert ratio < 1.0
 
-    def test_bp_schedule_avg_equals_peak(self, tmp_path, capsys):
-        cfg = spiral_config(tmp_path, regime="bp")
-        main(["memest", "--config", str(cfg)])
-        out = capsys.readouterr().out
-        assert "(avg/bp   = 1.000)" in out
-
     def test_j1_local_equals_bp(self, tmp_path, capsys):
         cfg = spiral_config(tmp_path, blocks=1)
         main(["memest", "--config", str(cfg)])
@@ -286,7 +282,13 @@ class TestCmdMemest:
         cfg = spiral_config(tmp_path)
         csv_path = tmp_path / "mem.csv"
         main(["memest", "--config", str(cfg), "--csv", str(csv_path)])
-        assert csv_path.read_text().startswith("quantity,bytes")
+        config = parse_config(cfg)
+        est = estimate(config.network, partition(unit_plan(config.network), config.blocks),
+                       config.batch_size, aux_policy=config.aux)
+        want = [["quantity", "bytes"], ["peak_bp", str(est.peak_bp)], ["peak_local", str(est.peak_local)]]
+        want += [[f"block_{j}", str(b)] for j, b in enumerate(est.per_block, 1)]
+        assert len(est.per_block) == config.blocks
+        assert [row.split(",") for row in csv_path.read_text().splitlines()] == want
 
 
 class TestCmdAblate:

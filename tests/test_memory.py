@@ -11,11 +11,10 @@ import pytest
 import pgl.layers as L
 import pgl.tensor as T
 from pgl.errors import ConfigError
-from pgl.memory import (block_footprints, estimate, eval_rows, estimate_bp, estimate_local,
-                        estimate_schedule_avg, unit_plan)
+from pgl.memory import block_footprints, estimate, eval_rows, estimate_bp, estimate_local, unit_plan
 from pgl.network import DecoupledModel, MlpSpec, Partition, ResNetSpec, block_plans, partition
 from pgl.tensor import Tensor, no_grad
-from pgl.training import NesterovSGD, Schedule, guided_epoch, local_epoch
+from pgl.training import NesterovSGD, guided_epoch, local_epoch
 
 
 def toy_blocks(J=2):
@@ -71,7 +70,7 @@ class TestEstimateLocal:
         spec = MlpSpec(widths=[4, 4, 4], num_classes=2)          # 4 units
         for part in (Partition(2, [(0, 1), (1, 2)]), Partition(3, [(0, 2), (2, 4)])):
             with pytest.raises(ConfigError):
-                estimate(spec, part, 2, Schedule(E=4, regime="dgl"), (0, 1))
+                estimate(spec, part, 2, aux_policy=(0, 1))
 
     def test_local_never_exceeds_bp_on_shipped_configs(self):
         spec = ResNetSpec(depth=32, num_classes=10)
@@ -142,49 +141,6 @@ class TestActivationSizes:
             assert params(p for _, p in block.head) == built
 
 
-class TestScheduleAvg:
-    BATCH = 64
-
-    def _resnet_blocks(self, J=8):
-        spec = ResNetSpec(depth=32, num_classes=10)
-        return block_plans(spec, partition(unit_plan(spec), J), "aux_adapt")
-
-    def test_guided_fraction_p10_q2(self):
-        blocks = self._resnet_blocks()
-        s = Schedule(E=160, P=10, Q=2, regime="pgl")
-        avg = estimate_schedule_avg(blocks, self.BATCH, s)
-        f = 30 / 160
-        want = f * estimate_bp(blocks, self.BATCH) + (1 - f) * estimate_local(blocks, self.BATCH)
-        assert avg == pytest.approx(want, rel=1e-12)
-
-    def test_dgl_equals_local(self):
-        blocks = self._resnet_blocks()
-        s = Schedule(E=160, regime="dgl")
-        assert estimate_schedule_avg(blocks, self.BATCH, s) == estimate_local(blocks, self.BATCH)
-
-    def test_bp_equals_bp(self):
-        blocks = self._resnet_blocks()
-        s = Schedule(E=160, regime="bp")
-        assert estimate_schedule_avg(blocks, self.BATCH, s) == estimate_bp(blocks, self.BATCH)
-
-    def test_monotone_in_p_and_q(self):
-        blocks = self._resnet_blocks()
-        grid = {(p, q): estimate_schedule_avg(blocks, self.BATCH, Schedule(E=160, P=p, Q=q, regime="pgl"))
-                for p in (5, 10, 15, 20) for q in (1, 2, 3)}
-        for q in (1, 2, 3):
-            vals = [grid[(p, q)] for p in (5, 10, 15, 20)]
-            assert all(a > b for a, b in zip(vals, vals[1:])), vals
-        for p in (5, 10, 15, 20):
-            vals = [grid[(p, q)] for q in (1, 2, 3)]
-            assert all(a < b for a, b in zip(vals, vals[1:])), vals
-
-    def test_avg_between_extremes(self):
-        blocks = self._resnet_blocks()
-        s = Schedule(E=160, P=10, Q=2, regime="pgl")
-        avg = estimate_schedule_avg(blocks, self.BATCH, s)
-        assert estimate_local(blocks, self.BATCH) < avg < estimate_bp(blocks, self.BATCH)
-
-
 class TestHeadlineProfile:
     def test_resnet32_j16_ratio(self):
         # the headline footprint configuration: J=16 over the 17-unit backbone
@@ -197,10 +153,9 @@ class TestHeadlineProfile:
         spec = ResNetSpec(depth=32, num_classes=10)
         plans = unit_plan(spec)
         part = partition(plans, 16)
-        s = Schedule(E=160, P=10, Q=2, regime="pgl")
-        a = estimate(spec, part, 1024, s)
-        b = estimate(spec, part, 1024, s)
-        assert (a.peak_bp, a.peak_local, a.schedule_avg) == (b.peak_bp, b.peak_local, b.schedule_avg)
+        a = estimate(spec, part, 1024)
+        b = estimate(spec, part, 1024)
+        assert (a.peak_bp, a.peak_local, a.per_block) == (b.peak_bp, b.peak_local, b.per_block)
 
     def test_per_block_breakdown_peaks_at_local(self):
         spec = ResNetSpec(depth=32, num_classes=10)

@@ -90,13 +90,19 @@ class TestLrSchedule:
         assert got < 1e-4
 
 
+def _velocities(groups, opt) -> dict:
+    """Each stepped parameter's velocity by name: a view of its group's array."""
+    return {name: v for g in groups if g.name in opt.velocity for name, v in g.views(opt.velocity[g.name])}
+
+
 class TestNesterovSGD:
     def _step(self, theta, grad, lr, momentum, wd):
         p = Tensor(np.array([theta], dtype=np.float32), requires_grad=True)
         opt = NesterovSGD(momentum, wd)
         g = Tensor(np.array([grad], dtype=np.float32))
-        opt.step(ParamGroup("g", [("p", p)]), {p.node_id: g}, lr)
-        return float(p.data[0]), float(opt.velocity["p"][0])
+        group = ParamGroup("g", [("p", p)])
+        opt.step(group, {p.node_id: g}, lr)
+        return float(p.data[0]), float(_velocities([group], opt)["p"][0])
 
     def test_one_step_hand_oracle(self):
         theta, v = self._step(1.0, 0.5, lr=0.1, momentum=0.9, wd=0.0)
@@ -141,7 +147,7 @@ class TestNesterovSGD:
                 v = g if v is None else np.float32(mu) * v + g
                 ref_v[n] = v
                 ref_p[n] = ref_p[n] - np.float32(lr) * (g + np.float32(mu) * v)
-                stored = opt.velocity[n]
+                stored = _velocities([group], opt)[n]
                 assert np.array_equal(params[n].data, ref_p[n]), (step, n)
                 assert np.array_equal(stored, ref_v[n]), (step, n)
                 assert not np.shares_memory(stored, grads[n].data)
@@ -187,9 +193,11 @@ class TestNesterovSGD:
             assert group.rebound() is None
         opt = NesterovSGD()
         local_epoch(model, [(np.ones((4, 2), np.float32), np.array([0, 1, 2, 0]))], opt, 0.1)
+        assert list(opt.velocity) == [group.name for group in model.groups()]
         for group in model.groups():
-            v = opt.group_velocity(group)
-            assert all(np.shares_memory(opt.velocity[name], v) for name, _ in group)
+            v = opt.velocity[group.name]
+            assert v.dtype == np.float32 and v.shape == group.data.shape
+            assert not np.shares_memory(v, group.data)
 
 
 def _measure_local_losses(model, x, y, boundaries=None):
@@ -294,9 +302,10 @@ class TestGuidedEpoch:
             _stored_guided_step(b, x, y, velocity, 0.1, update_aux)
         for (name, pa), (_, pb) in zip(a.named_params(), b.named_params()):
             assert pa.data.tobytes() == pb.data.tobytes(), name
-        assert set(opt.velocity) == set(velocity)
+        stepped = _velocities(a.groups(), opt)
+        assert set(stepped) == set(velocity)
         for name, v in velocity.items():
-            assert opt.velocity[name].tobytes() == v.tobytes(), name
+            assert stepped[name].tobytes() == v.tobytes(), name
         for (name, bn_a), (_, bn_b) in zip(a.named_bns(), b.named_bns()):
             for stat in ("running_mean", "running_var"):
                 assert getattr(bn_a.state, stat).tobytes() == getattr(bn_b.state, stat).tobytes(), name
