@@ -43,9 +43,9 @@ def add(a, b):
     return T.apply_op(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
-print("\n== detach severs the gradient path; reuse accumulates ==")
+print("\n== an untracked tensor over an array severs the gradient path; reuse accumulates ==")
 x = Tensor([2.0, -1.0], requires_grad=True)
-y = add(T.relu(x), x.detach())                # the detached copy is a constant
+y = add(T.relu(x), Tensor(x.data))            # x's array, outside the graph: a constant
 print(f"d(relu(x) + stop(x))/dx = {backward(y, np.ones(2))[x.node_id].data}   (expected [1, 0])")
 x = Tensor([2.0, -1.0], requires_grad=True)
 y = add(T.relu(x), x)                         # x reaches y twice; the terms add

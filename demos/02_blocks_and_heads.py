@@ -48,12 +48,13 @@ ggrads.update(backward(outs[0], ggrads[ins[1].node_id].data))  # block 1, seeded
 head_hit = [name for name, p in model.head_params[0] if p.node_id in ggrads]
 print(f"global loss reaches {len(head_hit)} head parameters (heads sit off the global path)")
 print(f"block 2 runs on a parentless leaf over block 1's output array: "
-      f"{ins[1].parents == () and ins[1].data is outs[0].data}")
+      f"{ins[1].parents == () and ins[1].data is outs[0].data}"
+      " (a local step hands it an untracked tensor over the same array)")
 
 print("\n== eval-mode equivalence, block-chained vs end-to-end ==")
 logits_g = model.forward_global(x, train=False)[0][-1]
 h = x
 for j in (1, 2):
     h, logits_l = model.forward_local(h, j, train=False)
-    h = h.detach()
+    h = Tensor(h.data)                        # the next block's input: this block's array, untracked
 print(f"bit-identical logits: {np.array_equal(logits_g.data, logits_l.data)}")

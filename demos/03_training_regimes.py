@@ -10,13 +10,14 @@ Run:  python3 demos/03_training_regimes.py   (about a minute on CPU)
 
 from pgl.config import RunConfig, SpiralsSpec
 from pgl.network import MlpSpec
-from pgl.training import Schedule, guided_epoch_count, mode_of_epoch, train
+from pgl.training import GUIDED, Schedule, mode_of_epoch, train
 
 print("== the guided-epoch calendar (P=10, Q=2) ==")
 s = Schedule(E=40, P=10, Q=2, regime="pgl")
-line = "".join("G" if mode_of_epoch(e, s) == "guided" else "." for e in range(40))
+line = "".join("G" if mode_of_epoch(e, s) == GUIDED else "." for e in range(40))
 print(f"epochs 0..39: {line}")
-print(f"guided epochs in E=160 at P=10, Q=2: {guided_epoch_count(Schedule(E=160, P=10, Q=2, regime='pgl'))}")
+s = Schedule(E=160, P=10, Q=2, regime="pgl")
+print(f"guided epochs in E=160 at P=10, Q=2: {sum(mode_of_epoch(e, s) == GUIDED for e in range(s.E))}")
 
 print("\n== three regimes, one seed, depth-8 MLP on 3-class spirals ==")
 

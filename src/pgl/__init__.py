@@ -11,8 +11,7 @@ from .tensor import Tensor, backward, create, no_grad
 from .network import (AuxHeadSpec, BlockPlan, DecoupledModel, MlpSpec, Partition, ResNetSpec,
                       aux_adapt_policy, block_plans, partition, unit_plan)
 from .training import (GUIDED, LOCAL, MetricsRecord, NesterovSGD, Schedule,
-                       evaluate, guided_epoch, guided_epoch_count, local_epoch,
-                       lr_at, mode_of_epoch, train)
+                       evaluate, guided_epoch, local_epoch, lr_at, mode_of_epoch, train)
 from .config import RunConfig, config_from_dict, parse_config
 from .data import Dataset, batches, gen_blobs, gen_spirals, load_idx
 from .memory import MemEstimate, estimate, estimate_bp, estimate_local

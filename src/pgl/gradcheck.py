@@ -131,8 +131,8 @@ def _batchnorm_case(relu=False, conv=False, skip=False):
     feeding a 3x3 "same" conv, which rebuilds that node's output for its
     weight gradient.  With ``skip``, a residual tail relu(bn(x) + skip),
     the draws taking turns over ``_SKIPS``: a tracked skip in NHWC memory
-    (another tail's output), a tracked C-order one (the add's out-of-place
-    path, as for a detached block input) and an untracked one.  A draw with
+    (another tail's output), a tracked C-order one (a skip of any layout is
+    added in place into the NHWC output) and an untracked one.  A draw with
     a pre-activation within 0.05 of relu's kink is redrawn, as
     ``_case_relu`` moves its inputs off the kink."""
     def gen(rng):

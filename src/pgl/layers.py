@@ -334,10 +334,10 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
     ``tensor.Remade`` whose ``remake`` returns the output while anything
     holds it, else rebuilds it from xhat with the forward's own ops, so
     with the same bytes and strides: ``tile(gamma) * xr``, ``+=
-    tile(beta)``, with ``relu`` or ``skip`` then the skip added (in place
-    when the two strides match, else into a new array, as a plain ``+``
-    lays it out) and ``np.maximum`` taken in place, the ops of a separate
-    add and ``tensor.relu``.  Of the skip the node keeps only what rebuilds
+    tile(beta)``, with ``relu`` or ``skip`` then the skip added in place
+    (so the output keeps the NHWC memory whatever the skip's layout) and
+    ``np.maximum`` taken in place, the values of a separate add and
+    ``tensor.relu``.  Of the skip the node keeps only what rebuilds
     it, a ``tensor.Remade`` skip's ``remake``, else its array, and a
     rebuild runs it first, so it holds at most two arrays.  With a relu the
     first edge to run makes relu's ``g * mask`` as ``tensor.relu`` does,
@@ -390,7 +390,7 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
         s = None if skip_data is None else skip_data()
         out = affine()
         if s is not None:
-            out = np.add(out, s, out=out if out.strides == s.strides else None)
+            out += s
         return np.maximum(out, 0, out=out)
 
     if not train:

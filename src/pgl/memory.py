@@ -63,9 +63,9 @@ def block_footprints(blocks, batch: int) -> list:
     """Per-block byte counts under one-block-at-a-time training.
 
     Block j holds its own unit activations, its aux head's activations, the
-    detached boundary input handed over from block j-1 (none for block 1,
-    whose input is the data batch itself), and optimizer state for its
-    parameters and its head's.
+    boundary input handed over from block j-1, block j-1's output array
+    itself (none for block 1, whose input is the data batch), and optimizer
+    state for its parameters and its head's.
     """
     return [(acts + _OPT_FACTOR * params) * _BYTES_PER_ELEMENT
             for acts, params in _block_elements(blocks, batch)]

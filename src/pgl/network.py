@@ -15,8 +15,10 @@ before anything is built.  ``DecoupledModel`` builds that list, the memory
 estimator sums it and the run configuration validates it.  Once built, the
 model walks its parameters once into fixed ``ParamGroup``s, one per block
 and one per head, each stored as one flat array, which every optimizer step
-reads.  Gradient isolation between blocks comes from detaching boundary
-activations, never from parameter bookkeeping.
+reads.  Gradient isolation between blocks comes from the boundary
+activations, never from parameter bookkeeping: a block runs on a tensor of
+its own over the previous block's output array (untracked in a local step,
+a requires-grad leaf in a guided one), so no walk crosses a boundary.
 """
 
 from __future__ import annotations
@@ -494,12 +496,12 @@ class DecoupledModel:
         return outs, ins
 
     def forward_local(self, x: Tensor, j: int, train: bool = True):
-        """Forward block j on a detached input; returns (X_j, logits_j).
+        """Forward block j on an untracked input; returns (X_j, logits_j).
 
-        The caller must hand in a detached tensor (one with no parents) so
-        that the local loss reaches only this block's parameters and its
-        head.  For j == J the terminal classifier inside the block provides
-        the logits.
+        The caller must hand in an untracked tensor, for j > 1 one over
+        block j-1's output array (``Tensor(x_prev.data)``), so that the
+        local loss reaches only this block's parameters and its head.  For
+        j == J the terminal classifier inside the block provides the logits.
         """
         if not 1 <= j <= self.J:
             raise ConfigError(f"block index {j} out of [1, {self.J}]")
@@ -510,7 +512,7 @@ class DecoupledModel:
         return h, logits
 
     def aux_logits(self, x_j: Tensor, j: int, train: bool = True) -> Tensor:
-        """Head j applied to a (detached) boundary activation."""
+        """Head j applied to an untracked tensor over a boundary array."""
         return self.heads[j - 1].forward(x_j, train)
 
     # -- parameter bookkeeping ------------------------------------------------

@@ -9,8 +9,9 @@ while a Python reference or a grad_fn that reads it reaches it.
 the output gradient ``grad`` (a vector-Jacobian product; ones for a scalar
 loss), releasing each node's edges once they have run, and returns a mapping
 from leaf node ids to gradient tensors; walking a released graph again raises
-``ContractError``.  Detaching a tensor cuts it from its producers; nothing
-else has to be cleared between steps.
+``ContractError``.  An untracked tensor over an op's output array,
+``Tensor(t.data)``, shares the array but not the graph, so a gradient stops
+there; nothing else has to be cleared between steps.
 
 The one primitive here is ``relu``, the activation of the dense units and
 the aux heads; it keeps its output (the array the next layer reads anyway),
@@ -110,14 +111,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of {self.data.size} elements")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Value-equal C-order copy with no parents and requires_grad=False.
-
-        A copy, not an alias: a local step hands the next block C-order
-        memory, whatever order the op that made it left.
-        """
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"

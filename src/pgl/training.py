@@ -62,10 +62,6 @@ def mode_of_epoch(e: int, schedule: Schedule) -> str:
     return GUIDED if e >= schedule.P and e % schedule.P < schedule.Q else LOCAL
 
 
-def guided_epoch_count(schedule: Schedule) -> int:
-    return sum(1 for e in range(schedule.E) if mode_of_epoch(e, schedule) == GUIDED)
-
-
 def lr_at(e: int, E: int, lr0: float) -> float:
     """Cosine annealing from lr0 at epoch 0 toward 0 at epoch E."""
     if not 0 <= e < E:
@@ -144,10 +140,12 @@ def _update(logits: Tensor, y, groups, opt: NesterovSGD, lr: float) -> float:
 
 
 def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
-    """Update block j (and its head) from its local loss on a detached input.
+    """Update block j (and its head) from its local loss on an untracked input.
 
-    Returns (loss value, detached X_j).  The step holds X_j's array, not
-    the tensor: a ``tensor.Remade`` would pin the arrays its rebuild reads
+    Returns (loss value, an untracked tensor over X_j's array), the array
+    that ``forward_global``'s leaf for block j+1 wraps, with the bytes and
+    strides its producer gave it.  The step holds X_j's array, not the
+    tensor: a ``tensor.Remade`` would pin the arrays its rebuild reads
     through the update, and while the array is held, the head's conv reads
     it back without a rebuild.  Block j's graph dies on return, before
     block j+1 runs forward; inlined into ``local_epoch`` it would live
@@ -158,18 +156,19 @@ def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     del x_j
     # block J has no head: its classifier gives the logits
     groups = [model.block_params[j - 1], *model.head_params[j - 1:j]]
-    return _update(logits, y, groups, opt, lr), Tensor(out).detach()
+    return _update(logits, y, groups, opt, lr), Tensor(out)
 
 
 def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
     """One sweep of greedy per-block updates.
 
     For each mini-batch, blocks run in order: forward the block and its head
-    on the detached boundary input, then ``_update`` block j's group together
-    with head j's.  The activation handed to the next block comes from the
-    pre-update weights (one forward sweep per batch).  Only the detached
-    boundary outlives ``_local_step``, so one block's graph is alive at a
-    time.  Returns per-block mean losses.
+    on an untracked tensor over the previous block's output array (the
+    array a guided step's leaf wraps, not a copy), then ``_update`` block
+    j's group together with head j's.  The activation handed to the next
+    block comes from the pre-update weights (one forward sweep per batch).
+    Only that boundary array outlives ``_local_step``, so one block's graph
+    is alive at a time.  Returns per-block mean losses.
     """
     J = model.J
     sums = [0.0] * J

@@ -23,7 +23,7 @@ from pgl.memory import estimate_bp, estimate_local, unit_plan
 from pgl.network import (DecoupledModel, MlpSpec, ResNetSpec, aux_adapt_policy, block_plans,
                          partition)
 from pgl.tensor import Tensor, backward
-from pgl.training import (GUIDED, NesterovSGD, Schedule, guided_epoch, guided_epoch_count, lr_at,
+from pgl.training import (GUIDED, NesterovSGD, Schedule, guided_epoch, lr_at,
                           mode_of_epoch, paired, panel)
 
 
@@ -202,6 +202,10 @@ class TestCriterion5:
     def closed_form_count(E, P, Q):
         return sum(min(Q, E - k * P) for k in range(1, (E - 1) // P + 1))
 
+    @staticmethod
+    def guided_count(s):
+        return sum(mode_of_epoch(e, s) == GUIDED for e in range(s.E))
+
     def test_schedule_against_predicate_and_closed_form(self):
         ok = True
         for P in TREND_P_GRID:
@@ -212,10 +216,10 @@ class TestCriterion5:
                                          for k in range(1, e // P + 2)) else "local"
                     if mode_of_epoch(e, s) != want:
                         ok = False
-                if guided_epoch_count(s) != self.closed_form_count(160, P, Q):
+                if self.guided_count(s) != self.closed_form_count(160, P, Q):
                     ok = False
         s_ref = Schedule(E=160, P=10, Q=2, regime="pgl")
-        ok = ok and guided_epoch_count(s_ref) == 30
+        ok = ok and self.guided_count(s_ref) == 30
         assert report("5 (schedule correctness)", ok,
                       "grid {5,10,15,20}x{1,2,3}, E=160; P=10,Q=2 -> 30 guided")
         assert ok

@@ -842,10 +842,13 @@ class TestBatchNorm:
 def unfused_bn_forward(bn, x, train=True, relu=False, skip=None):
     """``BatchNorm2d.forward`` as ``tensor.relu`` of a plain batchnorm node,
     plus ``skip`` through a test-local sum node, whose output the next conv
-    keeps as an array."""
+    keeps as an array.  The sum takes the batchnorm output's NHWC memory,
+    as an add in place into that output lays it out, whatever the skip's
+    layout."""
     out = L.batchnorm_forward(x, bn.gamma, bn.beta, bn.state, train)
     if skip is not None:
-        out = T.apply_op(out.data + skip.data, [(out, lambda g: g), (skip, lambda g: g)])
+        total = np.add(out.data, skip.data, out=np.empty_like(out.data))
+        out = T.apply_op(total, [(out, lambda g: g), (skip, lambda g: g)])
     return T.relu(out) if relu or skip is not None else out
 
 
@@ -940,7 +943,8 @@ class TestBatchNormRelu:
     def test_tail_matches_unfused(self, train, skip):
         # relu(bn(x) + skip) feeding a conv, against bn, a sum node and
         # tensor.relu: the skip another fused node's output, a tracked
-        # C-order leaf (added out of place) or an untracked NHWC tensor
+        # C-order leaf (added in place, so the output keeps NHWC strides)
+        # or an untracked NHWC tensor
         data = self._input(train, nonfinite=False)
 
         def run(fused):
@@ -975,6 +979,7 @@ class TestBatchNormRelu:
         assert len(fused) == len(ref) == ({"remade": 9, "c-order": 7, "untracked": 6}[skip] if train else 2)
         for a, b in zip(fused, ref):
             assert a.tobytes() == b.tobytes() and a.strides == b.strides
+        assert fused[0].transpose(0, 2, 3, 1).flags.c_contiguous
 
     @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
     def test_units_match_unfused(self, layout, monkeypatch):

@@ -316,7 +316,7 @@ class TestMeasuredPeak:
                                                      holds_output=j < model.J)
             largest = max(u.out_elements(len(batch[0][1])) for u in model.plan[j - 1].units) * 4
             sets.append((saved, col, largest))
-            h = x_j.detach()
+            h = Tensor(x_j.data)
         return sets
 
     def test_guided_step_peak_is_near_the_saved_set(self, monkeypatch):
@@ -390,7 +390,7 @@ class TestMeasuredPeak:
         bound = saved + 2 * max(nbytes(g) for g in model.block_params)
         for j in range(1, model.J):
             x_j, _ = model.forward_local(h, j, True)
-            h = x_j.detach()
+            h = Tensor(x_j.data)
             head_saved, _ = self._linear_inputs(monkeypatch, model.aux_logits, h, j, True)
             bound = max(bound, head_saved + 2 * nbytes(model.head_params[j - 1]))
         peak = self._peak(lambda: guided_epoch(model, batch, opt, 0.1))

@@ -217,7 +217,7 @@ class TestForwardLocal:
         for j in range(1, 4):
             h, _ = m.forward_local(h, j, train=False)
             assert np.array_equal(h.data, xs[j - 1].data)
-            h = h.detach()
+            h = Tensor(h.data)
 
     def test_last_block_uses_terminal_classifier(self):
         m = small_mlp(J=2)
@@ -256,7 +256,7 @@ class TestForwardGlobal:
             h = Tensor(x)
             for j in range(1, m.J + 1):
                 h, logits_l = m.forward_local(h, j, train=False)
-                h = h.detach()
+                h = Tensor(h.data)
         assert np.array_equal(logits_g.data, logits_l.data)
 
     def test_boundaries_are_detached(self):

@@ -1,7 +1,17 @@
-"""tools/src_lines.py: the source-line count the ROADMAP tracks."""
+"""Repository tooling: ``tools/src_lines.py``, the source-line count the
+ROADMAP tracks, and the benchmark's smoke run, which reaches names of the
+package (``guided_epoch(update_aux=...)``, ``memory.estimate``'s positional
+arguments, ``training.Schedule``, the traced ``DecoupledModel`` and
+``NesterovSGD`` methods) that no other test calls the way it does."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
@@ -43,3 +53,19 @@ def test_main_sums_every_module(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n")
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("22 lines, 8 code lines")
+
+
+@pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
+def test_benchmark_smoke_run_passes(tmp_path, trace):
+    # a copy, so the run's outputs stay out of the checkout
+    for part in ("benchmarks", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", "all", "--smoke",
+                           "--seconds", "1", "--trace", str(trace)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith('{"correct"')]
+    assert len(results) == 2, proc.stdout
+    for result in results:
+        assert result["correct"] is True and result["failed"] == 0, result

@@ -15,13 +15,17 @@ from pgl.memory import eval_rows
 from pgl.network import DecoupledModel, MlpSpec, ParamGroup, ResNetSpec
 from pgl.tensor import Tensor
 from pgl.training import (GUIDED, LOCAL, T95, NesterovSGD, Schedule, evaluate,
-                          guided_epoch, guided_epoch_count, local_epoch, lr_at,
+                          guided_epoch, local_epoch, lr_at,
                           mode_of_epoch, paired, panel, train)
 
 
 def guided_predicate(e, P, Q):
     """The defining condition: some k >= 1 has kP <= e < kP + Q."""
     return any(k * P <= e < k * P + Q for k in range(1, e // P + 2))
+
+
+def guided_count(schedule):
+    return sum(mode_of_epoch(e, schedule) == GUIDED for e in range(schedule.E))
 
 
 def mlp_config(**kw):
@@ -57,10 +61,10 @@ class TestSchedule:
 
     def test_count_p5_q3(self):
         s = Schedule(E=160, P=5, Q=3, regime="pgl")
-        assert guided_epoch_count(s) == 93            # 31 periods * 3
+        assert guided_count(s) == 93            # 31 periods * 3
 
     def test_count_p10_q2(self):
-        assert guided_epoch_count(Schedule(E=160, P=10, Q=2, regime="pgl")) == 30
+        assert guided_count(Schedule(E=160, P=10, Q=2, regime="pgl")) == 30
 
     def test_baseline_regimes(self):
         assert mode_of_epoch(0, Schedule(E=5, regime="dgl")) == LOCAL
@@ -73,7 +77,7 @@ class TestSchedule:
     def test_p_above_e_is_allowed(self):
         s = Schedule(E=10, P=11, Q=2, regime="pgl")
         s.validate()
-        assert guided_epoch_count(s) == 0
+        assert guided_count(s) == 0
 
 
 class TestLrSchedule:
@@ -215,7 +219,7 @@ def _measure_local_losses(model, x, y, boundaries=None):
             out, logits = model.forward_local(inp, j, train=True)
             losses.append(softmax_cross_entropy(logits, y).item())
             recorded.append(out.data.copy())
-            h = out.detach()
+            h = Tensor(out.data)
     return losses, recorded
 
 
@@ -230,6 +234,32 @@ class TestLocalEpoch:
             moved = any(not np.array_equal(init[name], p.data)
                         for name, p in model.block_params[j - 1])
             assert moved, f"block {j} never updated"
+
+    def test_hands_each_block_what_a_guided_step_does(self):
+        # each block j > 1 runs on block j-1's output array, as
+        # forward_global's leaf wraps it, so both epoch modes give a block
+        # the same input layout and the same output bytes and strides; block
+        # 3 starts with an identity unit, whose skip is the block input
+        spec = ResNetSpec(depth=20, num_classes=10, in_channels=3, input_hw=8)
+        a, b = (DecoupledModel(spec, 4, "aux_adapt", seed=0) for _ in range(2))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 10, size=8)
+        seen, real = [], a.forward_local
+
+        def recording(h, j, train=True):
+            x_j, logits = real(h, j, train)
+            seen.append((h.data.strides, x_j.data.tobytes(), x_j.data.strides))
+            return x_j, logits
+
+        a.forward_local = recording
+        local_epoch(a, [(x, y)], NesterovSGD(), lr=0.1)
+        outs, ins = b.forward_global(Tensor(x), train=True)
+        assert len(seen) == len(outs) == 4
+        for j, ((in_strides, out_bytes, out_strides), b_in, b_out) in enumerate(zip(seen, ins, outs), 1):
+            assert in_strides == b_in.data.strides, f"block {j}'s input"
+            assert out_strides == b_out.data.strides, f"block {j}'s output"
+            assert out_bytes == b_out.data.tobytes(), f"block {j}'s output"
 
     def test_j1_equals_bp_epoch_bitwise(self):
         cfg = mlp_config(blocks=1)
