@@ -12,8 +12,10 @@ state).  ``estimate_bp`` counts every parameter's gradient as alive at once,
 though the running guided and ``bp`` steps update one block at a time and
 so hold one block's gradients (``training.guided_epoch``); it does not
 model that yet.  Every figure is the peak of one step, what a device must
-hold: a guided step stores what a ``bp`` step does, so a ``pgl`` run peaks
-at ``estimate_bp``'s figure and only a ``dgl`` run at ``estimate_local``'s.
+hold: a guided step stores what a ``bp`` step does at any J (a block output
+is rebuilt where it is read, as a unit output inside a block is), so a
+``pgl`` run peaks at ``estimate_bp``'s figure and only a ``dgl`` run at
+``estimate_local``'s.
 ``eval_rows`` sizes evaluation batches so that a no-grad pass stays within
 the local step's activation figure.
 

@@ -18,12 +18,15 @@ and one per head, each stored as one flat array, which every optimizer step
 reads.  Gradient isolation between blocks comes from the boundary
 activations, never from parameter bookkeeping: a block runs on a tensor of
 its own over the previous block's output array (untracked in a local step,
-a requires-grad leaf in a guided one), so no walk crosses a boundary.
+a requires-grad leaf in a guided one, which shares the output's rebuild),
+so no walk crosses a boundary.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 
@@ -448,6 +451,44 @@ class ParamGroup:
         return len(self.named)
 
 
+@dataclass(slots=True)
+class Boundary:
+    """Block j's output X_j (j < J) as ``DecoupledModel.forward_global``
+    returns it, holding no array.
+
+    ``node``, ``shape`` and ``dtype`` are X_j's, so ``tensor.backward(
+    boundary, grad)`` walks block j's graph from it.  ``leaf_id`` is the
+    node id of the leaf block j+1 ran on, the key of X_j's gradient in
+    block j+1's walk.  ``source`` is X_j's ``remake`` when X_j is a
+    ``tensor.Remade`` (every conv net's boundary), else a weak reference
+    to its array (an MLP's relu output, which relu's node holds until block
+    j's walk).
+    """
+    node: T.Node | None
+    shape: tuple
+    dtype: np.dtype
+    leaf_id: int
+    source: Callable[[], np.ndarray | None]
+
+    def array(self) -> np.ndarray:
+        """X_j's array, a rebuild once nothing holds it; so it is to be taken
+        before block j's walk frees what rebuilds it.  ``ContractError`` if
+        X_j has no rebuild and its array is gone."""
+        a = self.source()
+        if a is None:
+            raise ContractError("a boundary array was freed: take it before its block's walk")
+        return a
+
+
+def _boundary(t: Tensor) -> tuple:
+    """(the ``Boundary`` of block output ``t``, the ``tensor.leaf`` over it
+    that the next block runs on); neither holds ``t``, nor the first its
+    array."""
+    leaf = T.leaf(t)
+    source = t.remake if isinstance(t, T.Remade) else weakref.ref(t.data)
+    return Boundary(t.node, t.shape, t.dtype, leaf.node_id, source), leaf
+
+
 class DecoupledModel:
     """Backbone blocks plus auxiliary heads with stop-gradient boundaries,
     built from ``block_plans``.  ``block_params[j-1]`` and ``head_params[j-1]``
@@ -474,26 +515,28 @@ class DecoupledModel:
 
     def forward_global(self, x: Tensor, train: bool = True):
         """All blocks in order, each block past the first on a requires-grad
-        leaf over the previous block's output array (not a copy).
+        leaf over the previous block's output (``tensor.leaf``, not a copy).
 
-        Returns (outs, ins): ``outs[j-1]`` is block j's tracked output X_j,
-        the last one the logits, and ``ins[j-1]`` is what block j ran on,
-        ``x`` for block 1.  ``backward`` from the loss walks block J's graph
-        and gives ``ins[J-1]``'s gradient, the seed of
-        ``backward(outs[J-2], grad=...)``, and so on down to block 1, so the
-        global gradient comes one block at a time.  No grad_fn writes an
-        activation, so an untracked tensor over ``outs[j-1].data`` keeps its
-        values through those walks (the heads read the boundaries so).
+        Returns (logits, boundaries): ``boundaries[j-1]`` is block j's
+        output X_j as a ``Boundary``, for j < J.  ``backward`` from the loss
+        walks block J's graph and gives the gradient under
+        ``boundaries[J-2].leaf_id``, the seed of ``backward(boundaries[J-2],
+        grad=...)``, and so on down to block 1, so the global gradient comes
+        one block at a time.  Nothing returned or kept here holds a boundary
+        array: a conv net's X_j is a ``tensor.Remade`` whose leaf shares its
+        rebuild, so the array dies once block j+1's first unit has run and
+        ``Boundary.array`` rebuilds it; an MLP's X_j is a relu output, which
+        relu's node holds.  No grad_fn writes an activation, so an array
+        taken before a walk keeps its values through it.
         """
-        h, outs, ins = x, [], []
-        for units in self.blocks:
-            if outs:
-                h = Tensor(h.data, requires_grad=True)
-            ins.append(h)
+        h, bounds = x, []
+        for j, units in enumerate(self.blocks):
+            if j:
+                bound, h = _boundary(h)
+                bounds.append(bound)
             for unit in units:
                 h = unit.forward(h, train)
-            outs.append(h)
-        return outs, ins
+        return h, bounds
 
     def forward_local(self, x: Tensor, j: int, train: bool = True):
         """Forward block j on an untracked input; returns (X_j, logits_j).

@@ -10,7 +10,8 @@ Every update, local, global or head, is one ``NesterovSGD.step`` of a
 parameter group the model fixed when it was built, so no step walks a
 layer, and each group's parameters and velocities are updated in place as
 one array.  A guided step updates the blocks one at a time, last first, so
-it holds one block's gradients.  ``panel`` runs a grid of configs over
+it holds one block's gradients, and it holds no block output, which it
+rebuilds where it reads it.  ``panel`` runs a grid of configs over
 seeds and ``paired`` compares two of its cells.
 """
 
@@ -190,16 +191,16 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     A single forward pass serves both losses.  The global cross-entropy
     updates the blocks one at a time, last first: ``backward`` from the loss
     is followed by block J's step, and each earlier block j runs
-    ``backward`` from its output, seeded with the gradient of the leaf that
-    block j+1 ran on, and steps its own group.  Each seed is computed before
-    the step of the block it came through, so every value equals that of
-    one backward over the whole chain followed by one update, while only
-    one block's gradients are alive at a time.  Each block's output is
-    dropped as its walk starts, since a ``tensor.Remade`` one would pin the
-    arrays its rebuild reads.  Then (when ``update_aux``) each head's group
-    steps on its loss over an untracked tensor over its boundary array,
-    which the leaf block j+1 ran on still holds, so the heads stay out of
-    the global graph.
+    ``backward`` from its output's ``network.Boundary``, seeded with the
+    gradient of the leaf that block j+1 ran on, and steps its own group.
+    Each seed is computed before the step of the block it came through, so
+    every value equals that of one backward over the whole chain followed by
+    one update, while only one block's gradients are alive at a time.  The
+    walk is each boundary's last holder, since its rebuild reads the arrays
+    of block j's last unit.  When ``update_aux``, block j's output array is
+    taken just before that walk (a rebuild on a conv net) and, once every
+    block has stepped, head j's group steps on its loss over an untracked
+    tensor over it, so the heads stay out of the global graph.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
@@ -208,16 +209,21 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     seen = 0
     for x, y in batch_list:
         n = len(y)
-        outs, ins = model.forward_global(Tensor(x), train=True)
-        loss = L.softmax_cross_entropy(outs.pop(), y)
+        logits, bounds = model.forward_global(Tensor(x), train=True)
+        loss = L.softmax_cross_entropy(logits, y)
+        del logits
         grads = T.backward(loss)
+        arrays = []                   # block j's output array, for head j: j = J-1 down to 1
         for j in range(J, 0, -1):
             if j < J:
-                grads = T.backward(outs.pop(), grads.pop(ins[j].node_id).data)
+                if update_aux:
+                    arrays.append(bounds[-1].array())
+                leaf = bounds[-1].leaf_id
+                grads = T.backward(bounds.pop(), grads.pop(leaf).data)
             opt.step(model.block_params[j - 1], grads, lr)
         if update_aux:
             for j in range(1, J):
-                logits = model.aux_logits(Tensor(ins[j].data), j, train=True)
+                logits = model.aux_logits(Tensor(arrays.pop()), j, train=True)
                 asums[j - 1] += _update(logits, y, model.head_params[j - 1:j], opt, lr) * n
         gsum += loss.item() * n
         seen += n
@@ -239,7 +245,7 @@ def _evaluate(model, batch_list, check_collapse: bool = False):
     collapsed = True if check_collapse else None
     with T.no_grad():
         for x, y in batch_list:
-            logits = model.forward_global(Tensor(x), train=False)[0][-1]
+            logits = model.forward_global(Tensor(x), train=False)[0]
             pred = np.argmax(logits.data, axis=1)
             correct += int((pred == np.asarray(y)).sum())
             total += len(y)

@@ -121,7 +121,7 @@ class TestCriterion2:
             # blocks past the first need a boundary-shaped lineage-free input
             j = int(rng.integers(1, model.J + 1))
             with T.no_grad():
-                boundaries, _ = model.forward_global(x, train=True)
+                _, boundaries = model.forward_global(x, train=True)
             x_in = x if j == 1 else Tensor(rng.normal(size=boundaries[j - 2].shape).astype(np.float32))
             _, logits = model.forward_local(x_in, j, train=True)
             grads = backward(softmax_cross_entropy(logits, y))
@@ -135,10 +135,10 @@ class TestCriterion2:
 
             # global loss never reaches any head: its backward runs one block
             # at a time, each seeded with the gradient of the next block's input
-            outs, ins = model.forward_global(x, train=True)
-            ggrads = backward(softmax_cross_entropy(outs[-1], y))
-            for i in range(model.J - 1, 0, -1):
-                ggrads.update(backward(outs[i - 1], ggrads[ins[i].node_id].data))
+            logits, boundaries = model.forward_global(x, train=True)
+            ggrads = backward(softmax_cross_entropy(logits, y))
+            for b in reversed(boundaries):
+                ggrads.update(backward(b, ggrads[b.leaf_id].data))
             for i in range(1, model.J):
                 if any(p.node_id in ggrads for _, p in model.head_params[i - 1]):
                     failures += 1

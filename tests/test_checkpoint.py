@@ -149,8 +149,8 @@ class TestModelCheckpoint:
             assert a.state.batches_tracked == b.state.batches_tracked
         # eval mode must work right after restore
         with T.no_grad():
-            logits_a = model.forward_global(x, train=False)[0][-1]
-            logits_b = fresh.forward_global(x, train=False)[0][-1]
+            logits_a = model.forward_global(x, train=False)[0]
+            logits_b = fresh.forward_global(x, train=False)[0]
         assert np.array_equal(logits_a.data, logits_b.data)
 
     def test_missing_parameter_rejected(self, tmp_path):

@@ -228,15 +228,17 @@ class TestMeasuredPeak:
         array a residual tail keeps, and every batchnorm's xhat (the size of
         its output) the forward builds.  A conv or a tail keeps no
         ``T.Remade`` input, the output of a batchnorm node, which it
-        rebuilds from that xhat.  A plain relu keeps its output, which is
-        the next conv's input (all but the last, small one before the pool),
-        so it adds nothing.  With ``holds_output``, ``forward`` is
-        ``forward_local`` and the array of the block output, which the local
-        step holds to hand on, counts too (a head's conv kept it as an array
-        before the residual tail was one node).  The largest slab is the
-        biggest column matrix the forward's im2col calls build, at most
-        ``L.SLAB_BYTES`` once a conv's whole matrix exceeds it: the one
-        transient a weight gradient rebuilds beside the saved set."""
+        rebuilds from that xhat, nor a block input in a global forward, a
+        ``T.leaf`` that shares such a rebuild.  A plain relu keeps its
+        output, which is the next conv's input (all but the last, small one
+        before the pool), so it adds nothing.  With ``holds_output``,
+        ``forward`` is ``forward_local`` and the array of the block output,
+        which the local step holds to hand on, counts too (a head's conv
+        kept it as an array before the residual tail was one node).  The
+        largest slab is the biggest column matrix the forward's im2col
+        calls build, at most ``L.SLAB_BYTES`` once a conv's whole matrix
+        exceeds it: the one transient a weight gradient rebuilds beside the
+        saved set."""
         held, sizes, cols = {}, [], []
 
         def spy(fn, record):
@@ -362,6 +364,20 @@ class TestMeasuredPeak:
         bound = max(s + 3 * largest for s, _, largest in sets)
         peak = self._peak(lambda: local_epoch(model, batch, opt, 0.1))
         assert peak <= bound, f"peak {peak} B exceeds {bound} B"
+
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_benchmark_guided_step_peaks_with_the_bp_step(self, J):
+        # resnet20-img16 at batch 64: a guided step holds no block boundary
+        # (each block output is rebuilt where it is read), so it peaks with
+        # the one-block step.  Holding the boundary arrays under the leaves
+        # put it at 14.31 (J=2) and 15.56 MiB (J=4), against 13.81 MiB
+        spec = ResNetSpec(depth=20, num_classes=10, input_hw=16)
+        peaks = []
+        for blocks in (1, J):
+            model, opt, batch = self._model_and_batch(spec, blocks, 64)
+            peaks.append(self._peak(lambda: guided_epoch(model, batch, opt, 0.1)))
+        bp, guided = peaks
+        assert guided <= bp + 128 * 1024, f"guided peak {guided} B vs the J=1 step's {bp} B"
 
     def test_benchmark_bp_step_peak(self, monkeypatch):
         # ResNet-20 as one block (J=1, a bp step) on resnet20-img16's batch:

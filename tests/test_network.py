@@ -1,11 +1,13 @@
 """Backbone construction, partitioning, aux heads, and gradient isolation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import pgl.layers as L
 import pgl.tensor as T
-from pgl.errors import ConfigError
+from pgl.errors import ConfigError, ContractError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
                          aux_adapt_policy, block_plans, partition, unit_plan)
@@ -183,10 +185,10 @@ class TestBlockPlans:
 
 def global_grads(model, x, y) -> dict:
     """The global loss's gradients over every block, one block's backward at a time."""
-    outs, ins = model.forward_global(x, train=True)
-    grads = backward(softmax_cross_entropy(outs[-1], y))
-    for j in range(model.J - 1, 0, -1):
-        grads.update(backward(outs[j - 1], grads[ins[j].node_id].data))
+    logits, boundaries = model.forward_global(x, train=True)
+    grads = backward(softmax_cross_entropy(logits, y))
+    for b in reversed(boundaries):
+        grads.update(backward(b, grads[b.leaf_id].data))
     return grads
 
 
@@ -212,11 +214,12 @@ class TestForwardLocal:
     def test_matches_global_slices_bitwise(self):
         m = small_mlp(J=3, widths=[6] * 6, classes=3)
         x = np.random.default_rng(1).normal(size=(5, 2)).astype(np.float32)
-        xs, _ = m.forward_global(Tensor(x), train=False)
+        logits, boundaries = m.forward_global(Tensor(x), train=False)
+        xs = [b.array() for b in boundaries] + [logits.data]
         h = Tensor(x)
         for j in range(1, 4):
             h, _ = m.forward_local(h, j, train=False)
-            assert np.array_equal(h.data, xs[j - 1].data)
+            assert np.array_equal(h.data, xs[j - 1])
             h = Tensor(h.data)
 
     def test_last_block_uses_terminal_classifier(self):
@@ -252,7 +255,7 @@ class TestForwardGlobal:
         spec.input_hw = 16
         m.forward_global(Tensor(x), train=True)       # populate batchnorm stats
         with T.no_grad():                             # eval mode builds no graph
-            logits_g = m.forward_global(Tensor(x), train=False)[0][-1]
+            logits_g = m.forward_global(Tensor(x), train=False)[0]
             h = Tensor(x)
             for j in range(1, m.J + 1):
                 h, logits_l = m.forward_local(h, j, train=False)
@@ -260,22 +263,67 @@ class TestForwardGlobal:
         assert np.array_equal(logits_g.data, logits_l.data)
 
     def test_boundaries_are_detached(self):
-        # block j+1 runs on a leaf over block j's output array: tracked, with no parents
+        # block j+1 runs on a parentless leaf over block j's output: the walk
+        # from the loss files that leaf's gradient and reaches no earlier block
         m = small_mlp(J=3, widths=[4] * 6)
         x = Tensor(np.zeros((2, 2), dtype=np.float32))
-        outs, ins = m.forward_global(x, train=True)
-        assert len(outs) == len(ins) == 3 and ins[0] is x
-        assert all(b.requires_grad and b.parents == () for b in ins[1:])
-        assert all(b.data is out.data for b, out in zip(ins[1:], outs))
-        assert all(out.requires_grad and out.parents for out in outs)
+        logits, boundaries = m.forward_global(x, train=True)
+        assert len(boundaries) == 2 and logits.requires_grad and logits.parents
+        assert all(b.node.parents and b.shape == (2, 4) and b.dtype == np.float32 for b in boundaries)
+        grads = backward(softmax_cross_entropy(logits, np.array([0, 1])))
+        assert grads[boundaries[-1].leaf_id].shape == boundaries[-1].shape
+        assert boundaries[0].leaf_id not in grads
+        assert not _param_ids([*m.block_params[0], *m.block_params[1]]) & set(grads)
+
+    @pytest.mark.parametrize("spec, shape, held", [
+        (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8), False),
+        (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2), True),
+    ], ids=["resnet8", "mlp"])
+    def test_a_boundary_array_outlives_the_forward_only_in_an_mlp(self, spec, shape, held, monkeypatch):
+        # a conv net's block output is a rebuildable batchnorm output, and
+        # the leaf over it shares its rebuild, so nothing the forward keeps
+        # or returns holds the array; an MLP's is a relu output, which its
+        # node keeps.  Either way the boundary gives back its bytes and strides
+        m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
+        made = []
+        last = m.blocks[0][-1]
+        forward = last.forward
+
+        def record(x, train=True):
+            out = forward(x, train)
+            made.append((weakref.ref(out.data), out.data.tobytes(), out.data.strides))
+            return out
+
+        monkeypatch.setattr(last, "forward", record)
+        x = np.random.default_rng(4).normal(size=shape).astype(np.float32)
+        _, (boundary,) = m.forward_global(Tensor(x), train=True)
+        (ref, data, strides), = made
+        assert (ref() is not None) == held
+        array = boundary.array()
+        assert (array is ref()) == held
+        assert array.tobytes() == data and array.strides == strides
+
+    def test_an_mlp_boundary_array_is_gone_after_its_walk(self):
+        # an MLP's block output has no rebuild: once block 1's walk has
+        # freed relu's node, asking for it fails loudly
+        m = small_mlp(J=2)
+        x = Tensor(np.random.default_rng(5).normal(size=(3, 2)).astype(np.float32))
+        logits, (boundary,) = m.forward_global(x, train=True)
+        grads = backward(softmax_cross_entropy(logits, np.array([0, 1, 0])))
+        assert boundary.array().shape == boundary.shape
+        backward(boundary, grads[boundary.leaf_id].data)
+        with pytest.raises(ContractError, match="take it before its block's walk"):
+            boundary.array()
 
     @pytest.mark.parametrize("spec, shape", [
         (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8)),
         (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2)),
     ])
     def test_boundaries_alias_the_graph_and_keep_their_bits(self, spec, shape, monkeypatch):
-        # the heads read the graph's own arrays, so nothing the global step
-        # or a head step runs may write an activation in place
+        # the heads read the forward's own arrays (a rebuild returns the
+        # array while anything holds it, as the recording does here), so
+        # nothing the global step or a head step runs may write an
+        # activation in place
         m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
         outputs, head_inputs = [], []
 

@@ -1,5 +1,6 @@
 """Repository tooling: ``tools/src_lines.py``, the source-line count the
-ROADMAP tracks, and the benchmark's smoke run, which reaches names of the
+ROADMAP tracks, ``tools/step_peaks.py``, its step-peak table, and the
+benchmark's smoke run, which reaches names of the
 package (``guided_epoch(update_aux=...)``, ``memory.estimate``'s positional
 arguments, ``training.Schedule``, the traced ``DecoupledModel`` and
 ``NesterovSGD`` methods) that no other test calls the way it does."""
@@ -17,6 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_lines)
+_spec = importlib.util.spec_from_file_location("step_peaks", ROOT / "tools" / "step_peaks.py")
+step_peaks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_peaks)
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -53,6 +57,20 @@ def test_main_sums_every_module(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n")
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("22 lines, 8 code lines")
+
+
+def test_step_peaks_prints_the_table_row_by_row(capsys):
+    # ResNet-8 on 8x8 images: the ROADMAP table's columns, one row per DEPTH:J
+    assert step_peaks.main(["8:2", "8:3", "--batch", "16", "--hw", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| net | J | local | guided | `bp` (J=1) |") and len(lines) == 4
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["ResNet-8", "2"], ["ResNet-8", "3"]]
+    for row in rows:
+        local, guided, bp, measured, memest = (float(cell) for cell in row[2:])
+        assert min(local, guided, bp) > 0 and 0 < memest < 1
+        assert abs(measured - local / bp) <= 0.02       # of the unrounded peaks
+    assert rows[0][4] == rows[1][4]          # one J=1 step per depth
 
 
 @pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])

@@ -254,12 +254,13 @@ class TestLocalEpoch:
 
         a.forward_local = recording
         local_epoch(a, [(x, y)], NesterovSGD(), lr=0.1)
-        outs, ins = b.forward_global(Tensor(x), train=True)
+        logits, boundaries = b.forward_global(Tensor(x), train=True)
+        outs = [bound.array() for bound in boundaries] + [logits.data]   # rebuilt, as a guided step reads them
         assert len(seen) == len(outs) == 4
-        for j, ((in_strides, out_bytes, out_strides), b_in, b_out) in enumerate(zip(seen, ins, outs), 1):
-            assert in_strides == b_in.data.strides, f"block {j}'s input"
-            assert out_strides == b_out.data.strides, f"block {j}'s output"
-            assert out_bytes == b_out.data.tobytes(), f"block {j}'s output"
+        for j, ((in_strides, out_bytes, out_strides), b_in, b_out) in enumerate(zip(seen, [x] + outs, outs), 1):
+            assert in_strides == b_in.strides, f"block {j}'s input"
+            assert out_strides == b_out.strides, f"block {j}'s output"
+            assert out_bytes == b_out.tobytes(), f"block {j}'s output"
 
     def test_j1_equals_bp_epoch_bitwise(self):
         cfg = mlp_config(blocks=1)
@@ -456,7 +457,7 @@ class TestEvalChunks:
             logits = []
             with T.no_grad():
                 for size in (cfg.batch_size, rows):
-                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0][-1].data
+                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0].data
                                                   for x, _ in D.batches(ds, size, None, 0)]))
             if exact_logits:
                 assert np.array_equal(*logits)
