@@ -42,18 +42,19 @@ own += [name for name, p in model.head_params[0] if p.node_id in grads]
 leaked = [name for name, p in model.block_params[1] if p.node_id in grads]
 print(f"block-1 local loss reaches {len(own)} of its own parameters, {len(leaked)} of block 2's")
 
-logits, (boundary,) = model.forward_global(x, train=True)
-ggrads = backward(softmax_cross_entropy(logits, y))             # block 2, down to its input leaf
-leaf_grad = ggrads[boundary.leaf_id]
-ggrads.update(backward(boundary, leaf_grad.data))               # block 1, seeded with that leaf's gradient
+x_1 = model.forward_block(x, 1, train=True)                    # block 1, tracked
+leaf = Tensor(x_1.data, requires_grad=True)                     # block 2's input: a leaf over X_1's array
+ggrads = backward(softmax_cross_entropy(model.forward_block(leaf, 2, train=True), y))
+leaf_grad = ggrads.pop(leaf.node_id)                            # the walk stops at the leaf
+ggrads.update(backward(x_1, leaf_grad.data))                    # block 1, seeded with that leaf's gradient
 head_hit = [name for name, p in model.head_params[0] if p.node_id in ggrads]
 print(f"global loss reaches {len(head_hit)} head parameters (heads sit off the global path)")
-print(f"block 2 runs on a parentless leaf over block 1's output; the leaf's gradient, "
-      f"{list(leaf_grad.shape)}, seeds block 1's walk"
+print(f"block 2 runs on a requires-grad leaf over block 1's output; the leaf's gradient, "
+      f"{list(leaf_grad.shape)}, seeds the walk from block 1's output"
       " (a local step hands block 2 an untracked tensor over the same array)")
 
 print("\n== eval-mode equivalence, block-chained vs end-to-end ==")
-logits_g = model.forward_global(x, train=False)[0]
+logits_g = model.forward_global(x, train=False)
 h = x
 for j in (1, 2):
     h, logits_l = model.forward_local(h, j, train=False)

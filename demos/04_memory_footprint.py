@@ -4,8 +4,9 @@ network at batch 1024.
 
 End-to-end training must hold every activation for the backward pass;
 decoupled training holds one block, its head, and the handed-off boundary.
-A guided epoch steps like end-to-end training, so a pgl run peaks at the
-end-to-end figure and only a dgl run at the one-block figure.
+A guided epoch re-forwards one block at a time from its stored input, so a
+pgl run peaks near the one-block figure too, above it only by the stored
+block inputs.
 
 Run:  python3 demos/04_memory_footprint.py
 """

@@ -9,7 +9,9 @@ Layout (all integers little-endian):
 Tensors are written in insertion order, so save(load(save(x))) is
 byte-identical.  A checkpoint carries the model parameters, batchnorm running
 stats, optimizer velocities ("opt.velocity.<name>"), and the epoch counter
-("meta.epoch").
+("meta.epoch").  A ``bp`` run's model is one block with no heads, so its
+parameters are named "block1.unit<i>..." over the whole backbone and it
+holds no "aux" tensor; it loads only into the model its config builds.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ def save_checkpoint(model, opt, epoch: int, path):
 
     Velocities go in local-step order (``model.groups``: block j's, then
     head j's, for j = 1..J), skipping the groups never stepped; that is the
-    order a run creates them in, except ``bp``, whose guided steps create
-    block J's first."""
+    order a run creates them in, since its first epoch is local (a ``bp``
+    run steps one group)."""
     tensors = {}
     for name, p in model.named_params():
         tensors[name] = p.data

@@ -65,7 +65,7 @@ def cmd_train(args) -> int:
     # made only now, so a run that fails leaves no output directory behind
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics(records, model.J, out_dir / "metrics.csv")
+    write_metrics(records, config.blocks, out_dir / "metrics.csv")
     save_checkpoint(model, opt, config.epochs, out_dir / "final.ckpt")
     print(f"final test accuracy: {records[-1].test_acc:.4f}")
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'final.ckpt'}")
@@ -77,7 +77,7 @@ def cmd_eval(args) -> int:
     model = config.build_model()
     apply_checkpoint(load_checkpoint(args.ckpt), model)
     _, test_set = config.build_datasets()
-    rows = M.eval_rows(model.plan, config.batch_size)
+    rows = M.eval_rows(config.plan(), config.batch_size)
     acc = evaluate(model, D.batches(test_set, rows, None, 0))
     print(f"test accuracy: {acc:.4f}")
     return 0

@@ -112,7 +112,7 @@ class RunConfig:
         rule in both splits and match the network's class count and an MLP's
         in_features, and an idx dataset's four paths must name files."""
         Schedule(self.epochs, self.P, self.Q, self.regime).validate()
-        block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
+        self.plan()
         if self.aux != "aux_adapt":
             AuxHeadSpec(*self.aux, 1, self.network.num_classes).validate()
         if self.seed < 0:
@@ -140,8 +140,16 @@ class RunConfig:
                                   f"dataset's samples have {features} features")
         return self
 
+    def plan(self) -> list:
+        """The ``block_plans`` of ``blocks`` blocks, whatever the regime:
+        evaluation batches and ``metrics.csv``'s block columns follow it."""
+        return block_plans(self.network, partition(unit_plan(self.network), self.blocks), self.aux)
+
     def build_model(self) -> DecoupledModel:
-        return DecoupledModel(self.network, self.blocks, self.aux, seed=[self.seed, 0])
+        """The ``blocks``-block model; under ``bp`` the one-block model,
+        plain end-to-end training of the unsplit network, with no heads."""
+        J = 1 if self.regime == "bp" else self.blocks
+        return DecoupledModel(self.network, J, self.aux, seed=[self.seed, 0])
 
     def build_datasets(self) -> tuple[Dataset, Dataset]:
         return self.dataset.build(self.seed)

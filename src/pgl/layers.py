@@ -323,12 +323,15 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
 
     x must be [N,C,H,W] in NHWC memory, as a conv hands it on; any other
     layout raises ``ContractError``.  Train mode normalizes by batch
-    statistics; it is the one call that updates the running statistics (in
-    place, momentum 0.1) and the one that builds a graph, a node whose input
-    gradient is (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma *
-    g.  Eval mode normalizes by the running statistics, which must be
-    populated, and builds no graph: with gradients enabled and a tracked
-    input it raises ``ContractError``, so it runs under ``no_grad``.
+    statistics and builds the graph, a node whose input gradient is (gx -
+    mean(gx) - xhat * mean(gx * xhat)) / std, gx = gamma * g.  Only a
+    train-mode call with gradients enabled updates the running statistics
+    (momentum 0.1) and ``batches_tracked``; under ``no_grad`` it gives
+    the same output bits and leaves them alone, so a guided step's no-grad
+    pass and its re-forward of a block update them once.  Eval mode
+    normalizes by the running statistics, which must be populated, and
+    builds no graph: with gradients enabled and a tracked input it raises
+    ``ContractError``, so it runs under ``no_grad``.
 
     The node never keeps its output.  Its tracked output is a
     ``tensor.Remade`` whose ``remake`` returns the output while anything
@@ -408,10 +411,11 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
     std = np.sqrt(var + eps)
     xr /= tile(std)
     xhat = image(xr)
-    m = np.float32(0.1)
-    state.running_mean = (1 - m) * state.running_mean + m * mu
-    state.running_var = (1 - m) * state.running_var + m * var
-    state.batches_tracked += 1
+    if T._grad_enabled:
+        m = np.float32(0.1)
+        state.running_mean = (1 - m) * state.running_mean + m * mu
+        state.running_var = (1 - m) * state.running_var + m * var
+        state.batches_tracked += 1
 
     def grad_x(gx):
         # gx = gamma * g, an array of the node's own: once its sums are

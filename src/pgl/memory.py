@@ -9,13 +9,13 @@ Backprop must hold every unit's output activation plus optimizer state for
 all parameters at once; decoupled-local training holds one block at a time
 (its activations, its head, the handed-off boundary input, and its optimizer
 state).  ``estimate_bp`` counts every parameter's gradient as alive at once,
-though the running guided and ``bp`` steps update one block at a time and
-so hold one block's gradients (``training.guided_epoch``); it does not
-model that yet.  Every figure is the peak of one step, what a device must
-hold: a guided step stores what a ``bp`` step does at any J (a block output
-is rebuilt where it is read, as a unit output inside a block is), so a
-``pgl`` run peaks at ``estimate_bp``'s figure and only a ``dgl`` run at
-``estimate_local``'s.
+as the one-block ``bp`` step holds them.  Every figure is the peak of one
+step, what a device must hold.  A guided step re-forwards one block at a
+time from its stored input (``training.guided_epoch``), so it holds what a
+local step does plus the stored inputs of the blocks below, which
+``estimate_local`` does not count: a ``pgl`` run peaks near
+``estimate_local``'s figure while its blocks are few, and above it by
+those inputs when they are many.
 ``eval_rows`` sizes evaluation batches so that a no-grad pass stays within
 the local step's activation figure.
 

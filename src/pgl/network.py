@@ -15,18 +15,19 @@ before anything is built.  ``DecoupledModel`` builds that list, the memory
 estimator sums it and the run configuration validates it.  Once built, the
 model walks its parameters once into fixed ``ParamGroup``s, one per block
 and one per head, each stored as one flat array, which every optimizer step
-reads.  Gradient isolation between blocks comes from the boundary
-activations, never from parameter bookkeeping: a block runs on a tensor of
-its own over the previous block's output array (untracked in a local step,
-a requires-grad leaf in a guided one, which shares the output's rebuild),
-so no walk crosses a boundary.
+reads.  ``forward_block`` runs one block; the local and global forwards
+are built on it.  Gradient isolation between blocks comes from
+the boundary activations, never from parameter bookkeeping: a training
+step runs a block on a tensor of its own over the previous block's output
+array (untracked in a local step, a requires-grad leaf in a guided step's
+re-forward, whose gradient seeds the previous block's walk), so no walk
+crosses a boundary.  A ``bp`` run builds the one-block model, which has
+no boundary and no head.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -451,44 +452,6 @@ class ParamGroup:
         return len(self.named)
 
 
-@dataclass(slots=True)
-class Boundary:
-    """Block j's output X_j (j < J) as ``DecoupledModel.forward_global``
-    returns it, holding no array.
-
-    ``node``, ``shape`` and ``dtype`` are X_j's, so ``tensor.backward(
-    boundary, grad)`` walks block j's graph from it.  ``leaf_id`` is the
-    node id of the leaf block j+1 ran on, the key of X_j's gradient in
-    block j+1's walk.  ``source`` is X_j's ``remake`` when X_j is a
-    ``tensor.Remade`` (every conv net's boundary), else a weak reference
-    to its array (an MLP's relu output, which relu's node holds until block
-    j's walk).
-    """
-    node: T.Node | None
-    shape: tuple
-    dtype: np.dtype
-    leaf_id: int
-    source: Callable[[], np.ndarray | None]
-
-    def array(self) -> np.ndarray:
-        """X_j's array, a rebuild once nothing holds it; so it is to be taken
-        before block j's walk frees what rebuilds it.  ``ContractError`` if
-        X_j has no rebuild and its array is gone."""
-        a = self.source()
-        if a is None:
-            raise ContractError("a boundary array was freed: take it before its block's walk")
-        return a
-
-
-def _boundary(t: Tensor) -> tuple:
-    """(the ``Boundary`` of block output ``t``, the ``tensor.leaf`` over it
-    that the next block runs on); neither holds ``t``, nor the first its
-    array."""
-    leaf = T.leaf(t)
-    source = t.remake if isinstance(t, T.Remade) else weakref.ref(t.data)
-    return Boundary(t.node, t.shape, t.dtype, leaf.node_id, source), leaf
-
-
 class DecoupledModel:
     """Backbone blocks plus auxiliary heads with stop-gradient boundaries,
     built from ``block_plans``.  ``block_params[j-1]`` and ``head_params[j-1]``
@@ -513,30 +476,26 @@ class DecoupledModel:
     def J(self) -> int:
         return len(self.blocks)
 
-    def forward_global(self, x: Tensor, train: bool = True):
-        """All blocks in order, each block past the first on a requires-grad
-        leaf over the previous block's output (``tensor.leaf``, not a copy).
+    def forward_block(self, x: Tensor, j: int, train: bool = True) -> Tensor:
+        """Block j's units on ``x``; returns X_j (for j == J, the logits).
 
-        Returns (logits, boundaries): ``boundaries[j-1]`` is block j's
-        output X_j as a ``Boundary``, for j < J.  ``backward`` from the loss
-        walks block J's graph and gives the gradient under
-        ``boundaries[J-2].leaf_id``, the seed of ``backward(boundaries[J-2],
-        grad=...)``, and so on down to block 1, so the global gradient comes
-        one block at a time.  Nothing returned or kept here holds a boundary
-        array: a conv net's X_j is a ``tensor.Remade`` whose leaf shares its
-        rebuild, so the array dies once block j+1's first unit has run and
-        ``Boundary.array`` rebuilds it; an MLP's X_j is a relu output, which
-        relu's node holds.  No grad_fn writes an activation, so an array
-        taken before a walk keeps its values through it.
-        """
-        h, bounds = x, []
-        for j, units in enumerate(self.blocks):
-            if j:
-                bound, h = _boundary(h)
-                bounds.append(bound)
-            for unit in units:
-                h = unit.forward(h, train)
-        return h, bounds
+        A gradient stops at ``x``: a caller that wants X_{j-1}'s gradient
+        hands in a requires-grad leaf over its array, and ``backward``
+        files the gradient under that leaf's node id."""
+        if not 1 <= j <= self.J:
+            raise ConfigError(f"block index {j} out of [1, {self.J}]")
+        h = x
+        for unit in self.blocks[j - 1]:
+            h = unit.forward(h, train)
+        return h
+
+    def forward_global(self, x: Tensor, train: bool = True) -> Tensor:
+        """All blocks in order, each on the previous block's output; the
+        logits.  Evaluation's forward: a guided step runs the blocks one at
+        a time (``training.guided_epoch``)."""
+        for j in range(1, self.J + 1):
+            x = self.forward_block(x, j, train)
+        return x
 
     def forward_local(self, x: Tensor, j: int, train: bool = True):
         """Forward block j on an untracked input; returns (X_j, logits_j).
@@ -546,11 +505,7 @@ class DecoupledModel:
         local loss reaches only this block's parameters and its head.  For
         j == J the terminal classifier inside the block provides the logits.
         """
-        if not 1 <= j <= self.J:
-            raise ConfigError(f"block index {j} out of [1, {self.J}]")
-        h = x
-        for unit in self.blocks[j - 1]:
-            h = unit.forward(h, train)
+        h = self.forward_block(x, j, train)
         logits = self.heads[j - 1].forward(h, train) if j < self.J else h
         return h, logits
 

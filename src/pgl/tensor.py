@@ -11,8 +11,10 @@ loss), releasing each node's edges once they have run, and returns a mapping
 from leaf node ids to gradient tensors; walking a released graph again raises
 ``ContractError``.  An untracked tensor over an op's output array,
 ``Tensor(t.data)``, shares the array but not the graph, so a gradient stops
-there; nothing else has to be cleared between steps.  ``leaf(t)`` is the
-requires-grad kind, whose gradient the walk returns.
+there; nothing else has to be cleared between steps.
+``Tensor(t.data, requires_grad=True)`` is the requires-grad kind, a leaf
+whose gradient the walk returns: a block re-forwarded from its stored input
+runs on one.
 
 The one primitive here is ``relu``, the activation of the dense units and
 the aux heads; it keeps its output (the array the next layer reads anyway),
@@ -22,8 +24,7 @@ relu right after a batchnorm, and a residual unit's whole tail, relu(bn(x)
 + skip), are part of the batchnorm node, which keeps no output: an op that
 can rebuild its output bit for bit from what its backward keeps anyway
 hands ``apply_op`` that rebuild, and its tracked output is a ``Remade``.  A
-consumer keeps the rebuild, not the array, which is freed with the tensor;
-a ``leaf`` over a ``Remade`` shares its rebuild.
+consumer keeps the rebuild, not the array, which is freed with the tensor.
 
 Training runs in float32.  The same ops preserve float64 inputs, which is what
 the finite-difference gradient checks use.
@@ -155,30 +156,13 @@ def apply_op(data, parents, remake=None, keep_mask=None):
     return out
 
 
-def leaf(t: Tensor) -> Tensor:
-    """A requires-grad leaf over ``t``'s array, where a gradient stops.
-
-    A leaf over a ``Remade`` is a ``Remade`` that shares its ``remake`` and
-    ``keep_mask``: a consumer keeps the producer's rebuild, not the array,
-    and leaves relu's mask with the producer, so the leaf's graph does not
-    pin the array.
-    """
-    if not isinstance(t, Remade):
-        return Tensor(t.data, requires_grad=True)
-    out = object.__new__(Remade)
-    out.data, out.node, out.remake, out.keep_mask = t.data, Node(), t.remake, t.keep_mask
-    return out
-
-
 def backward(out: Tensor, grad=None) -> dict:
     """Reverse-accumulate the gradient ``grad`` of ``out`` over its graph.
 
     With ``grad`` None, ``out`` must be a scalar loss and the walk starts
     from ones.  Otherwise ``grad`` is the gradient of some downstream scalar
     with respect to ``out``; it is taken in ``out``'s dtype, must have
-    ``out``'s shape (else ``ShapeError``), and is read, never written.  A
-    seeded walk reads only ``out``'s ``node``, ``shape`` and ``dtype``, so
-    ``out`` may be a handle that holds no array (``network.Boundary``).
+    ``out``'s shape (else ``ShapeError``), and is read, never written.
     Nodes are processed in descending ``node_id``.  An op's output is always
     created after its inputs, so every node is reached after all its
     consumers, and each gradient sum adds its terms in creation order.  An

@@ -2,17 +2,19 @@
 cosine annealing, local and globally-guided epochs, and evaluation.
 
 Three regimes share one loop.  ``dgl`` runs every epoch on per-block local
-losses.  ``bp`` runs every epoch end-to-end with the heads idle.  ``pgl``
-interleaves: local epochs, punctuated by Q guided epochs whenever the epoch
-index crosses a multiple of the period P.  During guidance the global loss
-updates the backbone while local losses update only the auxiliary heads.
-Every update, local, global or head, is one ``NesterovSGD.step`` of a
-parameter group the model fixed when it was built, so no step walks a
-layer, and each group's parameters and velocities are updated in place as
-one array.  A guided step updates the blocks one at a time, last first, so
-it holds one block's gradients, and it holds no block output, which it
-rebuilds where it reads it.  ``panel`` runs a grid of configs over
-seeds and ``paired`` compares two of its cells.
+losses.  ``bp`` runs every epoch end-to-end on the one-block model, plain
+backprop of the unsplit network.  ``pgl`` interleaves: local epochs,
+punctuated by Q guided epochs whenever the epoch index crosses a multiple
+of the period P.  During guidance the global loss updates the backbone
+while local losses update only the auxiliary heads.  Every update, local,
+global or head, is one ``NesterovSGD.step`` of a parameter group the model
+fixed when it was built, so no step walks a layer, and each group's
+parameters and velocities are updated in place as one array.  A guided
+step is gradient checkpointing with one segment per block: a no-grad pass
+stores each block's input, then the blocks are re-forwarded and updated
+one at a time, last first, so it holds one block's graph and gradients,
+as a local step does, beside the stored inputs.  ``panel`` runs a grid of
+configs over seeds and ``paired`` compares two of its cells.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def _local_step(model, j: int, h: Tensor, y, opt: NesterovSGD, lr: float):
     """Update block j (and its head) from its local loss on an untracked input.
 
     Returns (loss value, an untracked tensor over X_j's array), the array
-    that ``forward_global``'s leaf for block j+1 wraps, with the bytes and
-    strides its producer gave it.  The step holds X_j's array, not the
+    a guided step stores for block j+1, with the bytes and strides its
+    producer gave it.  The step holds X_j's array, not the
     tensor: a ``tensor.Remade`` would pin the arrays its rebuild reads
     through the update, and while the array is held, the head's conv reads
     it back without a rebuild.  Block j's graph dies on return, before
@@ -165,7 +167,7 @@ def local_epoch(model, batch_list, opt: NesterovSGD, lr: float) -> list:
 
     For each mini-batch, blocks run in order: forward the block and its head
     on an untracked tensor over the previous block's output array (the
-    array a guided step's leaf wraps, not a copy), then ``_update`` block
+    array a guided step stores, not a copy), then ``_update`` block
     j's group together with head j's.  The activation handed to the next
     block comes from the pre-update weights (one forward sweep per batch).
     Only that boundary array outlives ``_local_step``, so one block's graph
@@ -188,19 +190,18 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
                  update_aux: bool = True):
     """One sweep of global-loss updates over the whole backbone.
 
-    A single forward pass serves both losses.  The global cross-entropy
-    updates the blocks one at a time, last first: ``backward`` from the loss
-    is followed by block J's step, and each earlier block j runs
-    ``backward`` from its output's ``network.Boundary``, seeded with the
-    gradient of the leaf that block j+1 ran on, and steps its own group.
-    Each seed is computed before the step of the block it came through, so
-    every value equals that of one backward over the whole chain followed by
-    one update, while only one block's gradients are alive at a time.  The
-    walk is each boundary's last holder, since its rebuild reads the arrays
-    of block j's last unit.  When ``update_aux``, block j's output array is
-    taken just before that walk (a rebuild on a conv net) and, once every
-    block has stepped, head j's group steps on its loss over an untracked
-    tensor over it, so the heads stay out of the global graph.
+    Per mini-batch, a no-grad, train-mode pass runs blocks 1..J-1 and keeps
+    each block's output array X_j; when ``update_aux``, head j steps on its
+    loss over an untracked tensor over X_j right away, so the heads stay out
+    of the global graph.  Then, for j = J down to 1, block j is re-forwarded
+    from a requires-grad leaf over its stored input (block 1 from the data),
+    ``backward`` runs from the global loss (j = J) or from the gradient that
+    block j+1's walk filed under its leaf, and block j's group steps.  Each
+    seed comes from pre-update weights, so every value equals that of one
+    backward over the whole chain followed by one update, while one block's
+    graph and gradients are alive at a time, beside the stored inputs.  A
+    stored input is dropped once its block has walked, and batchnorm
+    updates its running statistics in the re-forward only.
     Returns (mean global loss, per-block aux losses or None).
     """
     J = model.J
@@ -209,22 +210,24 @@ def guided_epoch(model, batch_list, opt: NesterovSGD, lr: float,
     seen = 0
     for x, y in batch_list:
         n = len(y)
-        logits, bounds = model.forward_global(Tensor(x), train=True)
-        loss = L.softmax_cross_entropy(logits, y)
-        del logits
-        grads = T.backward(loss)
-        arrays = []                   # block j's output array, for head j: j = J-1 down to 1
-        for j in range(J, 0, -1):
-            if j < J:
-                if update_aux:
-                    arrays.append(bounds[-1].array())
-                leaf = bounds[-1].leaf_id
-                grads = T.backward(bounds.pop(), grads.pop(leaf).data)
-            opt.step(model.block_params[j - 1], grads, lr)
-        if update_aux:
-            for j in range(1, J):
-                logits = model.aux_logits(Tensor(arrays.pop()), j, train=True)
+        ins = [x]                     # block j's input array, j = 1..J
+        for j in range(1, J):
+            with T.no_grad():
+                ins.append(model.forward_block(Tensor(ins[-1]), j, train=True).data)
+            if update_aux:
+                logits = model.aux_logits(Tensor(ins[-1]), j, train=True)
                 asums[j - 1] += _update(logits, y, model.head_params[j - 1:j], opt, lr) * n
+        for j in range(J, 0, -1):
+            h = Tensor(ins.pop(), requires_grad=j > 1)
+            if j == J:
+                loss = L.softmax_cross_entropy(model.forward_block(h, j, train=True), y)
+                grads = T.backward(loss)
+            else:
+                # the block output and the seed are the walk's alone
+                grads = T.backward(model.forward_block(h, j, train=True), grads.pop(key).data)
+            key = h.node_id
+            del h                     # X_{j-1}: block j-1's re-forward makes it again
+            opt.step(model.block_params[j - 1], grads, lr)
         gsum += loss.item() * n
         seen += n
     aux_means = [s / seen for s in asums] if (update_aux and J > 1) else None
@@ -245,7 +248,7 @@ def _evaluate(model, batch_list, check_collapse: bool = False):
     collapsed = True if check_collapse else None
     with T.no_grad():
         for x, y in batch_list:
-            logits = model.forward_global(Tensor(x), train=False)[0]
+            logits = model.forward_global(Tensor(x), train=False)
             pred = np.argmax(logits.data, axis=1)
             correct += int((pred == np.asarray(y)).sum())
             total += len(y)
@@ -287,9 +290,9 @@ def train(config):
     model = config.build_model()
     train_set, test_set = config.build_datasets()
     opt = NesterovSGD(config.momentum, config.weight_decay)
-    rows = eval_rows(model.plan, config.batch_size)
+    rows = eval_rows(config.plan(), config.batch_size)
 
-    J = model.J
+    J = config.blocks
     records = []
     for e in range(schedule.E):
         lr = lr_at(e, schedule.E, config.lr0)
@@ -299,8 +302,7 @@ def train(config):
             local_losses = local_epoch(model, batch_list, opt, lr)
             global_loss = None
         else:
-            global_loss, aux = guided_epoch(model, batch_list, opt, lr,
-                                            update_aux=(config.regime != "bp"))
+            global_loss, aux = guided_epoch(model, batch_list, opt, lr)
             local_losses = (aux + [None]) if aux is not None else [None] * J
         named = [("global", global_loss)] + [(f"block {j}", v) for j, v in enumerate(local_losses, 1)]
         for where, v in named:

@@ -149,8 +149,8 @@ class TestModelCheckpoint:
             assert a.state.batches_tracked == b.state.batches_tracked
         # eval mode must work right after restore
         with T.no_grad():
-            logits_a = model.forward_global(x, train=False)[0]
-            logits_b = fresh.forward_global(x, train=False)[0]
+            logits_a = model.forward_global(x, train=False)
+            logits_b = fresh.forward_global(x, train=False)
         assert np.array_equal(logits_a.data, logits_b.data)
 
     def test_missing_parameter_rejected(self, tmp_path):
@@ -223,20 +223,21 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="group aux1"):
             apply_checkpoint(load_checkpoint(path), cfg.build_model(), NesterovSGD() if with_opt else None)
 
-    @pytest.mark.parametrize("update_aux", [True, False], ids=["pgl", "bp"])
-    def test_velocities_saved_in_local_step_order(self, tmp_path, update_aux):
-        # a guided step makes block J's velocities first; the file lists them
-        # as a local epoch makes them: block j's, then head j's
-        cfg = RunConfig(network=MlpSpec(widths=[8] * 4, num_classes=2), blocks=3,
+    @pytest.mark.parametrize("regime", ["pgl", "bp"])
+    def test_velocities_saved_in_local_step_order(self, tmp_path, regime):
+        # a guided step makes head 1's velocities first and block J's before
+        # block 1's; the file lists them as a local epoch makes them: block
+        # j's, then head j's.  A bp model is one block with no head
+        cfg = RunConfig(network=MlpSpec(widths=[8] * 4, num_classes=2), blocks=3, regime=regime,
                         dataset=SpiralsSpec(classes=2, n_per_class=24, test_n_per_class=24)).validate()
         model, opt = cfg.build_model(), NesterovSGD()
-        guided_epoch(model, [(np.ones((4, 2), np.float32), np.array([0, 1, 0, 1]))], opt, 0.1, update_aux)
+        guided_epoch(model, [(np.ones((4, 2), np.float32), np.array([0, 1, 0, 1]))], opt, 0.1)
         path = tmp_path / "g.ckpt"
         save_checkpoint(model, opt, epoch=1, path=path)
         saved = [n[len("opt.velocity."):] for n in read_tensors(path) if n.startswith("opt.velocity.")]
-        groups = model.groups() if update_aux else model.block_params
-        assert saved == [name for g in groups for name, _ in g]
-        assert list(opt.velocity)[0] == "block3"
+        assert saved == [name for g in model.groups() for name, _ in g]
+        made = ["aux1", "aux2", "block3", "block2", "block1"] if regime == "pgl" else ["block1"]
+        assert list(opt.velocity) == made
 
     def _eval_with(self, tmp_path, capsys, corrupt):
         """Save a ResNet checkpoint, let ``corrupt`` edit its tensors, and

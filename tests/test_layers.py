@@ -819,6 +819,29 @@ class TestBatchNorm:
         assert state.batches_tracked == 1
         assert np.all(state.running_var > 0)
 
+    @pytest.mark.parametrize("relu, skip", [(False, False), (True, False), (False, True)],
+                             ids=["bn", "bn-relu", "tail"])
+    def test_only_a_grad_mode_call_updates_running_stats(self, relu, skip):
+        # a guided step runs each block twice, under no_grad and then in its
+        # re-forward: both give the same bits, and the statistics move once
+        rng = np.random.default_rng(11)
+        x = Tensor(nhwc(rng.normal(1.0, 2.0, size=(4, 3, 5, 5)).astype(np.float32)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 3).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+        s = Tensor(rng.normal(size=x.shape).astype(np.float32), requires_grad=True) if skip else None
+        state = L.BatchNormState.init(3)
+        with T.no_grad():
+            quiet = L.batchnorm_forward(x, gamma, beta, state, True, relu, s)
+        assert not quiet.requires_grad
+        assert np.array_equal(state.running_mean, np.zeros(3)) and np.array_equal(state.running_var, np.ones(3))
+        assert state.batches_tracked == 0
+        loud = L.batchnorm_forward(x, gamma, beta, state, True, relu, s)
+        assert loud.requires_grad
+        assert quiet.data.tobytes() == loud.data.tobytes() and quiet.data.strides == loud.data.strides
+        assert state.batches_tracked == 1
+        assert np.allclose(state.running_mean, 0.1 * x.data.mean(axis=(0, 2, 3)), rtol=1e-5, atol=1e-7)
+        assert np.allclose(state.running_var, 0.9 + 0.1 * x.data.var(axis=(0, 2, 3)), rtol=1e-5)
+
     def test_eval_uses_running_stats(self):
         state = L.BatchNormState.init(1)
         state.running_mean[:] = 1.0
@@ -1015,12 +1038,14 @@ class TestBatchNormRelu:
         for a, b in zip(fused, ref):
             assert a.tobytes() == b.tobytes() and a.strides == b.strides
 
-    @pytest.mark.parametrize("step", [local_epoch, guided_epoch], ids=["local", "guided"])
-    def test_output_dies_with_its_unit(self, step, monkeypatch):
+    @pytest.mark.parametrize("step, units, fused", [(local_epoch, 4, 7), (guided_epoch, 7, 12)],
+                             ids=["local", "guided"])
+    def test_output_dies_with_its_unit(self, step, units, fused, monkeypatch):
         # no grad_fn keeps a fused output: a residual unit's bn1 output is
         # freed before its tail runs, and the stem's or a unit's own output
         # once the next unit's forward returns, unless the step holds it as
-        # a block's output
+        # a block's output.  A guided step runs block 1's stem and two units
+        # twice, in its no-grad pass and in their re-forward
         made, checked, tails = [], [], []
         real_bn = L.batchnorm_forward
 
@@ -1047,8 +1072,8 @@ class TestBatchNormRelu:
         rng = np.random.default_rng(8)
         batch = [(rng.normal(size=RESNET8[2]).astype(np.float32), rng.integers(0, 3, size=16))]
         step(model, batch, NesterovSGD(), 0.1)
-        assert len(made) == 7 and len(checked) == 4       # the stem, three units' bn1 and tails
-        assert all(checked) and tails == [True] * 3
+        assert len(checked) == units and len(made) == fused     # stems, units' bn1 and tails
+        assert all(checked) and tails == [True] * len(tails) and len(tails) == fused - units
         assert all(r() is None for r in made)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import pgl.layers as L
 import pgl.tensor as T
-from pgl.errors import ConfigError, ContractError
+from pgl.errors import ConfigError
 from pgl.layers import softmax_cross_entropy
 from pgl.network import (AuxHead, DecoupledModel, MlpSpec, ResNetSpec, ResidualUnit,
                          aux_adapt_policy, block_plans, partition, unit_plan)
@@ -184,12 +184,8 @@ class TestBlockPlans:
 
 
 def global_grads(model, x, y) -> dict:
-    """The global loss's gradients over every block, one block's backward at a time."""
-    logits, boundaries = model.forward_global(x, train=True)
-    grads = backward(softmax_cross_entropy(logits, y))
-    for b in reversed(boundaries):
-        grads.update(backward(b, grads[b.leaf_id].data))
-    return grads
+    """The global loss's gradients: one backward over the chained blocks."""
+    return backward(softmax_cross_entropy(model.forward_global(x, train=True), y))
 
 
 def _param_ids(named):
@@ -214,8 +210,11 @@ class TestForwardLocal:
     def test_matches_global_slices_bitwise(self):
         m = small_mlp(J=3, widths=[6] * 6, classes=3)
         x = np.random.default_rng(1).normal(size=(5, 2)).astype(np.float32)
-        logits, boundaries = m.forward_global(Tensor(x), train=False)
-        xs = [b.array() for b in boundaries] + [logits.data]
+        xs, h = [], Tensor(x)
+        for j in range(1, 4):
+            h = m.forward_block(h, j, train=False)
+            xs.append(h.data)
+        assert np.array_equal(m.forward_global(Tensor(x), train=False).data, xs[-1])
         h = Tensor(x)
         for j in range(1, 4):
             h, _ = m.forward_local(h, j, train=False)
@@ -255,7 +254,7 @@ class TestForwardGlobal:
         spec.input_hw = 16
         m.forward_global(Tensor(x), train=True)       # populate batchnorm stats
         with T.no_grad():                             # eval mode builds no graph
-            logits_g = m.forward_global(Tensor(x), train=False)[0]
+            logits_g = m.forward_global(Tensor(x), train=False)
             h = Tensor(x)
             for j in range(1, m.J + 1):
                 h, logits_l = m.forward_local(h, j, train=False)
@@ -263,67 +262,58 @@ class TestForwardGlobal:
         assert np.array_equal(logits_g.data, logits_l.data)
 
     def test_boundaries_are_detached(self):
-        # block j+1 runs on a parentless leaf over block j's output: the walk
-        # from the loss files that leaf's gradient and reaches no earlier block
+        # a guided step re-forwards block j+1 on a leaf over block j's stored
+        # output: the walk from the loss files that leaf's gradient and
+        # reaches no earlier block
         m = small_mlp(J=3, widths=[4] * 6)
-        x = Tensor(np.zeros((2, 2), dtype=np.float32))
-        logits, boundaries = m.forward_global(x, train=True)
-        assert len(boundaries) == 2 and logits.requires_grad and logits.parents
-        assert all(b.node.parents and b.shape == (2, 4) and b.dtype == np.float32 for b in boundaries)
+        h = Tensor(np.zeros((2, 2), dtype=np.float32))
+        with T.no_grad():
+            for j in (1, 2):
+                h = m.forward_block(Tensor(h.data), j, train=True)
+        leaf = Tensor(h.data, requires_grad=True)
+        logits = m.forward_block(leaf, 3, train=True)
+        assert logits.requires_grad and logits.parents
         grads = backward(softmax_cross_entropy(logits, np.array([0, 1])))
-        assert grads[boundaries[-1].leaf_id].shape == boundaries[-1].shape
-        assert boundaries[0].leaf_id not in grads
+        assert grads[leaf.node_id].shape == leaf.shape == (2, 4)
         assert not _param_ids([*m.block_params[0], *m.block_params[1]]) & set(grads)
 
-    @pytest.mark.parametrize("spec, shape, held", [
-        (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8), False),
-        (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2), True),
+    @pytest.mark.parametrize("spec, shape", [
+        (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8)),
+        (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2)),
     ], ids=["resnet8", "mlp"])
-    def test_a_boundary_array_outlives_the_forward_only_in_an_mlp(self, spec, shape, held, monkeypatch):
-        # a conv net's block output is a rebuildable batchnorm output, and
-        # the leaf over it shares its rebuild, so nothing the forward keeps
-        # or returns holds the array; an MLP's is a relu output, which its
-        # node keeps.  Either way the boundary gives back its bytes and strides
+    def test_a_stored_input_dies_after_its_block_walks(self, spec, shape, monkeypatch):
+        # a guided step keeps block j's output array X_j only until block
+        # j+1 has walked: block j's re-forward makes it again, so the stored
+        # one is gone by then, and the re-forward gives back its bytes and
+        # strides
         m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
         made = []
-        last = m.blocks[0][-1]
-        forward = last.forward
+        forward = m.forward_block
 
-        def record(x, train=True):
-            out = forward(x, train)
-            made.append((weakref.ref(out.data), out.data.tobytes(), out.data.strides))
+        def record(x, j, train=True):
+            out = forward(x, j, train)
+            if j == 1:
+                alive = [ref() is not None for ref, _, _ in made]
+                made.append((weakref.ref(out.data), out.data.tobytes(), out.data.strides))
+                assert alive == [False] * len(alive)
             return out
 
-        monkeypatch.setattr(last, "forward", record)
+        monkeypatch.setattr(m, "forward_block", record)
         x = np.random.default_rng(4).normal(size=shape).astype(np.float32)
-        _, (boundary,) = m.forward_global(Tensor(x), train=True)
-        (ref, data, strides), = made
-        assert (ref() is not None) == held
-        array = boundary.array()
-        assert (array is ref()) == held
-        assert array.tobytes() == data and array.strides == strides
-
-    def test_an_mlp_boundary_array_is_gone_after_its_walk(self):
-        # an MLP's block output has no rebuild: once block 1's walk has
-        # freed relu's node, asking for it fails loudly
-        m = small_mlp(J=2)
-        x = Tensor(np.random.default_rng(5).normal(size=(3, 2)).astype(np.float32))
-        logits, (boundary,) = m.forward_global(x, train=True)
-        grads = backward(softmax_cross_entropy(logits, np.array([0, 1, 0])))
-        assert boundary.array().shape == boundary.shape
-        backward(boundary, grads[boundary.leaf_id].data)
-        with pytest.raises(ContractError, match="take it before its block's walk"):
-            boundary.array()
+        guided_epoch(m, [(x, np.arange(shape[0]) % 4)], NesterovSGD(), 0.1)
+        (_, stored, stored_strides), (ref, again, strides) = made
+        assert ref() is None
+        assert again == stored and strides == stored_strides
 
     @pytest.mark.parametrize("spec, shape", [
         (ResNetSpec(depth=8, num_classes=4, input_hw=8), (6, 3, 8, 8)),
         (MlpSpec(widths=[8] * 4, num_classes=4), (6, 2)),
     ])
     def test_boundaries_alias_the_graph_and_keep_their_bits(self, spec, shape, monkeypatch):
-        # the heads read the forward's own arrays (a rebuild returns the
-        # array while anything holds it, as the recording does here), so
-        # nothing the global step or a head step runs may write an
-        # activation in place
+        # a head and block j+1's re-forward read the no-grad pass's own
+        # array X_j, so nothing the global step or a head step runs may
+        # write an activation in place; block j's re-forward makes X_j again
+        # with its bits
         m = DecoupledModel(spec, 2, "aux_adapt", seed=1)
         outputs, head_inputs = [], []
 
@@ -342,10 +332,11 @@ class TestForwardGlobal:
         x = rng.normal(size=shape).astype(np.float32)
         y = np.array([0, 1, 2, 3, 0, 1])
         guided_epoch(m, [(x, y)], NesterovSGD(), 0.1, update_aux=True)
-        assert len(outputs) == m.J and len(head_inputs) == m.J - 1
+        assert len(outputs) == 2 * m.J - 1 and len(head_inputs) == m.J - 1
         assert [b.node for b in head_inputs] == [None] * (m.J - 1)
         assert all(b.data is out for b, (out, _) in zip(head_inputs, outputs))
         assert all(out.tobytes() == before.tobytes() for out, before in outputs)
+        assert outputs[-1][1].tobytes() == outputs[0][1].tobytes()
 
 
 BOOKKEEPING_SPECS = [MlpSpec(widths=[5] * 6, num_classes=3),

@@ -63,14 +63,16 @@ def test_step_peaks_prints_the_table_row_by_row(capsys):
     # ResNet-8 on 8x8 images: the ROADMAP table's columns, one row per DEPTH:J
     assert step_peaks.main(["8:2", "8:3", "--batch", "16", "--hw", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("| net | J | local | guided | `bp` (J=1) |") and len(lines) == 4
+    assert lines[0].startswith("| net | J | local | guided | checkpointed `bp` | `bp` (J=1) |")
+    assert len(lines) == 4
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
     assert [row[:2] for row in rows] == [["ResNet-8", "2"], ["ResNet-8", "3"]]
     for row in rows:
-        local, guided, bp, measured, memest = (float(cell) for cell in row[2:])
-        assert min(local, guided, bp) > 0 and 0 < memest < 1
+        local, guided, checkpointed, bp, measured, memest = (float(cell) for cell in row[2:])
+        assert min(local, guided, checkpointed, bp) > 0 and 0 < memest < 1
+        assert checkpointed <= guided                   # the same step without its heads
         assert abs(measured - local / bp) <= 0.02       # of the unrounded peaks
-    assert rows[0][4] == rows[1][4]          # one J=1 step per depth
+    assert rows[0][5] == rows[1][5]          # one J=1 step per depth
 
 
 @pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])

@@ -236,31 +236,39 @@ class TestLocalEpoch:
             assert moved, f"block {j} never updated"
 
     def test_hands_each_block_what_a_guided_step_does(self):
-        # each block j > 1 runs on block j-1's output array, as
-        # forward_global's leaf wraps it, so both epoch modes give a block
-        # the same input layout and the same output bytes and strides; block
-        # 3 starts with an identity unit, whose skip is the block input
+        # each block j > 1 runs on block j-1's output array, as a guided
+        # step's no-grad pass and its re-forward do, so both epoch modes give
+        # a block the same input layout and the same output bytes and
+        # strides; block 3 starts with an identity unit, whose skip is the
+        # block input
         spec = ResNetSpec(depth=20, num_classes=10, in_channels=3, input_hw=8)
         a, b = (DecoupledModel(spec, 4, "aux_adapt", seed=0) for _ in range(2))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
         y = rng.integers(0, 10, size=8)
-        seen, real = [], a.forward_local
+        seen, guided = [], {}
+        real_local, real_block = a.forward_local, b.forward_block
 
         def recording(h, j, train=True):
-            x_j, logits = real(h, j, train)
+            x_j, logits = real_local(h, j, train)
             seen.append((h.data.strides, x_j.data.tobytes(), x_j.data.strides))
             return x_j, logits
 
+        def recording_block(h, j, train=True):
+            x_j = real_block(h, j, train)
+            guided.setdefault(j, []).append((h.data.strides, x_j.data.tobytes(), x_j.data.strides))
+            return x_j
+
         a.forward_local = recording
+        b.forward_block = recording_block
         local_epoch(a, [(x, y)], NesterovSGD(), lr=0.1)
-        logits, boundaries = b.forward_global(Tensor(x), train=True)
-        outs = [bound.array() for bound in boundaries] + [logits.data]   # rebuilt, as a guided step reads them
-        assert len(seen) == len(outs) == 4
-        for j, ((in_strides, out_bytes, out_strides), b_in, b_out) in enumerate(zip(seen, [x] + outs, outs), 1):
-            assert in_strides == b_in.strides, f"block {j}'s input"
-            assert out_strides == b_out.strides, f"block {j}'s output"
-            assert out_bytes == b_out.tobytes(), f"block {j}'s output"
+        guided_epoch(b, [(x, y)], NesterovSGD(), lr=0.1)
+        assert len(seen) == 4 and [len(guided[j]) for j in range(1, 5)] == [2, 2, 2, 1]
+        for j, (in_strides, out_bytes, out_strides) in enumerate(seen, 1):
+            for g_in, g_bytes, g_out in guided[j]:
+                assert in_strides == g_in, f"block {j}'s input"
+                assert out_strides == g_out, f"block {j}'s output"
+                assert out_bytes == g_bytes, f"block {j}'s output"
 
     def test_j1_equals_bp_epoch_bitwise(self):
         cfg = mlp_config(blocks=1)
@@ -457,7 +465,7 @@ class TestEvalChunks:
             logits = []
             with T.no_grad():
                 for size in (cfg.batch_size, rows):
-                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False)[0].data
+                    logits.append(np.concatenate([model.forward_global(Tensor(x), train=False).data
                                                   for x, _ in D.batches(ds, size, None, 0)]))
             if exact_logits:
                 assert np.array_equal(*logits)

@@ -1,7 +1,9 @@
 """Print the step-peak table of ROADMAP State: for each net and block count J,
-the ``tracemalloc`` peak in MiB of one local step, of one guided step and of
-the one-block (J=1, ``bp``) step, then local over ``bp`` measured and as
-``memest`` (``memory.estimate``) puts it.
+the ``tracemalloc`` peak in MiB of one local step, of one guided step, of
+the checkpointed ``bp`` step (the guided step's re-forward at J without its
+heads, ``guided_epoch(update_aux=False)``) and of the one-block (J=1,
+``bp``) step, then local over ``bp`` measured and as ``memest``
+(``memory.estimate``) puts it.
 
 Each model is built with seed 0 and takes one local and one guided step on
 its one batch first, so every velocity exists; then each step is measured
@@ -56,7 +58,8 @@ def peak(step) -> int:
 
 
 def step_peaks(spec, J: int, batch: int) -> tuple:
-    """(local, guided) step peaks in bytes of ``spec`` split into J blocks."""
+    """(local, guided, checkpointed ``bp``) step peaks in bytes of ``spec``
+    split into J blocks."""
     model = DecoupledModel(spec, J, "aux_adapt", seed=0)
     opt = NesterovSGD()
     rng = np.random.default_rng(0)
@@ -65,23 +68,25 @@ def step_peaks(spec, J: int, batch: int) -> tuple:
     local_epoch(model, data, opt, 0.1)
     guided_epoch(model, data, opt, 0.1)
     return (peak(lambda: local_epoch(model, data, opt, 0.1)),
-            peak(lambda: guided_epoch(model, data, opt, 0.1)))
+            peak(lambda: guided_epoch(model, data, opt, 0.1)),
+            peak(lambda: guided_epoch(model, data, opt, 0.1, update_aux=False)))
 
 
 def table(rows, batch: int, hw: int) -> list:
     """The table's lines, one per "DEPTH:J" row of ``rows``."""
-    lines = ["| net | J | local | guided | `bp` (J=1) | local/`bp` measured | local/`bp` `memest` |",
-             "|---|---|---|---|---|---|---|"]
+    lines = ["| net | J | local | guided | checkpointed `bp` | `bp` (J=1) | local/`bp` measured "
+             "| local/`bp` `memest` |",
+             "|---|---|---|---|---|---|---|---|"]
     bp = {}
     for row in rows:
         depth, J = (int(s) for s in row.split(":"))
         spec = ResNetSpec(depth=depth, num_classes=10, input_hw=hw)
         if depth not in bp:
             bp[depth] = step_peaks(spec, 1, batch)[1]
-        local, guided = step_peaks(spec, J, batch)
+        local, guided, checkpointed = step_peaks(spec, J, batch)
         est = estimate(spec, partition(unit_plan(spec), J), batch)
         lines.append(f"| ResNet-{depth} | {J} | {local / MIB:.2f} | {guided / MIB:.2f} | "
-                     f"{bp[depth] / MIB:.2f} | {local / bp[depth]:.2f} | "
+                     f"{checkpointed / MIB:.2f} | {bp[depth] / MIB:.2f} | {local / bp[depth]:.2f} | "
                      f"{est.peak_local / est.peak_bp:.2f} |")
     return lines
 
