@@ -77,19 +77,24 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     vertically only, as one flat run of (H+2p)*W + 2p floats per (c, n),
     and copies each (c, ky, kx) window of all N images as one slice of H*W
     contiguous floats starting at ky*W + kx.  A window's columns within p
-    of a row edge read the neighbouring row there, so they are written
-    over with +0.0.  Other convs pad both ways and copy one strided view
-    per offset.  A column matrix holds copies of input elements and +0.0
-    pads, in the same place either way, so both lowerings give the same
-    bytes, and the GEMMs that read them the same bits.
+    of a row edge read the neighbouring row there, so once every window is
+    copied they are written over with +0.0, one call per kernel column kx
+    (all ky at once) for each kx != p.  Other convs copy one strided view
+    per offset, from a zeroed copy padded both ways, or, at pad 0 (the 1x1
+    stride-2 projections), straight from ``x.transpose(1, 0, 2, 3)``.  A
+    column matrix holds copies of input elements and +0.0 pads, in the
+    same place either way, so every lowering gives the same bytes, and the
+    GEMMs that read them the same bits.
     """
     n, c, h, w = x.shape
     if stride == 1 and 2 * pad == k - 1:
         return _im2col_same(x, k, pad)
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
-    img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    img[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    img = x.transpose(1, 0, 2, 3)
+    if pad:
+        img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        img[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
@@ -109,7 +114,9 @@ def _im2col_same(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     for ky in range(k):
         for kx in range(k):
             runs[:, ky, kx] = img[:, :, ky * w + kx:ky * w + kx + hw]
-            col[:, ky, kx, :, :, _wrapped(w, kx, pad)] = 0.0
+    for kx in range(k):
+        if kx != pad:                                    # the centre column wraps no row
+            col[:, :, kx, :, :, _wrapped(w, kx, pad)] = 0.0
     return col.reshape(c * k * k, n * hw)
 
 
@@ -328,10 +335,16 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
     train-mode call with gradients enabled updates the running statistics
     (momentum 0.1) and ``batches_tracked``; under ``no_grad`` it gives
     the same output bits and leaves them alone, so a guided step's no-grad
-    pass and its re-forward of a block update them once.  Eval mode
-    normalizes by the running statistics, which must be populated, and
-    builds no graph: with gradients enabled and a tracked input it raises
-    ``ContractError``, so it runs under ``no_grad``.
+    pass and its re-forward of a block update them once.  Eval mode uses
+    the running statistics, which must be populated, as one per-channel
+    scale-and-shift (the inference-time affine of Ioffe & Szegedy, 2015):
+    scale = gamma / sqrt(running_var + eps) and shift = beta - running_mean
+    * scale, once per call, then ``tile(scale) * rows(x)`` and ``+=
+    tile(shift)``, one array in two passes.  Its bits differ from train
+    mode's normalize-then-scale by design, by a few float32 eps of the
+    largest output.  It builds no graph: with gradients enabled and a
+    tracked input it raises ``ContractError``, so it runs under
+    ``no_grad``.
 
     The node never keeps its output.  Its tracked output is a
     ``tensor.Remade`` whose ``remake`` returns the output while anything
@@ -384,26 +397,27 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
     def image(r):                                        # the [N,C,H,W] view of rows
         return r.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
-    def affine():                                        # gamma * xhat + beta, as NHWC memory
-        out = tile(gd) * xr
-        out += tile(bd)
-        return image(out)
+    plain = not relu and skip is None
 
-    def output():                                        # relu(affine [+ skip]), as add and relu make it
+    # scale * r + shift per channel, as NHWC memory; with relu or a skip,
+    # relu(. [+ skip]) as a separate add and tensor.relu make it
+    def output(scale, shift, r):
         s = None if skip_data is None else skip_data()
-        out = affine()
+        out = tile(scale) * r
+        out += tile(shift)
+        out = image(out)
         if s is not None:
             out += s
-        return np.maximum(out, 0, out=out)
+        return out if plain else np.maximum(out, 0, out=out)
 
     if not train:
         if state.batches_tracked == 0:
             raise ContractError("batchnorm: eval mode before any train-mode batch")
         if T._grad_enabled and any(t.requires_grad for t in (x, gamma, beta)):
             raise ContractError("batchnorm: eval mode builds no graph; run it under no_grad")
-        xr = rows(x.data) - tile(state.running_mean.astype(x.dtype))
-        xr /= tile(np.sqrt(state.running_var.astype(x.dtype) + eps))
-        return Tensor(output() if relu or skip is not None else affine())
+        scale = gd / np.sqrt(state.running_var.astype(x.dtype) + eps)
+        shift = bd - state.running_mean.astype(x.dtype) * scale
+        return Tensor(output(scale, shift, rows(x.data)))
 
     mu = _channel_mean(x.data)
     xr = rows(x.data) - tile(mu)
@@ -431,13 +445,12 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSt
     def grad_gamma(g):
         return _channel_sum(g * xhat)
 
-    plain = not relu and skip is None
-    out = affine() if plain else output()
+    out = output(gd, bd, xr)
     held = weakref.ref(out)
 
     def remake():
         y = held()
-        return (affine() if plain else output()) if y is None else y
+        return output(gd, bd, xr) if y is None else y
 
     def plain_grad_x(g):                                 # the last edge, g's last holder
         gx = g * gam

@@ -379,16 +379,25 @@ class TestIm2col:
     def test_wrapped_columns_are_positive_zero(self):
         # all -0.0 input: interior entries keep their sign bit, every pad or
         # wrapped entry is +0.0
-        x = np.full((2, 3, 4, 5), -0.0, dtype=np.float32)
-        col = L.im2col(x, 3, 1, 1).reshape(3, 3, 3, 2, 4, 5)
-        pad = np.ones((3, 3, 4, 5), dtype=bool)
-        for ky in range(3):
-            for kx in range(3):
-                pad[ky, kx, max(0, 1 - ky):4 + min(0, 1 - ky), max(0, 1 - kx):5 + min(0, 1 - kx)] = False
-        assert np.array_equal(np.signbit(col), np.broadcast_to(~pad[None, :, :, None], col.shape))
-        rows = L.kn2row(x, 3, 1, 1, 0, 9).reshape(2, 4, 5, 3, 3, 3)
-        assert np.array_equal(np.signbit(rows), np.broadcast_to(~pad.transpose(2, 3, 0, 1)[None, ..., None],
-                                                                rows.shape))
+        for shape, k, stride, pad in [
+            ((2, 3, 4, 5), 3, 1, 1),
+            ((2, 2, 6, 6), 5, 1, 2),      # two wrapped columns on each side
+            ((1, 2, 3, 2), 7, 1, 3),      # W < pad: a window wraps past a whole row
+            ((2, 3, 5, 5), 1, 2, 0),      # a 1x1 stride-2 projection, read straight from x
+        ]:
+            n, c, h, w = shape
+            x = np.full(shape, -0.0, dtype=np.float32)
+            oh, ow = L.conv_out_size(h, k, stride, pad), L.conv_out_size(w, k, stride, pad)
+
+            def inside(size, out):       # [k, out]: offset kd's input at output i lies in [0, size)
+                at = np.arange(k)[:, None] + stride * np.arange(out) - pad
+                return (at >= 0) & (at < size)
+            interior = inside(h, oh)[:, None, :, None] & inside(w, ow)[None, :, None, :]   # [ky, kx, y, x]
+            col = L.im2col(x, k, stride, pad).reshape(c, k, k, n, oh, ow)
+            assert np.array_equal(np.signbit(col), np.broadcast_to(interior[None, :, :, None], col.shape))
+            rows = L.kn2row(x, k, stride, pad, 0, k * k).reshape(n, oh, ow, k, k, c)
+            assert np.array_equal(np.signbit(rows),
+                                  np.broadcast_to(interior.transpose(2, 3, 0, 1)[None, ..., None], rows.shape))
 
 
 # OpenBLAS runs a GEMM of M*N*K up to this through its small-matrix kernels,
@@ -680,30 +689,29 @@ def reference_batchnorm(x, gamma, beta, state=None, eps=1e-5):
     """The unfused batchnorm.  Train mode (no ``state``): eleven test-local
     graph nodes (two per-channel means, the centring, the square, the eps
     add, the square root, the division, two reshapes, the scale and the
-    shift).  Eval mode: ``state``'s running statistics are constants, so the
-    means, the square and the eps add are not nodes.  A per-channel
-    operand's gradient sums over the broadcast axes."""
+    shift).  A per-channel operand's gradient sums over the broadcast axes.
+    Eval mode builds no graph: ``state``'s running statistics fold into one
+    per-channel scale, gamma / sqrt(running_var + eps), and shift, beta -
+    running_mean * scale, and x is scaled, then shifted."""
     c, axes = x.shape[1], (0, 2, 3)
+    if state is not None:
+        scale = gamma.data / np.sqrt(state.running_var.astype(x.dtype) + x.dtype.type(eps))
+        shift = beta.data - state.running_mean.astype(x.dtype) * scale
+        return Tensor(x.data * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1))
 
     def mean(t):                                 # over (N, H, W), keepdims
         shape, count = t.shape, t.shape[0] * t.shape[2] * t.shape[3]
         return T.apply_op(t.data.mean(axis=axes, keepdims=True),
                           [(t, lambda g: np.broadcast_to(g, shape) / count)])
 
-    if state is None:
-        mu = mean(x)
-    else:
-        mu = Tensor(state.running_mean.reshape(1, c, 1, 1).astype(x.dtype))
+    mu = mean(x)
     xc = T.apply_op(x.data - mu.data, [
         (x, lambda g: g),
         (mu, lambda g: (-g).sum(axis=axes, keepdims=True)),
     ])
     xcd = xc.data
-    if state is None:
-        var = mean(T.apply_op(xcd * xcd, [(xc, lambda g: g * xcd), (xc, lambda g: g * xcd)]))
-        var_eps = T.apply_op(var.data + np.float32(eps), [(var, lambda g: g)])
-    else:
-        var_eps = Tensor(state.running_var.reshape(1, c, 1, 1).astype(x.dtype) + x.dtype.type(eps))
+    var = mean(T.apply_op(xcd * xcd, [(xc, lambda g: g * xcd), (xc, lambda g: g * xcd)]))
+    var_eps = T.apply_op(var.data + np.float32(eps), [(var, lambda g: g)])
     sd = np.sqrt(var_eps.data)
     std = T.apply_op(sd, [(var_eps, lambda g: g * 0.5 / sd)])
     xhat = T.apply_op(xc.data / sd, [
@@ -732,7 +740,7 @@ class TestBatchNorm:
         # same forward arithmetic on a conv output's memory, bit for bit;
         # the closed-form training input gradient reorders float32 sums, so
         # it agrees to a few ulps of the largest entry.  Eval mode builds no
-        # graph, so only its forward is compared
+        # graph, so only its forward is compared, against the scale-and-shift
         rng = np.random.default_rng(3)
         data = nhwc(rng.normal(2.0, 3.0, size=(32, 8, 6, 6)).astype(np.float32))
         x = Tensor(data, requires_grad=True)
@@ -743,8 +751,15 @@ class TestBatchNorm:
             state = L.BatchNormState(rng.normal(2.0, 1.0, 8).astype(np.float32),
                                      rng.uniform(4.0, 12.0, 8).astype(np.float32), batches_tracked=1)
             with T.no_grad():
-                out = L.batchnorm_forward(x, gamma, beta, state, False)
-                assert np.array_equal(out.data, reference_batchnorm(x, gamma, beta, state).data)
+                out = L.batchnorm_forward(x, gamma, beta, state, False).data
+                assert np.array_equal(out, reference_batchnorm(x, gamma, beta, state).data)
+            # the folded affine rounds differently from normalizing by the
+            # running statistics and then scaling, by a few eps
+            per_channel = [v.reshape(1, 8, 1, 1) for v in (state.running_mean, state.running_var,
+                                                           gamma.data, beta.data)]
+            mean, var, gam, bet = per_channel
+            normalized = gam * ((data - mean) / np.sqrt(var + np.float32(1e-5))) + bet
+            assert np.max(np.abs(out - normalized)) <= 4 * np.finfo(np.float32).eps * np.max(np.abs(out))
             return
         runs = []
         for out in (L.batchnorm_forward(x, gamma, beta, L.BatchNormState.init(8)),

@@ -1,5 +1,6 @@
 """Repository tooling: ``tools/src_lines.py``, the source-line count the
-ROADMAP tracks, ``tools/step_peaks.py``, its step-peak table, and the
+ROADMAP tracks, ``tools/step_peaks.py``, its step-peak table,
+``tools/ab_epochs.py``, the in-process A/B of epoch times, and the
 benchmark's smoke run, which reaches names of the
 package (``guided_epoch(update_aux=...)``, ``memory.estimate``'s positional
 arguments, ``training.Schedule``, the traced ``DecoupledModel`` and
@@ -21,6 +22,9 @@ _spec.loader.exec_module(src_lines)
 _spec = importlib.util.spec_from_file_location("step_peaks", ROOT / "tools" / "step_peaks.py")
 step_peaks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(step_peaks)
+_spec = importlib.util.spec_from_file_location("ab_epochs", ROOT / "tools" / "ab_epochs.py")
+ab_epochs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_epochs)
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -73,6 +77,22 @@ def test_step_peaks_prints_the_table_row_by_row(capsys):
         assert checkpointed <= guided                   # the same step without its heads
         assert abs(measured - local / bp) <= 0.02       # of the unrounded peaks
     assert rows[0][5] == rows[1][5]          # one J=1 step per depth
+
+
+def test_ab_epochs_prints_one_line_per_mode(capsys):
+    # A/A at ResNet-8 on 8x8 images: this checkout's src on both sides, each
+    # imported under its own module name
+    assert ab_epochs.main(["--base", str(ROOT / "src"), "--depth", "8", "--hw", "8", "--J", "2",
+                           "--batch", "16", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["local", "guided", "one-block", "eval"]
+    for line in lines:
+        words = line.split()
+        assert words[1] == "base" and words[4] == "change" and words[7] == "change/base"
+        assert float(words[2]) > 0 and float(words[5]) > 0 and float(words[8].lstrip("x")) > 0
+        assert words[9] == "better" and words[10] in {"0/2", "1/2", "2/2"}
+    base, change = (sys.modules[f"_ab_{side}_pgl.layers"] for side in ("base", "change"))
+    assert base is not change and base.conv2d_forward is not change.conv2d_forward
 
 
 @pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
